@@ -38,10 +38,6 @@ def parse_semiring(tag) -> SemiringId:
     raise SchemaError(f"unknown semiring tag {tag!r}")
 
 
-def semiring_tag(sr: SemiringId) -> str:
-    return str(sr)
-
-
 def scalar_from_json(sr: SemiringId, obj) -> Scalar:
     if isinstance(obj, bool):
         raise SchemaError(f"not a scalar: {obj!r}")
@@ -84,10 +80,6 @@ def matrix_from_json(sr: SemiringId, obj) -> Matrix:
     if any(len(r) != width for r in obj):
         raise MismatchError("ragged matrix rows")
     return Matrix(sr, tuple(tuple(scalar_from_json(sr, e) for e in row) for row in obj))
-
-
-def matrix_json(m: Matrix) -> list:
-    return [[scalar_json(s) for s in row] for row in m.entries]
 
 
 def family_from_json(sr: SemiringId, obj, point_dim: int | None = None) -> GeneratingFamily:

@@ -2,25 +2,32 @@
 labelled points with projection arrows, and the generic line shapes
 max(a+u, b+v, c) = max(a'+u, b'+v, c').
 
-Regions come from sampling the exact membership predicates on a pixel
-grid; every sampled point is classified with the same exact arithmetic the
-library uses everywhere, so only the picture is approximate, never the
-algebra.  Output bytes are a pure function of the scene and the library
-version.
+Regions are rasterised on a grid of exact rational sample points, one row
+at a time.  Along a row every scene predicate is a max/min of affine pieces
+in u with slope 0 or +-1, so it is constant between finitely many exact
+breakpoints taken from the scene coordinates and the row.  Each open
+interval between breakpoints is classified once, at its first sample, and
+each sample that lies on a breakpoint is classified on its own, always with
+the same exact predicate the library uses everywhere.  So only the picture
+is approximate, never the algebra.  Output bytes are a pure function of
+the scene and the library version.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
 from .errors import SchemaError
-from .freemod import GeneratingFamily, Vector, act, bot_vector, vec_lres, vjoin
+from .freemod import GeneratingFamily, Vector
 from .jsonio import rational_from_json, scalar_from_json, vector_from_json
-from .semiring import RMAX, Scalar, add, bot, fin, meet, unit
-from .separate import HalfSpace, convex_projection, halfspace_contains, separate_from_convex
+from .semiring import FIN, RMAX, Scalar, fin, unit
+from .separate import HalfSpace, _lifted_projection, halfspace_contains, separate_from_convex
 
 _TAGS = ("+", "-", ".")
+# Far beyond the 560-pixel drawing area; bounds the raster a scene can ask for.
+MAX_SAMPLES = 2048
 
 
 @dataclass(frozen=True)
@@ -63,8 +70,8 @@ def scene_from_json(obj) -> Scene:
     if not (xmin < xmax and ymin < ymax):
         raise SchemaError("viewport must be nonempty")
     samples = obj.get("samples_per_axis", 400)
-    if not isinstance(samples, int) or samples < 16:
-        raise SchemaError("samples_per_axis must be an integer >= 16")
+    if not isinstance(samples, int) or not 16 <= samples <= MAX_SAMPLES:
+        raise SchemaError(f"samples_per_axis must be an integer in [16, {MAX_SAMPLES}]")
     scene = Scene((xmin, xmax, ymin, ymax), samples)
     for g in obj.get("generators", []):
         scene.generators.append(vector_from_json(RMAX, g, 2))
@@ -92,17 +99,65 @@ def scene_from_json(obj) -> Scene:
 
 
 def _hull_member(gens: list[Vector], v: Vector) -> bool:
-    """v is a convex combination of gens: the lifted projection fixes (v, e)."""
-    if not gens:
-        return False
-    e = unit(RMAX)
-    nu = bot(RMAX)
-    y = bot_vector(RMAX, v.dim)
+    """v is a convex combination of the nonempty gens: the lifted projection
+    fixes (v, e)."""
+    nu, y = _lifted_projection(gens, v)
+    return nu == unit(RMAX) and y == v
+
+
+# Breakpoints in u of each predicate along the row at height v.  Between two
+# consecutive breakpoints the order of every affine piece the predicate
+# compares is fixed, so the predicate is constant there.
+
+
+def _hull_breaks(gens: list[Vector], v) -> list:
+    # lambda_g = min(u - g1, v - g2, 0); y compares u with g1 and g1 + v - g2
+    out = []
     for g in gens:
-        lam = meet(vec_lres(g, v), e)
-        nu = add(nu, lam)
-        y = vjoin(y, act(g, lam))
-    return nu == e and y == v
+        g1, g2 = g.entries
+        if g1.kind == FIN:
+            out.append(g1.value)
+            if g2.kind == FIN:
+                out.append(g1.value + v - g2.value)
+    return out
+
+
+def _halfspace_breaks(h: HalfSpace, v) -> list:
+    # min(x1 - u, x2 - v, 0) <= min(y1 - u, y2 - v, nu)
+    (x1, x2), (y1, y2) = h.x_ref.entries, h.y.entries
+    ks = [s.value - v for s in (x2, y2) if s.kind == FIN] + [0]
+    if h.nu.kind == FIN:
+        ks.append(h.nu.value)
+    return [c.value - k for c in (x1, y1) if c.kind == FIN for k in ks]
+
+
+def _line_breaks(spec: LineSpec, v) -> list:
+    # a + u against the constants b + v and c
+    a, b, c = spec.a[1], spec.b[1], spec.c[1]
+    if a.kind != FIN:
+        return []
+    ks = ([b.value + v] if b.kind == FIN else []) + ([c.value] if c.kind == FIN else [])
+    return [k - a.value for k in ks]
+
+
+def _row_classes(us: list, breaks: list, classify) -> list:
+    """[classify(u) for u in us], for ascending samples us and a classify that
+    is constant on each open interval between the breaks: one call per such
+    interval that holds samples, one per sample that lies on a break."""
+    n = len(us)
+    out: list = []
+    start = 0
+    for b in sorted(set(breaks)):
+        k = bisect_left(us, b, start)
+        if k > start:
+            out += [classify(us[start])] * (k - start)
+            start = k
+        if k < n and us[k] == b:
+            out.append(classify(us[k]))
+            start = k + 1
+    if start < n:
+        out += [classify(us[start])] * (n - start)
+    return out
 
 
 _NEG_INF = object()
@@ -149,6 +204,8 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
 
     us = [xmin + span_x * i / (n - 1) for i in range(n)]
     vs = [ymin + span_y * j / (n - 1) for j in range(n)]
+    xs = [px(u) for u in us]
+    ys = [py(v) for v in vs]
     step = inner / (n - 1)
     half = step / 2
 
@@ -159,33 +216,49 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
         f'<rect x="0" y="0" width="{_W}" height="{_W}" fill="#ffffff"/>',
     ]
 
-    def emit_region(classify, color: str, opacity: str) -> None:
+    def emit_region(breaks, contains, color: str, opacity: str) -> None:
         for j, v in enumerate(vs):
             run_start = None
-            row_points = [Vector(RMAX, (fin(RMAX, u), fin(RMAX, v))) for u in us]
-            flags = [classify(p) for p in row_points]
+            fv = fin(RMAX, v)
+            flags = _row_classes(
+                us, breaks(v), lambda u: contains(Vector(RMAX, (fin(RMAX, u), fv)))
+            )
             for i in range(n + 1):
                 inside = i < n and flags[i]
                 if inside and run_start is None:
                     run_start = i
                 elif not inside and run_start is not None:
-                    x0 = px(us[run_start]) - half
-                    x1 = px(us[i - 1]) + half
+                    x0 = xs[run_start] - half
+                    x1 = xs[i - 1] + half
                     parts.append(
-                        f'<rect x="{x0:.2f}" y="{py(v) - half:.2f}" '
+                        f'<rect x="{x0:.2f}" y="{ys[j] - half:.2f}" '
                         f'width="{x1 - x0:.2f}" height="{step:.2f}" '
                         f'fill="{color}" fill-opacity="{opacity}"/>'
                     )
                     run_start = None
 
     for h in scene.halfspaces:
-        emit_region(lambda p, h=h: halfspace_contains(h, p), "#b8b8b8", "0.6")
-    if scene.generators:
-        emit_region(lambda p: _hull_member(scene.generators, p), "#4a4a4a", "0.85")
+        emit_region(
+            lambda v, h=h: _halfspace_breaks(h, v),
+            lambda p, h=h: halfspace_contains(h, p),
+            "#b8b8b8",
+            "0.6",
+        )
+    gens = scene.generators
+    if gens:
+        emit_region(
+            lambda v: _hull_breaks(gens, v),
+            lambda p: _hull_member(gens, p),
+            "#4a4a4a",
+            "0.85",
+        )
 
     for li, spec in enumerate(scene.lines):
         color = _LINE_COLORS[li % len(_LINE_COLORS)]
-        signs = [[_line_side(spec, u, v) for u in us] for v in vs]
+        signs = [
+            _row_classes(us, _line_breaks(spec, v), lambda u, v=v: _line_side(spec, u, v))
+            for v in vs
+        ]
         for j in range(n):
             for i in range(n):
                 s = signs[j][i]
@@ -196,7 +269,7 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
                     crossing = True
                 if crossing:
                     parts.append(
-                        f'<rect x="{px(us[i]) - half:.2f}" y="{py(vs[j]) - half:.2f}" '
+                        f'<rect x="{xs[i] - half:.2f}" y="{ys[j] - half:.2f}" '
                         f'width="{step:.2f}" height="{step:.2f}" fill="{color}"/>'
                     )
 
@@ -223,7 +296,7 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
         if fam is not None:
             sep = separate_from_convex(fam, p)
             info["in_convex"] = sep.member
-            proj = convex_projection(fam, p)
+            proj = sep.normalized
             if proj is not None and proj != p:
                 arrows.append((p, proj))
         for hi, h in enumerate(scene.halfspaces):

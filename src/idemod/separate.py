@@ -4,6 +4,7 @@ projection and half-space extraction.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import DomainError, MismatchError, TheoremViolation
@@ -87,6 +88,21 @@ def _check_convex(c: GeneratingFamily, x: Vector) -> None:
         raise DomainError("convex separation requires a complete semifield instance")
 
 
+def _lifted_projection(gens: Sequence[Vector], x: Vector) -> tuple[Scalar, Vector]:
+    """(nu, y) with lambda_g = g\\x ^ e, nu = (+)_g lambda_g and
+    y = (+)_g g * lambda_g: the projection of the lifted point (x, e) onto
+    the span of the lifted generators (g, e).  gens is nonempty; nothing is
+    checked."""
+    e = unit(x.semiring)
+    nu = meet(vec_lres(gens[0], x), e)
+    y = act(gens[0], nu)
+    for g in gens[1:]:
+        lam = meet(vec_lres(g, x), e)
+        nu = add(nu, lam)
+        y = vjoin(y, act(g, lam))
+    return nu, y
+
+
 def separate_from_convex(c: GeneratingFamily, x: Vector) -> ConvexSeparation:
     """Separate x from the convex hull of c.
 
@@ -96,12 +112,7 @@ def separate_from_convex(c: GeneratingFamily, x: Vector) -> ConvexSeparation:
     """
     _check_convex(c, x)
     e = unit(x.semiring)
-    coeffs = [meet(vec_lres(g, x), e) for g in c]
-    nu = coeffs[0]
-    y = act(c.generators[0], coeffs[0])
-    for g, lam in zip(c.generators[1:], coeffs[1:]):
-        nu = add(nu, lam)
-        y = vjoin(y, act(g, lam))
+    nu, y = _lifted_projection(c.generators, x)
     member = y == x and nu == e
     for g in c:
         if meet(vec_lres(g, x), e) != meet(vec_lres(g, y), nu):

@@ -256,6 +256,9 @@ def test_render_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", dict(SCENE, samples_per_axis=4))
     code, _, _ = run_cli(capsys, "render", bad, "--out", str(tmp_path / "x.svg"))
     assert code == 2
+    huge = write(tmp_path, "huge.json", dict(SCENE, samples_per_axis=10**7))
+    code, _, err = run_cli(capsys, "render", huge, "--out", str(tmp_path / "x.svg"))
+    assert code == 2 and "samples_per_axis" in err
     code, _, _ = run_cli(capsys, "render", scene)
     assert code == 2
 

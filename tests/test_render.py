@@ -1,0 +1,142 @@
+"""Interval classification of raster rows against per-sample classification,
+and the byte gate on the README figure."""
+import hashlib
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from idemod import RMAX, GeneratingFamily, Vector, fin, separate_from_convex
+from idemod.errors import SchemaError
+from idemod.render import (
+    MAX_SAMPLES,
+    LineSpec,
+    Scene,
+    _halfspace_breaks,
+    _hull_breaks,
+    _line_breaks,
+    _line_side,
+    _row_classes,
+    render_scene,
+    scene_from_json,
+)
+from idemod.separate import HalfSpace, halfspace_contains
+
+from conftest import scalars, vectors
+
+# grids whose steps (1/2, 1/4, 3/5, ...) land on the quarter-integer
+# coordinates and breakpoints that scalars() draws, plus an irregular one
+GRIDS = [
+    ((-4, 4, -4, 4), 17),
+    ((-4, 4, -4, 4), 33),
+    ((-3, 6, -3, 6), 16),
+    ((Fraction(-5, 2), 3, -2, Fraction(7, 3)), 19),
+]
+
+
+def samples(viewport, n):
+    xmin, xmax, ymin, ymax = (Fraction(t) for t in viewport)
+    us = [xmin + (xmax - xmin) * i / (n - 1) for i in range(n)]
+    vs = [ymin + (ymax - ymin) * j / (n - 1) for j in range(n)]
+    return us, vs
+
+
+def point(u, v):
+    return Vector(RMAX, (fin(RMAX, u), fin(RMAX, v)))
+
+
+def per_sample(us, breaks, classify):
+    """The oracle: every sample classified on its own."""
+    return [classify(u) for u in us]
+
+
+points2 = vectors(RMAX, dim=2)
+halfspaces = st.builds(HalfSpace, points2, points2, scalars())
+coefs = st.tuples(st.sampled_from(["+", "-", "."]), scalars())
+lines = st.builds(LineSpec, coefs, coefs, coefs)
+grid_rows = st.sampled_from(GRIDS).flatmap(
+    lambda g: st.tuples(st.just(g), st.integers(min_value=0, max_value=g[1] - 1))
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(points2, min_size=1, max_size=4), grid_rows)
+def test_hull_row_matches_per_sample(gens, grid_row):
+    (viewport, n), j = grid_row
+    us, vs = samples(viewport, n)
+    v = vs[j]
+    fam = GeneratingFamily(RMAX, 2, tuple(gens))
+    classify = lambda u: separate_from_convex(fam, point(u, v)).member  # noqa: E731
+    assert _row_classes(us, _hull_breaks(gens, v), classify) == per_sample(us, None, classify)
+
+
+@settings(max_examples=300)
+@given(halfspaces, grid_rows)
+def test_halfspace_row_matches_per_sample(h, grid_row):
+    (viewport, n), j = grid_row
+    us, vs = samples(viewport, n)
+    v = vs[j]
+    classify = lambda u: halfspace_contains(h, point(u, v))  # noqa: E731
+    assert _row_classes(us, _halfspace_breaks(h, v), classify) == per_sample(us, None, classify)
+
+
+@settings(max_examples=300)
+@given(lines, grid_rows)
+def test_line_row_matches_per_sample(spec, grid_row):
+    (viewport, n), j = grid_row
+    us, vs = samples(viewport, n)
+    v = vs[j]
+    classify = lambda u: _line_side(spec, u, v)  # noqa: E731
+    assert _row_classes(us, _line_breaks(spec, v), classify) == per_sample(us, None, classify)
+
+
+def test_row_classes_calls_once_per_interval_and_break():
+    us = [Fraction(i, 2) for i in range(-8, 9)]  # -4, -7/2, ..., 4
+    calls = []
+    flags = _row_classes(us, [Fraction(1, 3), 1, 1, 9], lambda u: calls.append(u) or u > 1)
+    assert flags == [u > 1 for u in us]
+    # (-inf, 1/3), (1/3, 1), the sample on 1, (1, 9); 9 lies past the grid
+    assert calls == [-4, Fraction(1, 2), 1, Fraction(3, 2)]
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(GRIDS),
+    st.lists(points2, max_size=3),
+    st.lists(halfspaces, max_size=2),
+    st.lists(lines, max_size=2),
+)
+def test_svg_bytes_match_per_sample_render(grid, gens, hs, ls):
+    viewport, n = grid
+    scene = Scene(viewport, n, gens, [], hs, ls)
+    svg, _ = render_scene(scene)
+    with mock.patch("idemod.render._row_classes", per_sample):
+        oracle, _ = render_scene(scene)
+    assert svg == oracle
+
+
+README_SCENE = {
+    "viewport": ["-3", "6", "-3", "6"],
+    "samples_per_axis": 400,
+    "generators": [["0", "0"], ["1", "3"], ["3", "4"]],
+    "points": [{"label": "M", "coords": ["-1", "0"]}],
+    "halfspaces": [{"x_ref": ["-1", "0"], "y": ["-1", "0"], "nu": "-1"}],
+    "lines": [{"a": ["+", "2"], "b": ["-", "0"], "c": [".", "3"]}],
+}
+
+
+def test_readme_figure_bytes():
+    """The README scene at 400 samples per axis, pinned byte for byte."""
+    svg, classification = render_scene(scene_from_json(README_SCENE))
+    assert classification == {"M": {"in_convex": False, "in_halfspace_0": False}}
+    assert (
+        hashlib.sha256(svg.encode("utf-8")).hexdigest()
+        == "ab2fa23ab5b696ec6564ba51b633932cebf8e30358591095f5c837feabd86c45"
+    )
+
+
+def test_samples_per_axis_cap():
+    assert scene_from_json(dict(README_SCENE, samples_per_axis=MAX_SAMPLES)).samples == MAX_SAMPLES
+    with pytest.raises(SchemaError):
+        scene_from_json(dict(README_SCENE, samples_per_axis=MAX_SAMPLES + 1))
