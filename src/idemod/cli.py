@@ -27,9 +27,9 @@ from .jsonio import (
     vector_json,
 )
 from .metric import hilbert_distance, projection_maximizes_distance
-from .project import is_member, project
+from .project import _checked_member, is_member, project
 from .render import render_scene, scene_from_json
-from .separate import halfspace, separate_from_convex
+from .separate import _checked_halfspace, separate_from_convex
 from .semiring import scalar_to_text
 
 EXIT_OK = 0
@@ -62,7 +62,7 @@ def cmd_project(args) -> dict:
     return {
         "projection": vector_json(res.projection),
         "coefficients": [scalar_json(c) for c in res.coefficients],
-        "member": is_member(fam, x),
+        "member": _checked_member(res, x),
     }
 
 
@@ -90,7 +90,7 @@ def cmd_separate(args) -> dict:
     }
     if sep.normalized is not None:
         out["normalized"] = vector_json(sep.normalized)
-    halfspace(fam, x)  # construction re-checks the containment guarantees
+    _checked_halfspace(fam, x, sep)  # re-checks the containment guarantees
     return out
 
 

@@ -25,6 +25,9 @@ from .semiring import (
     scalar_to_text,
 )
 
+# Bounds the N x N phi built for a "matN" tag before any other check.
+MAX_MAT_DIM = 16
+
 _NAMES = {"rmax": SemiringId("rmax"), "bool": SemiringId("bool"), "nmax": SemiringId("nmax")}
 
 
@@ -33,8 +36,12 @@ def parse_semiring(tag) -> SemiringId:
         raise SchemaError(f"semiring tag must be a string, got {tag!r}")
     if tag in _NAMES:
         return _NAMES[tag]
-    if tag.startswith("mat") and tag[3:].isdigit():
-        return matrix_semiring(int(tag[3:]))
+    if tag.startswith("mat") and tag[3:].isdecimal():
+        digits = tag[3:].lstrip("0") or "0"
+        # compare lengths first: int() refuses strings of thousands of digits
+        if len(digits) > len(str(MAX_MAT_DIM)) or int(digits) > MAX_MAT_DIM:
+            raise SchemaError(f"matrix semiring dimension above {MAX_MAT_DIM}")
+        return matrix_semiring(int(digits))
     raise SchemaError(f"unknown semiring tag {tag!r}")
 
 

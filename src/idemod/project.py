@@ -3,7 +3,6 @@ its opposite-order mirror, and the meet of dominating elements.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import DomainError, MismatchError, TheoremViolation
@@ -19,7 +18,7 @@ from .freemod import (
     vjoin,
     vmeet,
 )
-from .semiring import BOT, TOP, Scalar, add, bot, fin, leq, mul, top
+from .semiring import BOT, TOP, Scalar, add, bot, fin, meet, mul, top
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,14 +51,18 @@ def is_member(w: GeneratingFamily, x: Vector) -> bool:
     Decided by the projection fixed point; the residuation form
     x\\P(x) = x\\x is recomputed as a cross-check and must agree.
     """
-    res = project(w, x)
-    fixed = res.projection == x
+    return _checked_member(project(w, x), x)
+
+
+def _checked_member(res: ProjectionResult, x: Vector) -> bool:
+    """res.fixed for res = project(w, x), cross-checked against the
+    residuation form of membership."""
     residual = vec_lres(x, res.projection) == vec_lres(x, x)
-    if fixed != residual:
+    if res.fixed != residual:
         raise TheoremViolation(
-            f"membership tests disagree on {x!r}: fixed={fixed} residual={residual}"
+            f"membership tests disagree on {x!r}: fixed={res.fixed} residual={residual}"
         )
-    return fixed
+    return res.fixed
 
 
 def project_dual(w: GeneratingFamily, x: Vector) -> Vector:
@@ -74,11 +77,20 @@ def project_dual(w: GeneratingFamily, x: Vector) -> Vector:
 
 # -- meet of dominating span elements ---------------------------------------
 #
-# inf{v in span(w) : v >= x} computed exactly over RMAX.  The feasible
-# coefficient region {t : A*t >= x} splits into boxes indexed by a choice of
-# covering column per row; on each box the objective is separable, so the
-# entrywise infimum is a finite expression even when a bound is an open
-# interval (top entries in A).
+# inf{v in span(w) : v >= x} computed exactly over RMAX, in closed form.
+# A*t >= x holds iff every row k with x_k above bottom is covered by some
+# column j, which bounds t_j from below (closed, or open when A_kj is top).
+# The feasible coefficients are therefore the union, over choices of one
+# covering column per row, of boxes whose bound on t_j is the max of the
+# bounds of the rows that chose j.  The infimum of (A*t)_i over such a box is
+# a max over rows of _box_floor(A_ij, bound), since _box_floor distributes
+# over the max of bounds.  Each row picks its column independently, so the
+# meet over all choices of that max over rows is the max over rows of the
+# meet over columns:
+#
+#     q_i = max_k min_{j covers k} _box_floor(A_ij, cover(A_kj, x_k)),
+#
+# with an empty min being top (no choice exists) and an empty max bottom.
 
 _ALL = 0
 _CLOSED = 1
@@ -98,22 +110,6 @@ def _cover_constraint(a: Scalar, xi: Scalar) -> tuple[int, Scalar | None]:
     return (_CLOSED, fin(a.semiring, xi.value - a.value))
 
 
-def _tighten(c1: tuple, c2: tuple) -> tuple:
-    k1, b1 = c1
-    k2, b2 = c2
-    if k1 == _EMPTY or k2 == _EMPTY:
-        return (_EMPTY, None)
-    if k1 == _ALL:
-        return c2
-    if k2 == _ALL:
-        return c1
-    if k1 == _OPEN:
-        return c2  # closed bounds here are never bottom
-    if k2 == _OPEN:
-        return c1
-    return c1 if leq(b2, b1) else c2
-
-
 def _box_floor(a: Scalar, constraint: tuple) -> Scalar:
     kind, bound = constraint
     sr = a.semiring
@@ -129,38 +125,24 @@ def inf_dominating(w: GeneratingFamily, x: Vector) -> tuple[Vector, bool]:
     """Entrywise meet of the span elements dominating x, and whether that
     meet itself belongs to the span (it need not).  RMAX only."""
     _check_family(w, x)
-    if x.semiring.name != "rmax":
+    sr = x.semiring
+    if sr.name != "rmax":
         raise DomainError("dominating meet is implemented over RMAX only")
-    n, p = x.dim, len(w)
-    if p == 0:
-        q = x if all(s.kind == BOT for s in x.entries) else top_vector(x.semiring, n)
-        return q, is_member(w, q)
-    if p**n > 200_000:
-        raise DomainError("instance too large for exact choice enumeration")
-    cols = [w.generators[j].entries for j in range(p)]
-    covers = [[_cover_constraint(cols[j][i], x.entries[i]) for j in range(p)] for i in range(n)]
-
-    q: Vector | None = None
-    for choice in itertools.product(range(p), repeat=n):
-        constraints = [(_ALL, None)] * p
-        feasible = True
-        for i, j in enumerate(choice):
-            constraints[j] = _tighten(constraints[j], covers[i][j])
-            if constraints[j][0] == _EMPTY:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        entries = []
-        for i in range(n):
-            acc = _box_floor(cols[0][i], constraints[0])
-            for j in range(1, p):
-                acc = add(acc, _box_floor(cols[j][i], constraints[j]))
-            entries.append(acc)
-        v = Vector(x.semiring, tuple(entries))
-        q = v if q is None else vmeet(q, v)
-    if q is None:
-        q = top_vector(x.semiring, n)
+    covers = []  # for each row k with x_k above bottom: its covering columns and bounds
+    for k, xk in enumerate(x.entries):
+        if xk.kind != BOT:
+            bounds = [(g.entries, _cover_constraint(g.entries[k], xk)) for g in w]
+            covers.append([(col, c) for col, c in bounds if c[0] != _EMPTY])
+    entries = []
+    for i in range(x.dim):
+        qi = bot(sr)
+        for row in covers:
+            m = top(sr)
+            for col, c in row:
+                m = meet(m, _box_floor(col[i], c))
+            qi = add(qi, m)
+        entries.append(qi)
+    q = Vector(sr, tuple(entries))
     if not vec_leq(x, q):
         raise TheoremViolation("dominating meet fell below the point")
     return q, is_member(w, q)

@@ -28,6 +28,8 @@ from .separate import HalfSpace, _lifted_projection, halfspace_contains, separat
 _TAGS = ("+", "-", ".")
 # Far beyond the 560-pixel drawing area; bounds the raster a scene can ask for.
 MAX_SAMPLES = 2048
+# Render time grows with each list's length; bounds what one scene can ask for.
+MAX_SCENE_ITEMS = 16
 
 
 @dataclass(frozen=True)
@@ -72,14 +74,18 @@ def scene_from_json(obj) -> Scene:
     samples = obj.get("samples_per_axis", 400)
     if not isinstance(samples, int) or not 16 <= samples <= MAX_SAMPLES:
         raise SchemaError(f"samples_per_axis must be an integer in [16, {MAX_SAMPLES}]")
+    lists = {key: obj.get(key, []) for key in ("generators", "points", "halfspaces", "lines")}
+    for key, items in lists.items():
+        if not isinstance(items, list) or len(items) > MAX_SCENE_ITEMS:
+            raise SchemaError(f'"{key}" must be an array of at most {MAX_SCENE_ITEMS} entries')
     scene = Scene((xmin, xmax, ymin, ymax), samples)
-    for g in obj.get("generators", []):
+    for g in lists["generators"]:
         scene.generators.append(vector_from_json(RMAX, g, 2))
-    for p in obj.get("points", []):
+    for p in lists["points"]:
         if not isinstance(p, dict) or "label" not in p or "coords" not in p:
             raise SchemaError('scene points need {"label": ..., "coords": [...]}')
         scene.points.append((str(p["label"]), vector_from_json(RMAX, p["coords"], 2)))
-    for h in obj.get("halfspaces", []):
+    for h in lists["halfspaces"]:
         if not isinstance(h, dict) or not {"x_ref", "y", "nu"} <= set(h):
             raise SchemaError('half-spaces need {"x_ref", "y", "nu"}')
         scene.halfspaces.append(
@@ -89,7 +95,7 @@ def scene_from_json(obj) -> Scene:
                 scalar_from_json(RMAX, h["nu"]),
             )
         )
-    for l in obj.get("lines", []):
+    for l in lists["lines"]:
         if not isinstance(l, dict) or not {"a", "b", "c"} <= set(l):
             raise SchemaError('lines need coefficients "a", "b", "c"')
         scene.lines.append(

@@ -137,7 +137,12 @@ def convex_projection(c: GeneratingFamily, x: Vector) -> Vector | None:
 
 
 def halfspace(c: GeneratingFamily, x: Vector) -> HalfSpace:
-    sep = separate_from_convex(c, x)
+    return _checked_halfspace(c, x, separate_from_convex(c, x))
+
+
+def _checked_halfspace(c: GeneratingFamily, x: Vector, sep: ConvexSeparation) -> HalfSpace:
+    """The half-space of sep = separate_from_convex(c, x), checked to contain
+    every generator of c and to exclude x when x is outside."""
     h = HalfSpace(x, sep.y, sep.nu)
     for g in c:
         if not halfspace_contains(h, g):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from idemod.cli import main
 from idemod.jsonio import canonical_dumps
+from idemod.render import scene_from_json
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +99,56 @@ def test_exit_codes(tmp_path, capsys):
 
     code, _, _ = run_cli(capsys, "laws", "no-such-suite")
     assert code == 2
+
+
+def test_matrix_dimension_cap(tmp_path, capsys, monkeypatch):
+    """A "matN" tag past the cap exits 2 before its N x N phi is built."""
+    from idemod.jsonio import MAX_MAT_DIM
+
+    def no_phi(sr):
+        raise AssertionError(f"phi built for {sr!r}")
+
+    monkeypatch.setattr(sys.modules["idemod.semiring"], "default_phi", no_phi)
+    tag = f"mat{MAX_MAT_DIM + 1}"
+    obj = {"semiring": tag, "generators": [], "point": []}
+    code, out, err = run_cli(capsys, "project", write(tmp_path, "m.json", obj))
+    assert code == 2 and out == "" and str(MAX_MAT_DIM) in err
+    path = write(tmp_path, "p.json", PROJECT_FILE)
+    code, out, _ = run_cli(capsys, "--semiring", tag, "member", path)
+    assert code == 2 and out == ""
+    # "²" is a digit to str.isdigit but not to int()
+    code, out, _ = run_cli(capsys, "--semiring", "mat²", "member", path)
+    assert code == 2 and out == ""
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Count the calls of the function ``name`` through each module's binding."""
+    calls = []
+    for mod in modules:
+        def counted(*args, _fn=getattr(mod, name), **kwargs):
+            calls.append(name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_project_projects_once(tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "project", sys.modules["idemod.cli"],
+                         sys.modules["idemod.project"])
+    code, out, _ = run_cli(capsys, "project", write(tmp_path, "p.json", PROJECT_FILE))
+    assert code == 0 and json.loads(out)["member"] is False
+    assert len(calls) == 1
+
+
+def test_separate_separates_once(tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "separate_from_convex", sys.modules["idemod.cli"],
+                         sys.modules["idemod.separate"])
+    for point in (["-1", "0"], ["1", "3"]):  # outside, then a generator
+        obj = dict(SEPARATE_FILE, point=point)
+        code, _, _ = run_cli(capsys, "separate", write(tmp_path, "s.json", obj))
+        assert code == 0
+    assert len(calls) == 2
 
 
 def test_semiring_override(tmp_path, capsys):
@@ -261,6 +312,28 @@ def test_render_exit_codes(tmp_path, capsys):
     assert code == 2 and "samples_per_axis" in err
     code, _, _ = run_cli(capsys, "render", scene)
     assert code == 2
+
+
+def test_render_scene_lists_checked(tmp_path, capsys):
+    """Scene lists must be arrays no longer than the cap; both are checked
+    before any entry is parsed, and a failure exits 2."""
+    from idemod.render import MAX_SCENE_ITEMS
+
+    out_svg = str(tmp_path / "x.svg")
+    bare = {"viewport": ["-3", "6", "-3", "6"], "samples_per_axis": 16, "generators": 5}
+    code, out, _ = run_cli(capsys, "render", write(tmp_path, "g.json", bare), "--out", out_svg)
+    assert code == 2 and out == ""
+    for key in ("generators", "points", "halfspaces", "lines"):
+        for bad in (5, "ab", {"0": ["0", "0"]}, None):
+            path = write(tmp_path, "bad.json", dict(SCENE, **{key: bad}))
+            code, _, err = run_cli(capsys, "render", path, "--out", out_svg)
+            assert code == 2 and key in err
+        # entries that would not parse: the length is what gets reported
+        path = write(tmp_path, "many.json", dict(SCENE, **{key: [7] * (MAX_SCENE_ITEMS + 1)}))
+        code, _, err = run_cli(capsys, "render", path, "--out", out_svg)
+        assert code == 2 and key in err and str(MAX_SCENE_ITEMS) in err
+        full = scene_from_json(dict(SCENE, **{key: SCENE[key][:1] * MAX_SCENE_ITEMS}))
+        assert len(getattr(full, key)) == MAX_SCENE_ITEMS
 
 
 def test_render_empty_scene(tmp_path, capsys):

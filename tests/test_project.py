@@ -1,14 +1,17 @@
 """Projector, membership, opposite-order projection and the dominating meet."""
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from idemod import (
     RMAX,
     DomainError,
     GeneratingFamily,
+    Vector,
     act,
+    add,
     bot,
     bot_vector,
     column_family,
@@ -16,6 +19,7 @@ from idemod import (
     fin,
     inf_dominating,
     is_member,
+    leq,
     matrix,
     project,
     project_dual,
@@ -27,6 +31,8 @@ from idemod import (
     vjoin,
     vmeet,
 )
+from idemod.laws import rand_family, rand_member, rand_vector
+from idemod.project import _ALL, _EMPTY, _OPEN, _box_floor, _cover_constraint
 from conftest import families, scalars, vectors
 
 
@@ -163,6 +169,78 @@ def test_dominating_meet_matches_grid_oracle(gens, point):
     x = vector(RMAX, point)
     q, _ = inf_dominating(w, x)
     assert q == _dominating_by_grid(w, x)
+
+
+def _tighten(c1: tuple, c2: tuple) -> tuple:
+    k1, b1 = c1
+    k2, b2 = c2
+    if k1 == _EMPTY or k2 == _EMPTY:
+        return (_EMPTY, None)
+    if k1 == _ALL:
+        return c2
+    if k2 == _ALL:
+        return c1
+    if k1 == _OPEN:
+        return c2  # closed bounds here are never bottom
+    if k2 == _OPEN:
+        return c1
+    return c1 if leq(b2, b1) else c2
+
+
+def _dominating_by_choices(w, x):
+    """Enumeration oracle: the meet, over every choice of one covering column
+    per row, of the least point of the box of coefficients that choice
+    allows.  Exact, but p**n choices."""
+    n, p = x.dim, len(w)
+    if p == 0:
+        return x if x == bot_vector(RMAX, n) else top_vector(RMAX, n)
+    cols = [g.entries for g in w]
+    covers = [[_cover_constraint(cols[j][i], x.entries[i]) for j in range(p)] for i in range(n)]
+    q = None
+    for choice in itertools.product(range(p), repeat=n):
+        constraints = [(_ALL, None)] * p
+        for i, j in enumerate(choice):
+            constraints[j] = _tighten(constraints[j], covers[i][j])
+        if any(c[0] == _EMPTY for c in constraints):
+            continue
+        entries = []
+        for i in range(n):
+            acc = _box_floor(cols[0][i], constraints[0])
+            for j in range(1, p):
+                acc = add(acc, _box_floor(cols[j][i], constraints[j]))
+            entries.append(acc)
+        v = Vector(RMAX, tuple(entries))
+        q = v if q is None else vmeet(q, v)
+    return top_vector(RMAX, n) if q is None else q
+
+
+def _family_and_point(n):
+    points = st.one_of(vectors(dim=n), st.just(bot_vector(RMAX, n)))
+    return st.tuples(families(dim=n, max_size=4), points)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=1, max_value=4).flatmap(_family_and_point))
+def test_dominating_meet_matches_choice_enumeration(case):
+    """The closed form equals the meet over all p**n covering choices, with
+    infinite entries, empty families and all-bottom points."""
+    w, x = case
+    q, member = inf_dominating(w, x)
+    assert q == _dominating_by_choices(w, x)
+    assert member == is_member(w, q)
+
+
+def test_dominating_meet_past_enumeration_size():
+    """20 generators in dimension 6: 6.4e7 covering choices, far beyond any
+    enumeration, still answer exactly."""
+    rng = random.Random(20260808)
+    w = rand_family(rng, RMAX, 6, 20)
+    member_point = rand_member(rng, w)
+    for x in (member_point, rand_vector(rng, RMAX, 6), rand_vector(rng, RMAX, 6, True)):
+        q, member = inf_dominating(w, x)
+        assert vec_leq(x, q)
+        assert member == is_member(w, q)
+    assert inf_dominating(w, member_point) == (member_point, True)
 
 
 def test_dominating_meet_requires_rmax():
