@@ -16,7 +16,7 @@ import sys
 from . import dual as du
 from . import laws as la
 from .errors import DomainError, MismatchError, SchemaError, TheoremViolation
-from .fenchel import biconjugate_is_fixed, fenchel_transform, lsc_convex_hull
+from .fenchel import hull_report
 from .jsonio import (
     Problem,
     canonical_dumps,
@@ -37,6 +37,9 @@ EXIT_THEOREM = 1
 EXIT_SCHEMA = 2
 EXIT_DIMENSION = 3
 EXIT_IO = 4
+
+# Bounds the work of one `laws` run; C3 runs the residuation suite at 10^4.
+MAX_TRIALS = 10_000
 
 
 def _load_problem(args) -> Problem:
@@ -133,12 +136,11 @@ def cmd_hull(args) -> dict:
     p = _load_problem(args)
     grid = _require(p, "grid", "grid")
     slopes = _require(p, "slopes", "slopes")
-    transform = fenchel_transform(grid, slopes)
-    hull = lsc_convex_hull(grid, slopes)
+    rep = hull_report(grid, slopes)
     return {
-        "transform": [scalar_json(v) for v in transform.values],
-        "hull": grid_json(hull),
-        "fixed_point": biconjugate_is_fixed(grid, slopes),
+        "transform": [scalar_json(v) for v in rep.transform.values],
+        "hull": grid_json(rep.hull),
+        "fixed_point": rep.fixed_point,
     }
 
 
@@ -163,6 +165,8 @@ def cmd_laws(args) -> tuple[dict, int]:
         raise SchemaError(
             f"unknown suite {args.suite!r}; known: {', '.join(sorted(la.SUITES))}"
         )
+    if args.trials is not None and not 1 <= args.trials <= MAX_TRIALS:
+        raise SchemaError(f"--trials must lie in [1, {MAX_TRIALS}], got {args.trials}")
     report = la.run_suite(args.suite, seed=args.seed, trials=args.trials)
     out = {
         "suite": report.suite,

@@ -7,6 +7,22 @@ linear function against f, and projecting onto the span of the linear
 functions computes the greatest convex minorant expressible with those
 slopes.  Only the operator identities are claimed; coincidence with the
 classical geometric hull depends on slope coverage.
+
+The brackets are computed by the exact linear-time Legendre transform
+(Lucet, Numer. Algorithms 16, 1997), in O(P + S) for P grid points and S
+slopes.  ``_brackets`` takes the lower convex hull of the finite points
+(u, f(u)) and moves one pointer along it as s grows, giving
+c_s = min_u (f(u) - s*u).  ``_envelope`` is the same sweep with points and
+slopes exchanged: the upper envelope of the lines s*u + c_s, read as u
+grows.  The infinities split into three regimes: one value -inf makes
+every bracket -inf, all values +inf make every bracket +inf, and otherwise
+the brackets come from the finite points only.  An infinite bracket makes
+the envelope that same constant.  Comparisons are multiplied out, values
+stay ints and Fractions, and every result is built through ``fin``.
+
+The biconjugate check needs only one more sweep: the hull is the envelope
+of f's brackets, so once the hull's brackets equal f's, hulling the hull
+gives that same envelope back, and idempotence follows.
 """
 from __future__ import annotations
 
@@ -14,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MismatchError
-from .semiring import BOT, FIN, RMAX, Rational, Scalar, add, bot, fin, lres, meet, mul, scal, top
+from .semiring import BOT, FIN, RMAX, Rational, Scalar, bot, fin, scal, top
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,41 +92,101 @@ def _neg(s: Scalar) -> Scalar:
     return bot(RMAX)
 
 
+def _lower_hull(xs, ys) -> tuple[list, list]:
+    """Vertices of the lower convex hull of the points (xs[i], ys[i]), with
+    xs strictly increasing.  Points on a hull edge are dropped."""
+    hx: list = []
+    hy: list = []
+    for x, y in zip(xs, ys):
+        # pop the last vertex while it lies on or above the segment from the
+        # vertex before it to (x, y): slope(a, b) >= slope(a, p), multiplied out
+        while len(hx) >= 2 and (
+            (hy[-1] - hy[-2]) * (x - hx[-2]) >= (y - hy[-2]) * (hx[-1] - hx[-2])
+        ):
+            hx.pop()
+            hy.pop()
+        hx.append(x)
+        hy.append(y)
+    return hx, hy
+
+
+def _sweep_min(xs, ys, ts) -> list[Rational]:
+    """min_i (ys[i] - t*xs[i]) for each t of the strictly increasing ts."""
+    hx, hy = _lower_hull(xs, ys)
+    j, last = 0, len(hx) - 1
+    out = []
+    for t in ts:
+        # the minimiser moves right along the hull as t grows: step over
+        # every edge that is no steeper than t
+        while j < last and hy[j + 1] - hy[j] <= t * (hx[j + 1] - hx[j]):
+            j += 1
+        out.append(hy[j] - t * hx[j])
+    return out
+
+
+def _brackets(f: GridFunction, slopes) -> tuple[Scalar, ...]:
+    """The brackets s\\f = min_u (f(u) - s*u) for the increasing slopes."""
+    xs, ys = [], []
+    for u, v in zip(f.points, f.values):
+        if v.kind == BOT:
+            return (bot(RMAX),) * len(slopes)
+        if v.kind == FIN:
+            xs.append(u)
+            ys.append(v.value)
+    if not xs:
+        return (top(RMAX),) * len(slopes)
+    return tuple(fin(RMAX, c) for c in _sweep_min(xs, ys, slopes))
+
+
+def _envelope(points, slopes, brackets) -> tuple[Scalar, ...]:
+    """max_s (s*u + c_s) at each of the increasing points u, where c_s are
+    the brackets of the increasing slopes s."""
+    if brackets[0].kind != FIN:  # every bracket is this same infinity
+        return (brackets[0],) * len(points)
+    # max_s (s*u + c_s) = -min_s (-c_s - u*s): the bracket sweep with the
+    # roles of points and slopes exchanged
+    lows = _sweep_min(slopes, [-c.value for c in brackets], points)
+    return tuple(fin(RMAX, -m) for m in lows)
+
+
 def slope_bracket(slope: Rational, f: GridFunction) -> Scalar:
     """Residuation of the linear function u -> slope*u against f: the
     greatest constant c with slope*u + c <= f(u) on the grid."""
-    s = _rat(slope)
-    acc = None
-    for u, v in zip(f.points, f.values):
-        term = lres(fin(RMAX, s * u), v)
-        acc = term if acc is None else meet(acc, term)
-    return acc
+    return _brackets(f, (_rat(slope),))[0]
 
 
 def fenchel_transform(f: GridFunction, slopes: SlopeSet) -> Transform:
     """Conjugate values sup_u(s*u - f(u)), computed as negated brackets."""
-    return Transform(
-        slopes, tuple(_neg(slope_bracket(s, f)) for s in slopes.slopes)
-    )
+    return Transform(slopes, tuple(_neg(c) for c in _brackets(f, slopes.slopes)))
 
 
 def lsc_convex_hull(f: GridFunction, slopes: SlopeSet) -> GridFunction:
     """Projection of f onto the span of the slope functions: the pointwise
     join of the affine minorants s*u + (s\\f).  Never exceeds f."""
-    brackets = [slope_bracket(s, f) for s in slopes.slopes]
-    out = []
-    for u in f.points:
-        acc = bot(RMAX)
-        for s, c in zip(slopes.slopes, brackets):
-            acc = add(acc, mul(fin(RMAX, s * u), c))
-        out.append(acc)
-    return GridFunction(f.points, tuple(out))
+    brackets = _brackets(f, slopes.slopes)
+    return GridFunction(f.points, _envelope(f.points, slopes.slopes, brackets))
+
+
+@dataclass(frozen=True, slots=True)
+class HullReport:
+    transform: Transform
+    hull: GridFunction
+    fixed_point: bool  # the biconjugate check of biconjugate_is_fixed
+
+
+def hull_report(f: GridFunction, slopes: SlopeSet) -> HullReport:
+    """The conjugate, the hull and the biconjugate check from one bracket
+    sweep of f, one envelope and one bracket sweep of the hull."""
+    brackets = _brackets(f, slopes.slopes)
+    hull = GridFunction(f.points, _envelope(f.points, slopes.slopes, brackets))
+    return HullReport(
+        Transform(slopes, tuple(_neg(c) for c in brackets)),
+        hull,
+        _brackets(hull, slopes.slopes) == brackets,
+    )
 
 
 def biconjugate_is_fixed(f: GridFunction, slopes: SlopeSet) -> bool:
     """The hull has the same conjugate as f, and hulling is idempotent.
     A False return is a library bug, not a data property."""
-    hull = lsc_convex_hull(f, slopes)
-    same_conjugate = fenchel_transform(hull, slopes) == fenchel_transform(f, slopes)
-    idempotent = lsc_convex_hull(hull, slopes) == hull
-    return same_conjugate and idempotent
+    return hull_report(f, slopes).fixed_point

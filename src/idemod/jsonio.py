@@ -9,6 +9,7 @@ trailing newline.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from .semiring import (
     SemiringId,
     make_phi,
     matrix_semiring,
+    rational_from_text,
     scalar_from_text,
     scalar_to_text,
 )
@@ -36,8 +38,9 @@ def parse_semiring(tag) -> SemiringId:
         raise SchemaError(f"semiring tag must be a string, got {tag!r}")
     if tag in _NAMES:
         return _NAMES[tag]
-    if tag.startswith("mat") and tag[3:].isdecimal():
-        digits = tag[3:].lstrip("0") or "0"
+    m = re.fullmatch(r"mat([0-9]+)", tag)
+    if m:
+        digits = m.group(1).lstrip("0") or "0"
         # compare lengths first: int() refuses strings of thousands of digits
         if len(digits) > len(str(MAX_MAT_DIM)) or int(digits) > MAX_MAT_DIM:
             raise SchemaError(f"matrix semiring dimension above {MAX_MAT_DIM}")
@@ -112,11 +115,7 @@ def rational_from_json(obj) -> Fraction | int:
     if isinstance(obj, int):
         return obj
     if isinstance(obj, str):
-        try:
-            q = Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"not a rational: {obj!r}") from exc
-        return int(q) if q.denominator == 1 else q
+        return rational_from_text(obj)
     raise SchemaError(f"not a rational: {obj!r}")
 
 
@@ -220,7 +219,7 @@ def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int literal past 4300 digits
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -20,6 +20,7 @@ unsynchronised concurrent use.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -530,27 +531,39 @@ def scalar_to_text(s: Scalar) -> str:
     return str(s.value)
 
 
+# Finite scalar text, as the README states it: an optional sign, ASCII
+# digits and an optional "/" with ASCII digits.  No padding, "_", decimal
+# point or exponent ("1e2000000" would build a 6.6-million-bit int).
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def rational_from_text(text: str) -> Rational:
+    if not _RATIONAL_TEXT.fullmatch(text):
+        raise SchemaError(f"not an exact rational: {text!r}")
+    num, _, den = text.partition("/")
+    try:  # int() refuses more than 4300 digits, Fraction a zero denominator
+        if not den:
+            return int(num)
+        q = Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"not an exact rational: {text!r}") from exc
+    return int(q) if q.denominator == 1 else q
+
+
 def scalar_from_text(sr: SemiringId, text: str) -> Scalar:
     if not isinstance(text, str):
         raise SchemaError(f"scalar text expected, got {text!r}")
-    t = text.strip()
     if sr.name == "bool":
-        if t == "eps":
+        if text == "eps":
             return bot(sr)
-        if t == "e":
+        if text == "e":
             return top(sr)
         raise SchemaError(f"Boolean scalars are 'eps' or 'e', got {text!r}")
-    if t == "-inf":
+    if text == "-inf":
         return bot(sr)
-    if t in ("+inf", "inf"):
+    if text in ("+inf", "inf"):
         return top(sr)
-    if "." in t or "e" in t or "E" in t:
-        raise SchemaError(f"not an exact rational: {text!r}")
     try:
-        q = Fraction(t)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"not an exact rational: {text!r}") from exc
-    try:
-        return fin(sr, q)
+        return fin(sr, rational_from_text(text))
     except DomainError as exc:
         raise SchemaError(str(exc)) from exc

@@ -8,6 +8,7 @@ from fractions import Fraction
 from idemod.cli import main
 from idemod.jsonio import canonical_dumps
 from idemod.render import scene_from_json
+from idemod.semiring import scalar_to_text
 
 
 def run_cli(capsys, *argv):
@@ -116,9 +117,10 @@ def test_matrix_dimension_cap(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "p.json", PROJECT_FILE)
     code, out, _ = run_cli(capsys, "--semiring", tag, "member", path)
     assert code == 2 and out == ""
-    # "²" is a digit to str.isdigit but not to int()
-    code, out, _ = run_cli(capsys, "--semiring", "mat²", "member", path)
-    assert code == 2 and out == ""
+    # "²" is a digit to str.isdigit but not to int(); "٣" is a digit to both
+    for tag in ("mat²", "mat٣"):
+        code, out, _ = run_cli(capsys, "--semiring", tag, "member", path)
+        assert code == 2 and out == ""
 
 
 def _count_calls(monkeypatch, name, *modules):
@@ -149,6 +151,63 @@ def test_separate_separates_once(tmp_path, capsys, monkeypatch):
         code, _, _ = run_cli(capsys, "separate", write(tmp_path, "s.json", obj))
         assert code == 0
     assert len(calls) == 2
+
+
+HULL_FILE = {
+    "grid": {"points": ["-2", "-1", "0", "1/2", "2"], "values": ["3", "0", "1", "+inf", "1/3"]},
+    "slopes": ["-2", "-1/2", "0", "1", "4"],
+}
+
+
+def test_hull_sweeps_f_once_and_the_hull_once(tmp_path, capsys, monkeypatch):
+    fenchel = sys.modules["idemod.fenchel"]
+    swept = []
+
+    def counted(f, slopes, _fn=fenchel._brackets):
+        swept.append([scalar_to_text(v) for v in f.values])
+        return _fn(f, slopes)
+
+    monkeypatch.setattr(fenchel, "_brackets", counted)
+    envelopes = _count_calls(monkeypatch, "_envelope", fenchel)
+    single = _count_calls(monkeypatch, "slope_bracket", fenchel)
+    code, out, _ = run_cli(capsys, "hull", write(tmp_path, "g.json", HULL_FILE))
+    data = json.loads(out)
+    assert code == 0 and data["fixed_point"] is True
+    assert swept == [HULL_FILE["grid"]["values"], data["hull"]["values"]]
+    assert len(envelopes) == 1 and single == []
+
+
+def test_rational_text_is_strict(tmp_path, capsys):
+    """Grid points, slopes and scalars take only [+-]digits[/digits] in ASCII."""
+    for bad in ("1e2000000", "1.5", "1_000", " 2 ", "2\n", "٣", "1/-2", "1/0"):
+        for obj in (
+            dict(HULL_FILE, slopes=[bad]),
+            dict(HULL_FILE, grid={"points": [bad, "9"], "values": ["0", "0"]}),
+            dict(HULL_FILE, grid={"points": ["0", "9"], "values": [bad, "0"]}),
+        ):
+            code, out, err = run_cli(capsys, "hull", write(tmp_path, "g.json", obj))
+            assert code == 2 and out == "" and "rational" in err, (bad, obj)
+    # a JSON integer literal past the 4300 digits that int() converts
+    big = tmp_path / "big.json"
+    big.write_text('{"grid": {"points": [0, 1], "values": ["0", "0"]}, "slopes": [%s]}'
+                   % ("9" * 5000), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "hull", str(big))
+    assert code == 2 and out == ""
+    obj = {"grid": {"points": ["-1", "+0", "007/2"], "values": ["6/4", "-0", "+inf"]},
+           "slopes": ["-2/2", "+3"]}
+    code, out, _ = run_cli(capsys, "hull", write(tmp_path, "g.json", obj))
+    assert code == 0 and json.loads(out)["hull"]["points"] == ["-1", "0", "7/2"]
+
+
+def test_trials_cap(tmp_path, capsys):
+    from idemod.cli import MAX_TRIALS
+
+    assert MAX_TRIALS >= 10_000  # C3 runs residuation at 10^4 trials
+    for trials in (-5, 0, MAX_TRIALS + 1, 10**30):
+        code, out, err = run_cli(capsys, "laws", "fenchel", "--trials", str(trials))
+        assert code == 2 and out == "" and str(MAX_TRIALS) in err
+    code, out, _ = run_cli(capsys, "laws", "fenchel", "--trials", "1")
+    assert code == 0 and json.loads(out)["trials"] == 1
 
 
 def test_semiring_override(tmp_path, capsys):
@@ -259,6 +318,15 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_python_dash_m_idemod(tmp_path):
+    path = write(tmp_path, "g.json", HULL_FILE)
+    codes = [
+        subprocess.run([sys.executable, "-m", "idemod", *argv], capture_output=True).returncode
+        for argv in (["hull", path], ["laws", "fenchel", "--trials", "0"])
+    ]
+    assert codes == [0, 2]
 
 
 SCENE = {

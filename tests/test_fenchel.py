@@ -1,4 +1,7 @@
 """Discrete Fenchel conjugation and the greatest convex minorant."""
+from fractions import Fraction
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +13,7 @@ from idemod import (
     fenchel_transform,
     fin,
     grid_function,
+    hull_report,
     leq,
     lsc_convex_hull,
     slope_bracket,
@@ -114,3 +118,80 @@ def test_random_functions_match_oracle(seed):
     assert all(leq(h, v) for h, v in zip(hull.values, f.values))
     assert lsc_convex_hull(hull, s) == hull
     assert biconjugate_is_fixed(f, s)
+
+
+# The sweeps against the definitional double loops.  rand_grid puts -inf on
+# 8% of its points, which sends most larger grids into the all -inf regime,
+# so these grids choose their regime first.
+RATS = st.one_of(
+    st.integers(min_value=-20, max_value=20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+)
+REGIMES = ("finite", "some-top", "all-top", "one-bot", "collinear")
+
+
+@st.composite
+def sweep_cases(draw):
+    regime = draw(st.sampled_from(REGIMES))
+    m = draw(st.integers(min_value=2, max_value=14))
+    steps = draw(st.lists(
+        st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3),
+        min_size=m - 1, max_size=m - 1,
+    ))
+    start = draw(st.fractions(min_value=-6, max_value=6, max_denominator=2))
+    points = list(accumulate(steps, initial=start))
+    if regime == "collinear":
+        # the max (convex) or min (concave) of two affine pieces: long runs
+        # of collinear points, on the hull or above it
+        a1, b1, a2, b2 = (draw(st.integers(min_value=-6, max_value=6)) for _ in range(4))
+        op = draw(st.sampled_from((max, min)))
+        values = [op(a1 * u + b1, a2 * u + b2) for u in points]
+    else:
+        values = draw(st.lists(RATS, min_size=m, max_size=m))
+    if regime == "all-top":
+        values = ["+inf"] * m
+    elif regime in ("some-top", "one-bot"):
+        tops = draw(st.sets(st.integers(min_value=0, max_value=m - 1), max_size=m - 1))
+        values = ["+inf" if i in tops else v for i, v in enumerate(values)]
+    if regime == "one-bot":
+        values[draw(st.integers(min_value=0, max_value=m - 1))] = "-inf"
+    slopes = sorted(draw(st.lists(RATS, min_size=1, max_size=9, unique=True)))
+    if draw(st.booleans()):
+        # steeper than every hull edge: the sweep stays at an end vertex
+        slopes = [-1000] + slopes + [1000]
+    return grid_function(points, values), slope_set(slopes)
+
+
+def _typed(values):
+    return [(v.kind, v.value, type(v.value)) for v in values]
+
+
+def _negated(s):
+    return top(RMAX) if s == bot(RMAX) else bot(RMAX) if s == top(RMAX) else fin(RMAX, -s.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_cases())
+def test_sweeps_match_oracles(case):
+    f, s = case
+    want_transform = oracle_transform(f, s)
+    want_hull = oracle_hull(f, s)
+    rep = hull_report(f, s)
+    assert _typed(fenchel_transform(f, s).values) == _typed(want_transform)
+    assert _typed(rep.transform.values) == _typed(want_transform)
+    assert _typed(lsc_convex_hull(f, s).values) == _typed(want_hull)
+    assert _typed(rep.hull.values) == _typed(want_hull)
+    assert [slope_bracket(t, f) for t in s.slopes] == [_negated(c) for c in want_transform]
+    # the definitional fixed point: the hull has f's conjugate and is its own hull
+    assert oracle_transform(rep.hull, s) == want_transform
+    assert oracle_hull(rep.hull, s) == want_hull
+    assert rep.fixed_point is True and biconjugate_is_fixed(f, s)
+
+
+def test_sweep_regimes():
+    f = grid_function([0, 1, 2, 3], [0, "+inf", "-inf", 5])  # one -inf rules
+    assert hull_report(f, S3).hull.values == (bot(RMAX),) * 4
+    assert fenchel_transform(f, S3).values == (top(RMAX),) * 3
+    f = grid_function([0, 1, 2, 3], ["+inf", 2, "+inf", "+inf"])  # one finite point
+    # brackets 2 - s, so the hull is 2 + max_s s*(u - 1)
+    assert lsc_convex_hull(f, S3).values == tuple(fin(RMAX, v) for v in (3, 2, 3, 4))

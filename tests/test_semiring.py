@@ -201,6 +201,22 @@ def test_scalar_text_roundtrip():
         scalar_from_text(BOOL, "0")
 
 
+def test_scalar_text_grammar():
+    """Finite text is [+-]digits[/digits] in ASCII; no padding anywhere."""
+    for bad in ("1_000", " 2 ", "2 ", "\t-1", "٣", "1e3", "1E3", "1/2/3", "+", "", "- 1"):
+        with pytest.raises(SchemaError):
+            scalar_from_text(RMAX, bad)
+    for bad in (" -inf", "+inf\n"):
+        with pytest.raises(SchemaError):
+            scalar_from_text(RMAX, bad)
+    with pytest.raises(SchemaError):
+        scalar_from_text(BOOL, " e")
+    assert scalar_from_text(RMAX, "+3") == r(3)
+    assert scalar_from_text(RMAX, "-0") == r(0)
+    assert scalar_from_text(RMAX, "06/4") == r(Fraction(3, 2))
+    assert scalar_from_text(NMAX, "007") == fin(NMAX, 7)
+
+
 def test_scal_coercion():
     assert scal(RMAX, 3) == r(3)
     assert scal(RMAX, "1/2") == r(Fraction(1, 2))
