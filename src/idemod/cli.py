@@ -6,15 +6,19 @@ canonical JSON (sorted keys, compact separators); render writes an SVG to
 --out.
 
 Exit codes: 0 ok, 1 theorem violation (library bug), 2 input or schema
-error, 3 dimension mismatch, 4 output I/O error.
+error, 3 dimension mismatch, 4 output I/O error, 5 internal error (any
+other exception, reported on one stderr line).
+
+``main(argv)`` may be called repeatedly in one process: it builds its
+parser on the first call and reuses it.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import dual as du
-from . import laws as la
 from .errors import DomainError, MismatchError, SchemaError, TheoremViolation
 from .fenchel import hull_report
 from .jsonio import (
@@ -37,6 +41,7 @@ EXIT_THEOREM = 1
 EXIT_SCHEMA = 2
 EXIT_DIMENSION = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 # Bounds the work of one `laws` run; C3 runs the residuation suite at 10^4.
 MAX_TRIALS = 10_000
@@ -161,6 +166,8 @@ def cmd_rowcol(args) -> dict:
 
 
 def cmd_laws(args) -> tuple[dict, int]:
+    from . import laws as la  # only this command needs the law suites
+
     if args.suite not in la.SUITES:
         raise SchemaError(
             f"unknown suite {args.suite!r}; known: {', '.join(sorted(la.SUITES))}"
@@ -229,9 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("laws")
     _global_flags(sp, suppress=True)
-    sp.add_argument("suite", help="one of: " + ", ".join(sorted(la.SUITES)))
+    sp.add_argument("suite", help="law suite to run; an unknown name lists them all")
     sp.add_argument("--trials", type=int, default=None)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args returns a fresh Namespace per call, so one tree serves all
+    return build_parser()
 
 
 _COMMANDS = {
@@ -247,8 +260,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "laws":
             out, code = cmd_laws(args)
@@ -274,6 +286,10 @@ def main(argv=None) -> int:
     except TheoremViolation as exc:
         sys.stderr.write(f"internal error (theorem violation): {exc}\n")
         return EXIT_THEOREM
+    except Exception as exc:
+        msg = " ".join(str(exc).splitlines())
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {msg}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto its exit-code contract: TheoremViolation -> 1,
-SchemaError/DomainError -> 2, MismatchError -> 3.
+SchemaError/DomainError -> 2, MismatchError -> 3; any other exception is an
+internal error -> 5.
 """
 
 

@@ -17,10 +17,14 @@ from .errors import MismatchError, SchemaError
 from .fenchel import GridFunction, SlopeSet
 from .freemod import GeneratingFamily, Matrix, Vector
 from .semiring import (
+    BOOL,
+    NMAX,
+    RMAX,
     Phi,
     Scalar,
     SemiringId,
     make_phi,
+    mat_of,
     matrix_semiring,
     rational_from_text,
     scalar_from_text,
@@ -30,7 +34,7 @@ from .semiring import (
 # Bounds the N x N phi built for a "matN" tag before any other check.
 MAX_MAT_DIM = 16
 
-_NAMES = {"rmax": SemiringId("rmax"), "bool": SemiringId("bool"), "nmax": SemiringId("nmax")}
+_NAMES = {"rmax": RMAX, "bool": BOOL, "nmax": NMAX}
 
 
 def parse_semiring(tag) -> SemiringId:
@@ -56,8 +60,6 @@ def scalar_from_json(sr: SemiringId, obj) -> Scalar:
     if isinstance(obj, str):
         return scalar_from_text(sr, obj)
     if sr.name == "mat" and isinstance(obj, list):
-        from .semiring import RMAX, mat_of
-
         if len(obj) != sr.dim or any(not isinstance(r, list) or len(r) != sr.dim for r in obj):
             raise MismatchError(f"matrix scalar must be {sr.dim}x{sr.dim}")
         return mat_of([[scalar_from_json(RMAX, e) for e in r] for r in obj])
@@ -124,8 +126,6 @@ def rational_json(q) -> str:
 
 
 def grid_from_json(obj) -> GridFunction:
-    from .semiring import RMAX
-
     if not isinstance(obj, dict) or "points" not in obj or "values" not in obj:
         raise SchemaError('grid function needs {"points": [...], "values": [...]}')
     pts = obj["points"]

@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 
 from . import __version__
 from .errors import SchemaError
@@ -166,6 +167,35 @@ def _row_classes(us: list, breaks: list, classify) -> list:
     return out
 
 
+def _runs(row: list) -> list[tuple[int, object]]:
+    """(stop, value) of each maximal run of equal values in row, in order."""
+    out = []
+    stop = 0
+    for value, group in groupby(row):
+        stop += len(list(group))
+        out.append((stop, value))
+    return out
+
+
+def _crossings(row: list, below: list):
+    """Ascending i with row[i] == 0, row[i] != row[i + 1] or row[i] != below[i]:
+    the cells of a line's sign row that the line crosses.  Walks the segments
+    on which both rows are constant, so the cost is in runs, not cells."""
+    n = len(row)
+    runs, runs_below = _runs(row), _runs(below)
+    start = a = b = 0
+    while start < n:
+        (stop_a, s), (stop_b, t) = runs[a], runs_below[b]
+        stop = min(stop_a, stop_b)
+        if s == 0 or s != t:
+            yield from range(start, stop)
+        elif stop == stop_a < n:
+            yield stop - 1  # row changes sign between stop - 1 and stop
+        a += stop == stop_a
+        b += stop == stop_b
+        start = stop
+
+
 _NEG_INF = object()
 
 
@@ -224,24 +254,21 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
 
     def emit_region(breaks, contains, color: str, opacity: str) -> None:
         for j, v in enumerate(vs):
-            run_start = None
             fv = fin(RMAX, v)
             flags = _row_classes(
                 us, breaks(v), lambda u: contains(Vector(RMAX, (fin(RMAX, u), fv)))
             )
-            for i in range(n + 1):
-                inside = i < n and flags[i]
-                if inside and run_start is None:
-                    run_start = i
-                elif not inside and run_start is not None:
-                    x0 = xs[run_start] - half
-                    x1 = xs[i - 1] + half
+            start = 0
+            for stop, inside in _runs(flags):
+                if inside:
+                    x0 = xs[start] - half
+                    x1 = xs[stop - 1] + half
                     parts.append(
                         f'<rect x="{x0:.2f}" y="{ys[j] - half:.2f}" '
                         f'width="{x1 - x0:.2f}" height="{step:.2f}" '
                         f'fill="{color}" fill-opacity="{opacity}"/>'
                     )
-                    run_start = None
+                start = stop
 
     for h in scene.halfspaces:
         emit_region(
@@ -266,18 +293,12 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
             for v in vs
         ]
         for j in range(n):
-            for i in range(n):
-                s = signs[j][i]
-                crossing = s == 0
-                if not crossing and i + 1 < n and signs[j][i + 1] != s:
-                    crossing = True
-                if not crossing and j + 1 < n and signs[j + 1][i] != s:
-                    crossing = True
-                if crossing:
-                    parts.append(
-                        f'<rect x="{xs[i] - half:.2f}" y="{ys[j] - half:.2f}" '
-                        f'width="{step:.2f}" height="{step:.2f}" fill="{color}"/>'
-                    )
+            below = signs[j + 1] if j + 1 < n else signs[j]
+            for i in _crossings(signs[j], below):
+                parts.append(
+                    f'<rect x="{xs[i] - half:.2f}" y="{ys[j] - half:.2f}" '
+                    f'width="{step:.2f}" height="{step:.2f}" fill="{color}"/>'
+                )
 
     # axes through the origin when visible
     if xmin <= 0 <= xmax:

@@ -20,6 +20,7 @@ unsynchronised concurrent use.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,7 +63,10 @@ _RMAX_BOT: "Scalar"
 _RMAX_TOP: "Scalar"
 
 
+@functools.cache
 def matrix_semiring(n: int) -> SemiringId:
+    """The n x n matrix semiring, one interned tag per n, so operands built
+    apart share the ``is`` fast path of the binary ops."""
     return SemiringId("mat", n)
 
 

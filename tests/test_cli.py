@@ -5,7 +5,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from idemod.cli import main
+from idemod.errors import TheoremViolation
 from idemod.jsonio import canonical_dumps
 from idemod.render import scene_from_json
 from idemod.semiring import scalar_to_text
@@ -327,6 +330,80 @@ def test_python_dash_m_idemod(tmp_path):
         for argv in (["hull", path], ["laws", "fenchel", "--trials", "0"])
     ]
     assert codes == [0, 2]
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    cli = sys.modules["idemod.cli"]
+    builds = _count_calls(monkeypatch, "build_parser", cli)
+    cli._parser.cache_clear()
+    path = write(tmp_path, "p.json", PROJECT_FILE)
+    for argv in (["project", path], ["member", path], ["laws", "fenchel", "--trials", "1"]):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    with pytest.raises(SystemExit):
+        main(["project"])
+    assert builds == ["build_parser"]
+
+
+def test_no_state_leaks_between_calls(tmp_path, capsys):
+    """A flag given to one call does not reach the next, and neither does a
+    usage error."""
+    cli = sys.modules["idemod.cli"]
+    naturals = {"semiring": "rmax", "generators": [["0", "0"], ["1", "3"]], "point": ["2", "1"]}
+    project = write(tmp_path, "p.json", naturals)
+    dual = write(tmp_path, "d.json", {"semiring": "rmax", "point": ["2", "-1"]})
+    laws = ["laws", "fenchel", "--trials", "3"]
+    for flags, argv in (
+        (["--semiring", "nmax"], ["project", project]),
+        (["--phi", "5"], ["dual", dual]),
+        (["--seed", "7"], laws),
+    ):
+        cli._parser.cache_clear()
+        alone = run_cli(capsys, *argv)
+        flagged = run_cli(capsys, *flags, *argv)
+        assert alone[0] == flagged[0] == 0 and flagged[1] != alone[1], flags
+        assert run_cli(capsys, *argv) == alone, flags
+    alone = run_cli(capsys, "dual", dual)
+    for bad in (["project"], ["--seed", "x", "dual", dual], ["nosuch", dual]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, "dual", dual) == alone, bad
+
+
+def test_laws_module_loads_only_for_laws():
+    probe = ("import sys, idemod.cli as c; "
+             "print('idemod.laws' in sys.modules, c._parser.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.split() == ["False", "0"]
+    proc = subprocess.run([sys.executable, "-m", "idemod", "laws", "nosuch"],
+                          capture_output=True, text=True)
+    from idemod.laws import SUITES
+
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert all(name in proc.stderr for name in SUITES)
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    """An unexpected exception is one stderr line and exit 5; a theorem
+    violation stays exit 1."""
+    cli = sys.modules["idemod.cli"]
+    path = write(tmp_path, "p.json", PROJECT_FILE)
+
+    def raises(exc):
+        def command(args):
+            raise exc
+        return command
+
+    monkeypatch.setitem(cli._COMMANDS, "project", raises(RuntimeError("boom\nagain")))
+    code, out, err = run_cli(capsys, "project", path)
+    assert code == cli.EXIT_INTERNAL == 5 and out == ""
+    assert err == "internal error: RuntimeError: boom again\n"
+    assert "Traceback" not in err
+    monkeypatch.setitem(cli._COMMANDS, "project", raises(TheoremViolation("x")))
+    code, _, err = run_cli(capsys, "project", path)
+    assert code == 1 and "Traceback" not in err
 
 
 SCENE = {

@@ -13,6 +13,7 @@ from idemod.render import (
     MAX_SAMPLES,
     LineSpec,
     Scene,
+    _crossings,
     _halfspace_breaks,
     _hull_breaks,
     _line_breaks,
@@ -98,6 +99,30 @@ def test_row_classes_calls_once_per_interval_and_break():
     assert flags == [u > 1 for u in us]
     # (-inf, 1/3), (1/3, 1), the sample on 1, (1, 9); 9 lies past the grid
     assert calls == [-4, Fraction(1, 2), 1, Fraction(3, 2)]
+
+
+def crossings_per_cell(row, below):
+    """The oracle: every cell tested against its right and lower neighbours."""
+    n = len(row)
+    return [
+        i for i, s in enumerate(row)
+        if s == 0 or (i + 1 < n and row[i + 1] != s) or below[i] != s
+    ]
+
+
+sign_rows = st.integers(min_value=1, max_value=24).flatmap(
+    lambda n: st.tuples(*[st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n)
+                          .map(sorted if runny else list)
+                          for runny in (True, True, False, False)])
+)
+
+
+@settings(max_examples=300)
+@given(sign_rows)
+def test_crossings_match_per_cell(rows):
+    for row in rows:
+        for below in rows:
+            assert list(_crossings(row, below)) == crossings_per_cell(row, below)
 
 
 @settings(max_examples=40)

@@ -242,3 +242,14 @@ def test_semiring_id_validation():
         matrix_semiring(0)
     with pytest.raises(DomainError):
         SemiringId("weird")
+
+
+def test_semiring_tags_are_interned():
+    """One tag object per instance however it is reached, so binary ops on
+    operands built apart take the identity fast path."""
+    from idemod import matrix_semiring
+    from idemod.jsonio import parse_semiring
+
+    assert matrix_semiring(3) is matrix_semiring(3) is parse_semiring("mat3")
+    assert mat_of([[fin(RMAX, 0), bot(RMAX)], [top(RMAX), fin(RMAX, 1)]]).semiring is MAT2
+    assert all(parse_semiring(str(sr)) is sr for sr in (RMAX, BOOL, NMAX))
