@@ -25,6 +25,7 @@ from .semiring import (
     SemiringId,
     make_phi,
     mat_of,
+    mat_rows,
     matrix_semiring,
     rational_from_text,
     scalar_from_text,
@@ -68,7 +69,8 @@ def scalar_from_json(sr: SemiringId, obj) -> Scalar:
 
 def scalar_json(s: Scalar):
     if s.kind == "mat":
-        return [[scalar_to_text(e) for e in row] for row in s.entries]
+        # raw entries print as their text: "-inf", "+inf" or str(q)
+        return [[str(q) for q in row] for row in mat_rows(s)]
     return scalar_to_text(s)
 
 

@@ -39,7 +39,10 @@ from .semiring import (
     BOOL,
     BOT,
     FIN,
+    MAT,
+    NEG_INF,
     NMAX,
+    POS_INF,
     RMAX,
     TOP,
     Scalar,
@@ -91,31 +94,38 @@ class SuiteReport:
 _FRACTIONS = [Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(-1, 4)]
 
 
+def _rand_raw(rng: random.Random, finite_only: bool, natural: bool = False):
+    """One raw RMAX (or, with ``natural``, NMAX) value: NEG_INF, POS_INF, an
+    int or a non-integral Fraction."""
+    if not finite_only:
+        r = rng.random()
+        if r < 0.12:
+            return NEG_INF
+        if r < 0.20:
+            return POS_INF
+    if natural:
+        return rng.randrange(0, 9)
+    if rng.random() < 0.15:
+        return rng.choice(_FRACTIONS) + rng.randrange(-3, 4)
+    return rng.randrange(-8, 9)
+
+
 def rand_scalar(rng: random.Random, sr: SemiringId, finite_only: bool = False) -> Scalar:
     if sr.name == "bool":
         return top(sr) if rng.random() < 0.5 else bot(sr)
     if sr.name == "mat":
         return rand_matrix_scalar(rng, sr, finite_only)
-    if not finite_only:
-        r = rng.random()
-        if r < 0.12:
-            return bot(sr)
-        if r < 0.20:
-            return top(sr)
-    if sr.name == "nmax":
-        return fin(sr, rng.randrange(0, 9))
-    if rng.random() < 0.15:
-        return fin(sr, rng.choice(_FRACTIONS) + rng.randrange(-3, 4))
-    return fin(sr, rng.randrange(-8, 9))
+    q = _rand_raw(rng, finite_only, sr.name == "nmax")
+    if q is NEG_INF:
+        return bot(sr)
+    if q is POS_INF:
+        return top(sr)
+    return fin(sr, q)
 
 
 def rand_matrix_scalar(rng: random.Random, sr: SemiringId, finite_only: bool = False) -> Scalar:
-    from .semiring import mat_of
-
-    n = sr.dim
-    return mat_of(
-        [[rand_scalar(rng, RMAX, finite_only) for _ in range(n)] for _ in range(n)]
-    )
+    """Entries drawn row by row from the RMAX distribution of rand_scalar."""
+    return Scalar(sr, MAT, tuple(_rand_raw(rng, finite_only) for _ in range(sr.dim * sr.dim)))
 
 
 def rand_vector(rng: random.Random, sr: SemiringId, dim: int, finite_only: bool = False) -> Vector:
@@ -152,15 +162,27 @@ def rand_convex_point(rng: random.Random, fam: GeneratingFamily) -> Vector:
 # -- shrinking ---------------------------------------------------------------
 
 
+def _toward_zero(q):
+    return q // 2 if isinstance(q, int) else int(q)
+
+
 def _simpler_scalar(s: Scalar):
     sr = s.semiring
     if sr.name == "mat":
+        # one entry at a time: -inf, 0 or +inf, or a finite one moved toward 0
+        flat = s.value
+        for i, q in enumerate(flat):
+            cands = [c for c in (NEG_INF, 0, POS_INF) if c != q]
+            if q is not NEG_INF and q is not POS_INF and q not in (0, 1, -1):
+                cands.append(_toward_zero(q))
+            for c in cands:
+                yield Scalar(sr, MAT, flat[:i] + (c,) + flat[i + 1:])
         return
     for cand in (bot(sr), unit(sr), top(sr)):
         if cand != s:
             yield cand
     if s.kind == FIN and s.value not in (0, 1, -1):
-        yield fin(sr, s.value // 2 if isinstance(s.value, int) else int(s.value))
+        yield fin(sr, _toward_zero(s.value))
 
 
 def _simpler(value):
@@ -362,12 +384,15 @@ def _scalar_laws_fast(c: dict) -> str | None:
     m_al = mul(a, lam)
     if not (leq(m_al, b) == leq(lam, lab) == leq(a, rres(b, lam))):
         return "galois-equivalence"
-    if not leq(mul(a, lab), b):
+    m_alab = mul(a, lab)
+    if not leq(m_alab, b):
         return "res-left-sub"
     ral = rres(a, lam)
-    if not leq(mul(ral, lam), a):
+    m_rall = mul(ral, lam)
+    if not leq(m_rall, a):
         return "res-right-sub"
-    if not leq(mul(lab, lam), lres(a, mul(b, lam))):
+    m_bl = mul(b, lam)
+    if not leq(mul(lab, lam), lres(a, m_bl)):
         return "res-left-shift"
     if not leq(mul(a, rres(lam, mu)), rres(m_al, mu)):
         return "res-right-shift"
@@ -386,19 +411,20 @@ def _scalar_laws_fast(c: dict) -> str | None:
         return "res-left-sandwich"
     if mul(r_mal, lam) != m_al:
         return "res-right-sandwich"
-    if lres(a, mul(a, lab)) != lab:
+    if lres(a, m_alab) != lab:
         return "res-left-idem"
-    if rres(mul(ral, lam), lam) != ral:
+    if rres(m_rall, lam) != ral:
         return "res-right-idem"
     if lres(lam, lres(a, z)) != lres(m_al, z):
         return "res-left-compose"
-    if rres(rres(a, mu), lam) != rres(a, mul(lam, mu)):
+    r_amu = rres(a, mu)
+    if rres(r_amu, lam) != rres(a, mul(lam, mu)):
         return "res-right-compose"
     if lres(_fold_add(U), b) != _fold_meet([lres(u, b) for u in U]):
         return "res-left-joins"
     if rres(a, _fold_add(L)) != _fold_meet([rres(a, l) for l in L]):
         return "res-right-joins"
-    if rres(lres(nu, a), mu) != lres(nu, rres(a, mu)):
+    if rres(lres(nu, a), mu) != lres(nu, r_amu):
         return "res-commute"
     if add(a, a) != a:
         return "add-idempotent"
@@ -409,7 +435,7 @@ def _scalar_laws_fast(c: dict) -> str | None:
         return "add-associative"
     if mul(mul(a, b), z) != mul(a, mul(b, z)):
         return "mul-associative"
-    if mul(ab, lam) != add(m_al, mul(b, lam)):
+    if mul(ab, lam) != add(m_al, m_bl):
         return "mul-distributes-right"
     if mul(lam, ab) != add(mul(lam, a), mul(lam, b)):
         return "mul-distributes-left"
@@ -1024,14 +1050,15 @@ def _mat_res_maximal(c) -> bool:
 
     a, b = c["a"], c["b"]
     r = lres(a, b)
+    grid = r.entries
     n = a.semiring.dim
     for i in range(n):
         for j in range(n):
-            s = r.entries[i][j]
+            s = grid[i][j]
             if s.kind == TOP:
                 continue
             bumped = fin(RMAX, s.value + 1) if s.kind == FIN else fin(RMAX, -100)
-            rows = [list(row) for row in r.entries]
+            rows = [list(row) for row in grid]
             rows[i][j] = bumped
             if leq(mul(a, mat_of(rows)), b):
                 return False

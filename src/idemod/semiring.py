@@ -7,11 +7,16 @@ Four instances are supported:
 * ``NMAX``  -- naturals with both infinities, (max, +).  Complete but not
   a semifield: residuation results are clamped to the carrier.
 * ``matrix_semiring(n)`` -- n x n matrices over RMAX with the (max, +)
-  product; order, sups and infs are entrywise.
+  product; order, sups and infs are entrywise.  An element stores its n*n
+  entries as one flat row-major tuple of raw values (ints, Fractions and
+  the two sentinels ``NEG_INF``/``POS_INF``), and the product and both
+  residuals loop over those tuples directly (Cuninghame-Green, *Minimax
+  Algebra*, 1979, ch. 2; Butkovic, *Max-linear Systems*, 2010, 1.2).
 
-Everything is exact: finite values are ints or ``fractions.Fraction``,
-infinities are symbolic.  The two conventionally ambiguous expressions are
-fixed once and for all: the product absorbs through bottom
+Everything is exact: finite values are ints or ``fractions.Fraction``
+(an integral Fraction is always normalised to int), infinities are
+symbolic.  The two conventionally ambiguous expressions are fixed once and
+for all: the product absorbs through bottom
 (``-inf + +inf = -inf`` under ``mul``) while residuation favours top
 (``lres(-inf, -inf) = lres(+inf, +inf) = +inf``).
 
@@ -70,28 +75,50 @@ def matrix_semiring(n: int) -> SemiringId:
     return SemiringId("mat", n)
 
 
+class _Infinity:
+    """An infinite matrix entry.  There are exactly two, compared by ``is``;
+    ``str`` gives the scalar text."""
+
+    __slots__ = ("_text",)
+
+    def __init__(self, text: str) -> None:
+        self._text = text
+
+    def __repr__(self) -> str:
+        return self._text
+
+
+NEG_INF = _Infinity("-inf")
+POS_INF = _Infinity("+inf")
+
+
 class Scalar:
     """One element of a complete idempotent semiring.
 
-    ``kind`` is one of BOT/FIN/TOP for the scalar instances; matrix-semiring
-    elements use kind MAT and carry an n x n grid of RMAX scalars in
-    ``entries``.  Immutable by convention: nothing in the library writes to a
-    Scalar after construction, and small values are interned.
+    ``kind`` is one of BOT/FIN/TOP for the scalar instances, with the finite
+    value in ``value``.  Matrix-semiring elements use kind MAT, and ``value``
+    holds their n*n entries as one flat row-major tuple: an int or a
+    Fraction (never an integral one) for a finite entry, ``NEG_INF`` or
+    ``POS_INF`` for an infinite one.  ``entries`` reads a matrix as an n x n
+    grid of RMAX scalars, built on each access.  Immutable by convention:
+    nothing in the library writes to a Scalar after construction, and small
+    values are interned.
     """
 
-    __slots__ = ("semiring", "kind", "value", "entries")
+    __slots__ = ("semiring", "kind", "value")
 
     def __init__(
-        self,
-        semiring: SemiringId,
-        kind: str,
-        value: Rational | None = None,
-        entries: tuple[tuple["Scalar", ...], ...] | None = None,
+        self, semiring: SemiringId, kind: str, value: Rational | tuple | None = None
     ) -> None:
         self.semiring = semiring
         self.kind = kind
         self.value = value
-        self.entries = entries
+
+    @property
+    def entries(self) -> tuple[tuple["Scalar", ...], ...] | None:
+        if self.kind != MAT:
+            return None
+        return tuple(tuple(map(_rmax_of, row)) for row in mat_rows(self))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -102,19 +129,31 @@ class Scalar:
             self.kind == other.kind
             and self.value == other.value
             and (self.semiring is other.semiring or self.semiring == other.semiring)
-            and self.entries == other.entries
         )
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.value, self.semiring, self.entries))
+        return hash((self.kind, self.value, self.semiring))
 
     def __repr__(self) -> str:
         if self.kind == MAT:
-            rows = "; ".join(
-                " ".join(scalar_to_text(s) for s in row) for row in self.entries
-            )
+            rows = "; ".join(" ".join(map(str, row)) for row in mat_rows(self))
             return f"<{self.semiring} [{rows}]>"
         return f"<{self.semiring} {scalar_to_text(self)}>"
+
+
+def mat_rows(s: Scalar) -> list[tuple]:
+    """The rows of a matrix element's raw entries."""
+    n, flat = s.semiring.dim, s.value
+    return [flat[i:i + n] for i in range(0, n * n, n)]
+
+
+def _rmax_of(q) -> Scalar:
+    """The RMAX scalar of one raw matrix entry."""
+    if q is NEG_INF:
+        return _RMAX_BOT
+    if q is POS_INF:
+        return _RMAX_TOP
+    return fin(RMAX, q)
 
 
 _BOTS: dict[tuple[str, int], Scalar] = {}
@@ -128,8 +167,7 @@ def bot(sr: SemiringId) -> Scalar:
     s = _BOTS.get(key)
     if s is None:
         if sr.name == "mat":
-            row = (bot(RMAX),) * sr.dim
-            s = Scalar(sr, MAT, entries=(row,) * sr.dim)
+            s = Scalar(sr, MAT, (NEG_INF,) * (sr.dim * sr.dim))
         else:
             s = Scalar(sr, BOT)
         _BOTS[key] = s
@@ -142,8 +180,7 @@ def top(sr: SemiringId) -> Scalar:
     s = _TOPS.get(key)
     if s is None:
         if sr.name == "mat":
-            row = (top(RMAX),) * sr.dim
-            s = Scalar(sr, MAT, entries=(row,) * sr.dim)
+            s = Scalar(sr, MAT, (POS_INF,) * (sr.dim * sr.dim))
         else:
             s = Scalar(sr, TOP)
         _TOPS[key] = s
@@ -158,12 +195,8 @@ def unit(sr: SemiringId) -> Scalar:
         if sr.name == "bool":
             s = top(sr)
         elif sr.name == "mat":
-            e, eps = unit(RMAX), bot(RMAX)
-            rows = tuple(
-                tuple(e if i == j else eps for j in range(sr.dim))
-                for i in range(sr.dim)
-            )
-            s = Scalar(sr, MAT, entries=rows)
+            r = range(sr.dim)
+            s = Scalar(sr, MAT, tuple(0 if i == j else NEG_INF for i in r for j in r))
         else:
             s = Scalar(sr, FIN, 0)
         _UNITS[key] = s
@@ -210,11 +243,14 @@ def mat_of(rows: list[list[Scalar]] | tuple) -> Scalar:
     n = len(rows)
     if n < 1 or any(len(r) != n for r in rows):
         raise MismatchError("matrix-semiring elements must be square")
+    flat = []
     for r in rows:
         for s in r:
-            if s.semiring != RMAX:
+            if s.semiring is not RMAX and s.semiring != RMAX:
                 raise MismatchError("matrix entries must be RMAX scalars")
-    return Scalar(matrix_semiring(n), MAT, entries=tuple(tuple(r) for r in rows))
+            k = s.kind
+            flat.append(NEG_INF if k == BOT else POS_INF if k == TOP else s.value)
+    return Scalar(matrix_semiring(n), MAT, tuple(flat))
 
 
 def scal(sr: SemiringId, v) -> Scalar:
@@ -243,9 +279,12 @@ def leq(a: Scalar, b: Scalar) -> bool:
         _need_same(a, b)
     ka, kb = a.kind, b.kind
     if ka == MAT:
-        return all(
-            leq(x, y) for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)
-        )
+        for x, y in zip(a.value, b.value):
+            if x is NEG_INF or y is POS_INF:
+                continue
+            if x is POS_INF or y is NEG_INF or x > y:
+                return False
+        return True
     if ka == BOT or kb == TOP:
         return True
     if kb == BOT or ka == TOP:
@@ -259,14 +298,12 @@ def add(a: Scalar, b: Scalar) -> Scalar:
         _need_same(a, b)
     ka, kb = a.kind, b.kind
     if ka == MAT:
-        return Scalar(
-            a.semiring,
-            MAT,
-            entries=tuple(
-                tuple(add(x, y) for x, y in zip(ra, rb))
-                for ra, rb in zip(a.entries, b.entries)
-            ),
-        )
+        return Scalar(a.semiring, MAT, tuple(
+            y if x is NEG_INF or y is POS_INF
+            else x if y is NEG_INF or x is POS_INF or x >= y
+            else y
+            for x, y in zip(a.value, b.value)
+        ))
     if ka == BOT:
         return b
     if kb == BOT:
@@ -282,14 +319,12 @@ def meet(a: Scalar, b: Scalar) -> Scalar:
         _need_same(a, b)
     ka, kb = a.kind, b.kind
     if ka == MAT:
-        return Scalar(
-            a.semiring,
-            MAT,
-            entries=tuple(
-                tuple(meet(x, y) for x, y in zip(ra, rb))
-                for ra, rb in zip(a.entries, b.entries)
-            ),
-        )
+        return Scalar(a.semiring, MAT, tuple(
+            y if x is POS_INF or y is NEG_INF
+            else x if y is POS_INF or x is NEG_INF or x <= y
+            else y
+            for x, y in zip(a.value, b.value)
+        ))
     if ka == TOP:
         return b
     if kb == TOP:
@@ -341,96 +376,86 @@ def rres(b: Scalar, a: Scalar) -> Scalar:
     return lres(a, b)  # scalar instances are commutative
 
 
-# Unchecked RMAX entry ops for the matrix inner loops; operands are known to
-# be RMAX scalars, so the tag checks and dispatch of the public ops are skipped.
+# The matrix kernels loop over the flat row-major tuples of raw entries.
+# Each result entry folds the terms of one line (row or column) of each
+# operand and stops at the first term that absorbs the fold: top for the
+# product's join, bottom for the residuals' meet.  A cached plan lists, per
+# result entry in row-major order, the (index into a, index into b) pairs of
+# its terms.  An integral Fraction result is normalised to int.
 
 
-def _r_mul(a: Scalar, b: Scalar) -> Scalar:
-    ka, kb = a.kind, b.kind
-    if ka == BOT or kb == BOT:
-        return _RMAX_BOT
-    if ka == TOP or kb == TOP:
-        return _RMAX_TOP
-    return fin(RMAX, a.value + b.value)
+@functools.cache
+def _mul_plan(n: int) -> tuple:
+    # (ab)[i][k] = join over j of a[i][j] * b[j][k]
+    r = range(n)
+    return tuple(tuple((i * n + j, j * n + k) for j in r) for i in r for k in r)
 
 
-def _r_add(a: Scalar, b: Scalar) -> Scalar:
-    ka, kb = a.kind, b.kind
-    if ka == BOT:
-        return b
-    if kb == BOT:
-        return a
-    if ka == TOP or kb == TOP:
-        return _RMAX_TOP
-    return a if a.value >= b.value else b
+@functools.cache
+def _lres_plan(n: int) -> tuple:
+    # (a\b)[j][k] = meet over i of a[i][j] \ b[i][k]
+    r = range(n)
+    return tuple(tuple((i * n + j, i * n + k) for i in r) for j in r for k in r)
 
 
-def _r_meet(a: Scalar, b: Scalar) -> Scalar:
-    ka, kb = a.kind, b.kind
-    if ka == TOP:
-        return b
-    if kb == TOP:
-        return a
-    if ka == BOT or kb == BOT:
-        return _RMAX_BOT
-    return a if a.value <= b.value else b
-
-
-def _r_lres(a: Scalar, b: Scalar) -> Scalar:
-    ka, kb = a.kind, b.kind
-    if ka == BOT or kb == TOP:
-        return _RMAX_TOP
-    if ka == TOP or kb == BOT:
-        return _RMAX_BOT
-    return fin(RMAX, b.value - a.value)
+@functools.cache
+def _rres_plan(n: int) -> tuple:
+    # (b/a)[i][j] = meet over k of b[i][k] / a[j][k] = meet over k of a[j][k] \ b[i][k]
+    r = range(n)
+    return tuple(tuple((j * n + k, i * n + k) for k in r) for i in r for j in r)
 
 
 def _mat_mul(a: Scalar, b: Scalar) -> Scalar:
-    n = a.semiring.dim
-    ae, be = a.entries, b.entries
-    rows = []
-    for i in range(n):
-        ai = ae[i]
-        row = []
-        for k in range(n):
-            acc = _r_mul(ai[0], be[0][k])
-            for j in range(1, n):
-                acc = _r_add(acc, _r_mul(ai[j], be[j][k]))
-            row.append(acc)
-        rows.append(tuple(row))
-    return Scalar(a.semiring, MAT, entries=tuple(rows))
+    af, bf = a.value, b.value
+    out = []
+    for line in _mul_plan(a.semiring.dim):
+        acc = NEG_INF
+        for ix, iy in line:
+            x = af[ix]
+            y = bf[iy]
+            if x is NEG_INF or y is NEG_INF:
+                continue  # bottom absorbs the term, even against top
+            if x is POS_INF or y is POS_INF:
+                acc = POS_INF
+                break
+            s = x + y
+            if acc is NEG_INF or s > acc:
+                acc = s
+        else:
+            if type(acc) is Fraction and acc.denominator == 1:
+                acc = acc.numerator
+        out.append(acc)
+    return Scalar(a.semiring, MAT, tuple(out))
+
+
+def _mat_res(sr: SemiringId, af: tuple, bf: tuple, plan: tuple) -> Scalar:
+    out = []
+    for line in plan:
+        acc = POS_INF
+        for ix, iy in line:
+            x = af[ix]
+            y = bf[iy]
+            if x is NEG_INF or y is POS_INF:
+                continue  # the term x\y is top
+            if x is POS_INF or y is NEG_INF:
+                acc = NEG_INF
+                break
+            d = y - x
+            if acc is POS_INF or d < acc:
+                acc = d
+        else:
+            if type(acc) is Fraction and acc.denominator == 1:
+                acc = acc.numerator
+        out.append(acc)
+    return Scalar(sr, MAT, tuple(out))
 
 
 def _mat_lres(a: Scalar, b: Scalar) -> Scalar:
-    # (a\b)[j][k] = meet over i of a[i][j] \ b[i][k]
-    n = a.semiring.dim
-    ae, be = a.entries, b.entries
-    rows = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            acc = _r_lres(ae[0][j], be[0][k])
-            for i in range(1, n):
-                acc = _r_meet(acc, _r_lres(ae[i][j], be[i][k]))
-            row.append(acc)
-        rows.append(tuple(row))
-    return Scalar(a.semiring, MAT, entries=tuple(rows))
+    return _mat_res(a.semiring, a.value, b.value, _lres_plan(a.semiring.dim))
 
 
 def _mat_rres(b: Scalar, a: Scalar) -> Scalar:
-    # (b/a)[i][j] = meet over k of b[i][k] / a[j][k]
-    n = a.semiring.dim
-    ae, be = a.entries, b.entries
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = _r_lres(ae[j][0], be[i][0])
-            for k in range(1, n):
-                acc = _r_meet(acc, _r_lres(ae[j][k], be[i][k]))
-            row.append(acc)
-        rows.append(tuple(row))
-    return Scalar(b.semiring, MAT, entries=tuple(rows))
+    return _mat_res(a.semiring, a.value, b.value, _rres_plan(a.semiring.dim))
 
 
 def is_invertible(s: Scalar) -> bool:
@@ -445,14 +470,14 @@ def is_invertible(s: Scalar) -> bool:
     # matrices: exactly one finite entry per row and per column, rest bottom
     n = sr.dim
     col_seen = [0] * n
-    for row in s.entries:
+    for row in mat_rows(s):
         fin_in_row = 0
         for j, x in enumerate(row):
-            if x.kind == FIN:
+            if x is POS_INF:
+                return False
+            if x is not NEG_INF:
                 fin_in_row += 1
                 col_seen[j] += 1
-            elif x.kind != BOT:
-                return False
         if fin_in_row != 1:
             return False
     return all(c == 1 for c in col_seen)
@@ -466,14 +491,14 @@ def inverse(s: Scalar) -> Scalar:
         return fin(sr, -s.value)
     if sr.name in ("bool", "nmax"):
         return s  # only the unit is invertible
+    # the transpose with each finite entry negated
     n = sr.dim
-    eps = bot(RMAX)
-    rows = [[eps] * n for _ in range(n)]
-    for i, row in enumerate(s.entries):
-        for j, x in enumerate(row):
-            if x.kind == FIN:
-                rows[j][i] = fin(RMAX, -x.value)
-    return mat_of(rows)
+    flat = [NEG_INF] * (n * n)
+    for idx, x in enumerate(s.value):
+        if x is not NEG_INF:
+            i, j = divmod(idx, n)
+            flat[j * n + i] = -x
+    return Scalar(sr, MAT, tuple(flat))
 
 
 @dataclass(frozen=True, slots=True)
@@ -513,7 +538,10 @@ def sort_key(s: Scalar):
     """Total key for deterministic enumeration output, natural-order compatible
     on each chain."""
     if s.kind == MAT:
-        return tuple(sort_key(x) for row in s.entries for x in row)
+        return tuple(
+            (0, 0) if q is NEG_INF else (2, 0) if q is POS_INF else (1, Fraction(q))
+            for q in s.value
+        )
     if s.kind == BOT:
         return (0, 0)
     if s.kind == TOP:

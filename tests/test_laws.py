@@ -1,9 +1,29 @@
 """The suite runner itself: determinism, failure reporting, shrinking."""
+import itertools
+import random
+
 import pytest
 
 from idemod import IdemodError
+from idemod import laws
+from idemod import semiring
 from idemod.laws import SUITES, Failure, run_suite, _shrink
-from idemod.semiring import RMAX, fin, leq, mul
+from idemod.semiring import (
+    BOOL,
+    MAT,
+    NEG_INF,
+    NMAX,
+    POS_INF,
+    RMAX,
+    Scalar,
+    bot,
+    fin,
+    leq,
+    mat_of,
+    matrix_semiring,
+    mul,
+    top,
+)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -43,3 +63,133 @@ def test_failure_formatting():
     f = Failure("some-law", {"a": "<rmax 3>"})
     assert "some-law" in str(f)
     assert "<rmax 3>" in str(f)
+
+
+# -- the fused scalar-law pass against the law table --------------------------
+
+
+def _bool_cases():
+    # the exhaustive Boolean enumeration of the residuation suite
+    carrier = [bot(BOOL), top(BOOL)]
+    subsets = [[bot(BOOL)], [top(BOOL)], carrier]
+    for a, b, z, lam, mu, nu in itertools.product(carrier, repeat=6):
+        for U in subsets:
+            for L in subsets:
+                yield {"a": a, "b": b, "z": z, "lam": lam, "mu": mu, "nu": nu, "U": U, "L": L}
+
+
+def _first_failing_in_table(case):
+    for name, pred in laws._SCALAR_LAWS:
+        if not laws._holds(pred, case):
+            return name
+    return None
+
+
+_ONE = {
+    "rmax": fin(RMAX, 1),
+    "nmax": fin(NMAX, 1),
+    "mat": mat_of([[fin(RMAX, 1), bot(RMAX)], [bot(RMAX), fin(RMAX, 1)]]),
+}
+
+
+def _one_too_high(res):
+    def broken(x, y):
+        if x.semiring is BOOL:
+            return top(BOOL)
+        return semiring.mul(res(x, y), _ONE[x.semiring.name])
+
+    return broken
+
+
+def _mul_bottom_is_unit(a, b):
+    eps = bot(a.semiring)
+    if a == eps:
+        return b
+    if b == eps:
+        return a
+    return semiring.mul(a, b)
+
+
+@pytest.mark.parametrize("broken", [
+    None,
+    ("lres", _one_too_high(semiring.lres)),
+    ("rres", _one_too_high(semiring.rres)),
+    ("mul", _mul_bottom_is_unit),
+])
+def test_fused_laws_report_the_tables_first_failure(broken, monkeypatch):
+    """_scalar_laws_fast answers, case by case, what running _SCALAR_LAWS in
+    table order answers: the first failing law's name, or None."""
+    rng = random.Random(20260808)
+    groups = {"bool": list(_bool_cases())}
+    for sr, tag in ((RMAX, "rmax"), (NMAX, "nmax"), (laws.MAT2, "mat2")):
+        groups[tag] = [laws._scalar_case(rng, sr) for _ in range(150)]
+    if broken is not None:
+        monkeypatch.setattr(laws, *broken)
+    for tag, cases in groups.items():
+        answers = []
+        for case in cases:
+            want = _first_failing_in_table(case)
+            assert laws._scalar_laws_fast(case) == want, (tag, case)
+            answers.append(want)
+        if broken is None:
+            assert set(answers) == {None}
+        else:
+            assert set(answers) - {None}, f"{tag}: the broken op went unnoticed"
+
+
+def test_rand_matrix_scalar_draws_like_rand_scalar():
+    """Matrix entries come from the RMAX distribution, with the same RNG calls
+    in the same order as drawing an RMAX scalar per entry, row by row."""
+    for n in (1, 2, 3):
+        for finite_only in (False, True):
+            r1, r2 = random.Random(n), random.Random(n)
+            for _ in range(50):
+                m = laws.rand_matrix_scalar(r1, matrix_semiring(n), finite_only)
+                grid = [[laws.rand_scalar(r2, RMAX, finite_only) for _ in range(n)]
+                        for _ in range(n)]
+                assert m == mat_of(grid)
+                assert [type(q) for q in m.value] == [type(q) for q in mat_of(grid).value]
+            assert r1.getstate() == r2.getstate()
+
+
+def _finite_entries(value):
+    if isinstance(value, list):
+        return sum(_finite_entries(v) for v in value)
+    return sum(q is not NEG_INF and q is not POS_INF for q in value.value)
+
+
+def test_matrix_failures_are_shrunk(monkeypatch):
+    real = semiring._mat_lres
+
+    def lres_one_too_high(a, b):
+        r = real(a, b)
+        return Scalar(r.semiring, MAT, tuple(
+            q if q is NEG_INF or q is POS_INF else q + 1 for q in r.value
+        ))
+
+    monkeypatch.setattr(semiring, "_mat_lres", lres_one_too_high)
+    shrunk = []
+    real_shrink = laws._shrink
+
+    def recording_shrink(case, pred):
+        small = real_shrink(case, pred)
+        shrunk.append((case, small))
+        return small
+
+    monkeypatch.setattr(laws, "_shrink", recording_shrink)
+    rep = run_suite("residuation", seed=20260808, trials=20)
+    [failure] = rep.failures
+    assert failure.law.startswith("mat2/")
+    [(original, small)] = shrunk
+    assert failure.case == {k: repr(v) for k, v in small.items()}
+    assert _finite_entries(list(small.values())) < _finite_entries(list(original.values()))
+
+
+def test_matrix_shrink_candidates():
+    x = mat_of([[fin(RMAX, 6), bot(RMAX)], [top(RMAX), fin(RMAX, 0)]])
+    cands = {tuple(c.value) for c in laws._simpler(x)}
+    assert (NEG_INF, NEG_INF, POS_INF, 0) in cands  # 6 -> -inf
+    assert (3, NEG_INF, POS_INF, 0) in cands  # 6 moved toward 0
+    assert (6, 0, POS_INF, 0) in cands and (6, NEG_INF, POS_INF, POS_INF) in cands
+    assert x.value not in cands
+    assert all(c.semiring is x.semiring for c in laws._simpler(x))

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from idemod import (
     BOOL,
@@ -28,6 +28,8 @@ from idemod import (
     top,
     unit,
 )
+from idemod.jsonio import scalar_json
+from idemod.semiring import NEG_INF, POS_INF
 from conftest import MAT2, mat2_scalars, scalars
 
 
@@ -185,6 +187,81 @@ def test_matrix_residuation_maximal(a, b):
     y = rres(b, a)
     assert leq(mul(y, a), b)
     _assert_maximal(y, lambda m: not leq(mul(m, a), b))
+
+
+# -- the flat matrix kernels against an entrywise oracle of RMAX scalar ops --
+
+# halves and quarters, so that sums and differences such as 1/2 + 1/2 and
+# 3/4 - (-1/4) come out integral and must be stored as ints
+_ENTRY = st.one_of(
+    st.sampled_from([bot(RMAX), top(RMAX)]),
+    st.integers(min_value=-3, max_value=3).map(r),
+    st.sampled_from([Fraction(k, d) for k in range(-7, 8) for d in (2, 4) if k % d]).map(r),
+)
+
+
+@st.composite
+def _mat_operands(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    grid = st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+    return [mat_of(draw(grid)) for _ in range(2)]
+
+
+def _fold(op, xs):
+    acc = xs[0]
+    for x in xs[1:]:
+        acc = op(acc, x)
+    return acc
+
+
+def _oracle(a, b):
+    n = a.semiring.dim
+    A, B = a.entries, b.entries
+    rn = range(n)
+    return {
+        "mul": [[_fold(add, [mul(A[i][j], B[j][k]) for j in rn]) for k in rn] for i in rn],
+        "lres": [[_fold(meet, [lres(A[i][j], B[i][k]) for i in rn]) for k in rn] for j in rn],
+        # b/a: the greatest mu with mu*a <= b, entry (i, j) meets over k
+        "rres": [[_fold(meet, [rres(B[i][k], A[j][k]) for k in rn]) for j in rn] for i in rn],
+        "add": [[add(A[i][j], B[i][j]) for j in rn] for i in rn],
+        "meet": [[meet(A[i][j], B[i][j]) for j in rn] for i in rn],
+    }
+
+
+def _raw(s):
+    return NEG_INF if s.kind == "bot" else POS_INF if s.kind == "top" else s.value
+
+
+def _assert_same_raw(x, grid):
+    want = tuple(_raw(s) for row in grid for s in row)
+    assert x.value == want
+    # equal is not enough: an integral Fraction must have become an int
+    assert [type(q) for q in x.value] == [type(q) for q in want]
+    assert mat_of(x.entries) == x and hash(mat_of(x.entries)) == hash(x)
+
+
+@settings(max_examples=300)
+@given(_mat_operands())
+def test_matrix_kernels_match_entrywise_oracle(ab):
+    a, b = ab
+    oracle = _oracle(a, b)
+    _assert_same_raw(mul(a, b), oracle["mul"])
+    _assert_same_raw(lres(a, b), oracle["lres"])
+    _assert_same_raw(rres(b, a), oracle["rres"])
+    _assert_same_raw(add(a, b), oracle["add"])
+    _assert_same_raw(meet(a, b), oracle["meet"])
+    pairs = list(zip(sum(a.entries, ()), sum(b.entries, ())))
+    assert leq(a, b) == all(leq(x, y) for x, y in pairs)
+    assert leq(b, a) == all(leq(y, x) for x, y in pairs)
+    assert leq(a, add(a, b)) and leq(meet(a, b), b)
+    for x in (a, b):
+        _assert_same_raw(x, x.entries)
+        same = mul(unit(x.semiring), x)
+        assert same == x and hash(same) == hash(x)
+        # matrices print and serialise from their raw entries
+        texts = [[scalar_to_text(e) for e in row] for row in x.entries]
+        assert scalar_json(x) == texts
+        assert repr(x) == f"<{x.semiring} [{'; '.join(' '.join(row) for row in texts)}]>"
 
 
 def test_scalar_text_roundtrip():
