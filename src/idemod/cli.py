@@ -55,17 +55,17 @@ def _load_problem(args) -> Problem:
     )
 
 
-def _require(problem: Problem, attr: str, what: str):
+def _require(problem: Problem, attr: str):
     value = getattr(problem, attr)
     if value is None:
-        raise SchemaError(f"this command needs {what!r} in the problem file")
+        raise SchemaError(f"this command needs {attr!r} in the problem file")
     return value
 
 
 def cmd_project(args) -> dict:
     p = _load_problem(args)
-    x = _require(p, "point", "point")
-    fam = _require(p, "generators", "generators")
+    x = _require(p, "point")
+    fam = _require(p, "generators")
     res = project(fam, x)
     return {
         "projection": vector_json(res.projection),
@@ -76,15 +76,15 @@ def cmd_project(args) -> dict:
 
 def cmd_member(args) -> dict:
     p = _load_problem(args)
-    x = _require(p, "point", "point")
-    fam = _require(p, "generators", "generators")
+    x = _require(p, "point")
+    fam = _require(p, "generators")
     return {"member": is_member(fam, x)}
 
 
 def cmd_separate(args) -> dict:
     p = _load_problem(args)
-    x = _require(p, "point", "point")
-    fam = _require(p, "convex", "convex")
+    x = _require(p, "point")
+    fam = _require(p, "convex")
     sep = separate_from_convex(fam, x)
     out = {
         "nu": scalar_json(sep.nu),
@@ -104,9 +104,9 @@ def cmd_separate(args) -> dict:
 
 def cmd_dual(args) -> dict:
     p = _load_problem(args)
-    x = _require(p, "point", "point")
+    x = _require(p, "point")
     if p.bracket == "matrix":
-        mat = _require(p, "matrix", "matrix")
+        mat = _require(p, "matrix")
         cfg = du.DualPairConfig(du.MATRIX, p.phi, mat)
     else:
         cfg = du.DualPairConfig(p.bracket, p.phi)
@@ -121,7 +121,7 @@ def cmd_dual(args) -> dict:
 
 def cmd_hilbert(args) -> dict:
     p = _load_problem(args)
-    x = _require(p, "point", "point")
+    x = _require(p, "point")
     out: dict = {}
     if p.point2 is not None:
         out["distance"] = scalar_json(hilbert_distance(x, p.point2))
@@ -139,8 +139,8 @@ def cmd_hilbert(args) -> dict:
 
 def cmd_hull(args) -> dict:
     p = _load_problem(args)
-    grid = _require(p, "grid", "grid")
-    slopes = _require(p, "slopes", "slopes")
+    grid = _require(p, "grid")
+    slopes = _require(p, "slopes")
     rep = hull_report(grid, slopes)
     return {
         "transform": [scalar_json(v) for v in rep.transform.values],
@@ -151,7 +151,7 @@ def cmd_hull(args) -> dict:
 
 def cmd_rowcol(args) -> dict:
     p = _load_problem(args)
-    mat = _require(p, "matrix", "matrix")
+    mat = _require(p, "matrix")
     rep = du.rowcol_report(mat, p.phi)
     return {
         "row_space": [[scalar_to_text(s) for s in z.entries] for z in rep.row_space],
@@ -228,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     _global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("project", "member", "separate", "dual", "hilbert", "hull",
-                 "rowcol", "render"):
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
         _global_flags(sp, suppress=True)
         sp.add_argument("file", help="JSON problem or scene file")

@@ -10,6 +10,8 @@ with itself through residuation, valued in the order-reversed scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import DomainError, MismatchError, TheoremViolation
@@ -46,6 +48,9 @@ CANONICAL = "canonical"
 MATRIX = "matrix"
 OPPOSITE = "opposite"
 
+# Largest row or column count rowcol_report enumerates (2^8 vectors a side).
+ROWCOL_CAP = 8
+
 
 @dataclass(frozen=True, slots=True)
 class DualPairConfig:
@@ -63,20 +68,13 @@ class DualPairConfig:
 def bracket_eval(cfg: DualPairConfig, y, x: Vector) -> Scalar:
     """<y, x> for the configured bracket.  For the opposite bracket the result
     lives in the order-reversed scalars; callers compare accordingly."""
-    if cfg.bracket == CANONICAL:
-        if len(y.entries) != len(x.entries):
-            raise MismatchError("bracket sides of unequal dimension")
-        acc = mul(y.entries[0], x.entries[0])
-        for a, b in zip(y.entries[1:], x.entries[1:]):
-            acc = add(acc, mul(a, b))
-        return acc
+    if cfg.bracket == OPPOSITE:
+        return vec_lres(x, y)
     if cfg.bracket == MATRIX:
-        ax = mat_vec(cfg.matrix, x)
-        acc = mul(y.entries[0], ax.entries[0])
-        for a, b in zip(y.entries[1:], ax.entries[1:]):
-            acc = add(acc, mul(a, b))
-        return acc
-    return vec_lres(x, y)
+        x = mat_vec(cfg.matrix, x)
+    elif len(y.entries) != len(x.entries):
+        raise MismatchError("bracket sides of unequal dimension")
+    return reduce(add, map(mul, y.entries, x.entries))
 
 
 def conj_left(cfg: DualPairConfig, x: Vector):
@@ -183,21 +181,6 @@ def vec_key(v) -> tuple:
     return tuple(sort_key(s) for s in v.entries)
 
 
-def _enumerate_boolean(dim: int):
-    eps, e = bot(BOOL), top(BOOL)
-    pattern = [eps, e]
-    idx = [0] * dim
-    while True:
-        yield tuple(pattern[i] for i in idx)
-        k = dim - 1
-        while k >= 0 and idx[k] == 1:
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return
-        idx[k] = 1
-
-
 def lattice_meet(elements: Sequence[Vector], a: Vector, b: Vector) -> Vector:
     """Meet inside a finite join-closed family: join of the members below both
     a and b.  Differs from the entrywise meet in general."""
@@ -210,21 +193,22 @@ def lattice_meet(elements: Sequence[Vector], a: Vector, b: Vector) -> Vector:
     return acc
 
 
-def rowcol_report(a: Matrix, phi: Phi, cap: int = 8) -> LatticeReport:
+def rowcol_report(a: Matrix, phi: Phi) -> LatticeReport:
     """Row space, column space, and the residuation map between them, all by
     exhaustive enumeration.  Boolean matrices only."""
     if a.semiring.name != "bool":
         raise DomainError("exhaustive row/column duality is Boolean-only")
-    if a.rows > cap or a.cols > cap:
-        raise DomainError(f"matrix exceeds the enumeration cap {cap}")
+    if a.rows > ROWCOL_CAP or a.cols > ROWCOL_CAP:
+        raise DomainError(f"matrix exceeds the enumeration cap {ROWCOL_CAP}")
     p = phi.value
+    carrier = (bot(BOOL), top(BOOL))
 
     rows: dict[tuple, CoVector] = {}
-    for ye in _enumerate_boolean(a.rows):
+    for ye in product(carrier, repeat=a.rows):
         z = covec_mat(CoVector(BOOL, ye), a)
         rows.setdefault(vec_key(z), z)
     cols: dict[tuple, Vector] = {}
-    for xe in _enumerate_boolean(a.cols):
+    for xe in product(carrier, repeat=a.cols):
         v = mat_vec(a, Vector(BOOL, xe))
         cols.setdefault(vec_key(v), v)
     row_space = tuple(rows[k] for k in sorted(rows))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import MismatchError, SchemaError
@@ -169,18 +169,7 @@ class Problem:
     slopes: SlopeSet | None = None
 
 
-_PROBLEM_KEYS = {
-    "semiring",
-    "phi",
-    "generators",
-    "convex",
-    "point",
-    "point2",
-    "matrix",
-    "bracket",
-    "grid",
-    "slopes",
-}
+_PROBLEM_KEYS = {f.name for f in fields(Problem)}
 
 
 def problem_from_json(obj, semiring_override: str | None = None, phi_override: str | None = None) -> Problem:
@@ -221,7 +210,9 @@ def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:  # a JSONDecodeError, or an int literal past 4300 digits
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an int literal past 4300 digits, or nesting past
+        # the interpreter's recursion limit
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -5,6 +5,13 @@ Each suite is deterministic given its seed.  A failing law is shrunk
 greedily before being reported; suites that pin an expected counterexample
 (the natural-number semiring is not reflexive) record it as a note and
 still pass.
+
+Each law is written once, as a (name, predicate) row of its suite's table,
+and the tables run in order on each case until the first failure.  The 28
+scalar laws of ``_SCALAR_LAWS`` read a dict from ``_scalar_terms``: the case
+plus the subterms several laws share, each computed once and keyed by its
+own expression (``"a*lam"``, ``r"a\\b"``, ...).  Detection and shrinking
+both go through that one table.
 """
 from __future__ import annotations
 
@@ -12,6 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from . import dual as du
 from . import fenchel as fe
@@ -245,220 +253,133 @@ def _shrink(case: dict, pred) -> dict:
     return case
 
 
-def _show(value) -> str:
-    return repr(value)
+def _fail(report: SuiteReport, law: str, case: dict, pred) -> bool:
+    """Shrink a failing case against pred, record it under law, return False."""
+    small = _shrink(case, pred)
+    report.failures.append(Failure(law, {k: repr(v) for k, v in small.items()}))
+    return False
 
 
 def _check(report: SuiteReport, law: str, case: dict, pred) -> bool:
     """Run one law; on failure shrink, record, and return False."""
     report.checks += 1
-    if _holds(pred, case):
-        return True
-    small = _shrink(case, pred)
-    report.failures.append(Failure(law, {k: _show(v) for k, v in small.items()}))
-    return False
+    return _holds(pred, case) or _fail(report, law, case, pred)
+
+
+def _check_all(report: SuiteReport, table, case: dict) -> bool:
+    """Run a table of (law, pred) rows on one case in order; stop at the
+    first failure."""
+    return all(_check(report, law, case, pred) for law, pred in table)
 
 
 # -- residuation suite -------------------------------------------------------
 
 
-def _fold_meet(values):
-    acc = values[0]
-    for v in values[1:]:
-        acc = meet(acc, v)
-    return acc
+def _scalar_terms(c: dict) -> dict:
+    """A copy of the scalar case plus the subterms several laws share, each
+    computed once and keyed by its own expression."""
+    a, b, lam = c["a"], c["b"], c["lam"]
+    lab, al, ral = lres(a, b), mul(a, lam), rres(a, lam)
+    return {
+        **c,
+        r"a\b": lab,
+        "a*lam": al,
+        "b*lam": mul(b, lam),
+        "a/lam": ral,
+        "a/mu": rres(a, c["mu"]),
+        "a+b": add(a, b),
+        "meet U": reduce(meet, c["U"]),
+        r"a*(a\b)": mul(a, lab),
+        "(a/lam)*lam": mul(ral, lam),
+        r"a\(a*lam)": lres(a, al),
+        "(a*lam)/lam": rres(al, lam),
+    }
 
 
-def _fold_add(values):
-    acc = values[0]
-    for v in values[1:]:
-        acc = add(acc, v)
-    return acc
-
-
+# Each law reads the case and the shared subterms from _scalar_terms.
 _SCALAR_LAWS = [
     (
         "galois-equivalence",
-        lambda c: leq(mul(c["a"], c["lam"]), c["b"])
-        == leq(c["lam"], lres(c["a"], c["b"]))
-        == leq(c["a"], rres(c["b"], c["lam"])),
+        lambda t: leq(t["a*lam"], t["b"])
+        == leq(t["lam"], t[r"a\b"])
+        == leq(t["a"], rres(t["b"], t["lam"])),
     ),
-    ("res-left-sub", lambda c: leq(mul(c["a"], lres(c["a"], c["b"])), c["b"])),
-    ("res-right-sub", lambda c: leq(mul(rres(c["a"], c["lam"]), c["lam"]), c["a"])),
-    (
-        "res-left-shift",
-        lambda c: leq(mul(lres(c["a"], c["b"]), c["lam"]), lres(c["a"], mul(c["b"], c["lam"]))),
-    ),
+    ("res-left-sub", lambda t: leq(t[r"a*(a\b)"], t["b"])),
+    ("res-right-sub", lambda t: leq(t["(a/lam)*lam"], t["a"])),
+    ("res-left-shift", lambda t: leq(mul(t[r"a\b"], t["lam"]), lres(t["a"], t["b*lam"]))),
     (
         "res-right-shift",
-        lambda c: leq(mul(c["a"], rres(c["lam"], c["mu"])), rres(mul(c["a"], c["lam"]), c["mu"])),
+        lambda t: leq(mul(t["a"], rres(t["lam"], t["mu"])), rres(t["a*lam"], t["mu"])),
     ),
-    ("res-left-super", lambda c: leq(c["lam"], lres(c["a"], mul(c["a"], c["lam"])))),
-    ("res-right-super", lambda c: leq(c["a"], rres(mul(c["a"], c["lam"]), c["lam"]))),
+    ("res-left-super", lambda t: leq(t["lam"], t[r"a\(a*lam)"])),
+    ("res-right-super", lambda t: leq(t["a"], t["(a*lam)/lam"])),
     (
         "res-left-meets",
-        lambda c: lres(c["a"], _fold_meet(c["U"])) == _fold_meet([lres(c["a"], u) for u in c["U"]]),
+        lambda t: lres(t["a"], t["meet U"]) == reduce(meet, [lres(t["a"], u) for u in t["U"]]),
     ),
     (
         "res-right-meets",
-        lambda c: rres(_fold_meet(c["U"]), c["lam"]) == _fold_meet([rres(u, c["lam"]) for u in c["U"]]),
+        lambda t: rres(t["meet U"], t["lam"]) == reduce(meet, [rres(u, t["lam"]) for u in t["U"]]),
     ),
-    (
-        "res-left-sandwich",
-        lambda c: mul(c["a"], lres(c["a"], mul(c["a"], c["lam"]))) == mul(c["a"], c["lam"]),
-    ),
-    (
-        "res-right-sandwich",
-        lambda c: mul(rres(mul(c["a"], c["lam"]), c["lam"]), c["lam"]) == mul(c["a"], c["lam"]),
-    ),
-    (
-        "res-left-idem",
-        lambda c: lres(c["a"], mul(c["a"], lres(c["a"], c["b"]))) == lres(c["a"], c["b"]),
-    ),
-    (
-        "res-right-idem",
-        lambda c: rres(mul(rres(c["a"], c["lam"]), c["lam"]), c["lam"]) == rres(c["a"], c["lam"]),
-    ),
+    ("res-left-sandwich", lambda t: mul(t["a"], t[r"a\(a*lam)"]) == t["a*lam"]),
+    ("res-right-sandwich", lambda t: mul(t["(a*lam)/lam"], t["lam"]) == t["a*lam"]),
+    ("res-left-idem", lambda t: lres(t["a"], t[r"a*(a\b)"]) == t[r"a\b"]),
+    ("res-right-idem", lambda t: rres(t["(a/lam)*lam"], t["lam"]) == t["a/lam"]),
     (
         "res-left-compose",
-        lambda c: lres(c["lam"], lres(c["a"], c["z"])) == lres(mul(c["a"], c["lam"]), c["z"]),
+        lambda t: lres(t["lam"], lres(t["a"], t["z"])) == lres(t["a*lam"], t["z"]),
     ),
     (
         "res-right-compose",
-        lambda c: rres(rres(c["a"], c["mu"]), c["lam"]) == rres(c["a"], mul(c["lam"], c["mu"])),
+        lambda t: rres(t["a/mu"], t["lam"]) == rres(t["a"], mul(t["lam"], t["mu"])),
     ),
     (
         "res-left-joins",
-        lambda c: lres(_fold_add(c["U"]), c["b"]) == _fold_meet([lres(u, c["b"]) for u in c["U"]]),
+        lambda t: lres(reduce(add, t["U"]), t["b"])
+        == reduce(meet, [lres(u, t["b"]) for u in t["U"]]),
     ),
     (
         "res-right-joins",
-        lambda c: rres(c["a"], _fold_add(c["L"])) == _fold_meet([rres(c["a"], l) for l in c["L"]]),
+        lambda t: rres(t["a"], reduce(add, t["L"]))
+        == reduce(meet, [rres(t["a"], l) for l in t["L"]]),
     ),
-    (
-        "res-commute",
-        lambda c: rres(lres(c["nu"], c["a"]), c["mu"]) == lres(c["nu"], rres(c["a"], c["mu"])),
-    ),
-    ("add-idempotent", lambda c: add(c["a"], c["a"]) == c["a"]),
-    ("add-commutative", lambda c: add(c["a"], c["b"]) == add(c["b"], c["a"])),
-    (
-        "add-associative",
-        lambda c: add(add(c["a"], c["b"]), c["z"]) == add(c["a"], add(c["b"], c["z"])),
-    ),
+    ("res-commute", lambda t: rres(lres(t["nu"], t["a"]), t["mu"]) == lres(t["nu"], t["a/mu"])),
+    ("add-idempotent", lambda t: add(t["a"], t["a"]) == t["a"]),
+    ("add-commutative", lambda t: t["a+b"] == add(t["b"], t["a"])),
+    ("add-associative", lambda t: add(t["a+b"], t["z"]) == add(t["a"], add(t["b"], t["z"]))),
     (
         "mul-associative",
-        lambda c: mul(mul(c["a"], c["b"]), c["z"]) == mul(c["a"], mul(c["b"], c["z"])),
+        lambda t: mul(mul(t["a"], t["b"]), t["z"]) == mul(t["a"], mul(t["b"], t["z"])),
     ),
-    (
-        "mul-distributes-right",
-        lambda c: mul(add(c["a"], c["b"]), c["lam"]) == add(mul(c["a"], c["lam"]), mul(c["b"], c["lam"])),
-    ),
+    ("mul-distributes-right", lambda t: mul(t["a+b"], t["lam"]) == add(t["a*lam"], t["b*lam"])),
     (
         "mul-distributes-left",
-        lambda c: mul(c["lam"], add(c["a"], c["b"])) == add(mul(c["lam"], c["a"]), mul(c["lam"], c["b"])),
+        lambda t: mul(t["lam"], t["a+b"]) == add(mul(t["lam"], t["a"]), mul(t["lam"], t["b"])),
     ),
     (
         "bottom-absorbs",
-        lambda c: mul(c["a"], bot(c["a"].semiring)) == bot(c["a"].semiring)
-        and mul(bot(c["a"].semiring), c["a"]) == bot(c["a"].semiring),
+        lambda t: mul(t["a"], bot(t["a"].semiring)) == bot(t["a"].semiring)
+        and mul(bot(t["a"].semiring), t["a"]) == bot(t["a"].semiring),
     ),
     (
         "unit-neutral",
-        lambda c: mul(c["a"], unit(c["a"].semiring)) == c["a"]
-        and mul(unit(c["a"].semiring), c["a"]) == c["a"],
+        lambda t: mul(t["a"], unit(t["a"].semiring)) == t["a"]
+        and mul(unit(t["a"].semiring), t["a"]) == t["a"],
     ),
-    ("bottom-neutral-add", lambda c: add(c["a"], bot(c["a"].semiring)) == c["a"]),
-    ("order-is-join", lambda c: leq(c["a"], c["b"]) == (add(c["a"], c["b"]) == c["b"])),
+    ("bottom-neutral-add", lambda t: add(t["a"], bot(t["a"].semiring)) == t["a"]),
+    ("order-is-join", lambda t: leq(t["a"], t["b"]) == (t["a+b"] == t["b"])),
 ]
 
 
-def _scalar_laws_fast(c: dict) -> str | None:
-    """All scalar laws in one pass with shared intermediates; returns the name
-    of the first failing law.  Must stay in step with _SCALAR_LAWS."""
-    a, b, z = c["a"], c["b"], c["z"]
-    lam, mu, nu = c["lam"], c["mu"], c["nu"]
-    U, L = c["U"], c["L"]
-    sr = a.semiring
-    eps, e = bot(sr), unit(sr)
-    lab = lres(a, b)
-    m_al = mul(a, lam)
-    if not (leq(m_al, b) == leq(lam, lab) == leq(a, rres(b, lam))):
-        return "galois-equivalence"
-    m_alab = mul(a, lab)
-    if not leq(m_alab, b):
-        return "res-left-sub"
-    ral = rres(a, lam)
-    m_rall = mul(ral, lam)
-    if not leq(m_rall, a):
-        return "res-right-sub"
-    m_bl = mul(b, lam)
-    if not leq(mul(lab, lam), lres(a, m_bl)):
-        return "res-left-shift"
-    if not leq(mul(a, rres(lam, mu)), rres(m_al, mu)):
-        return "res-right-shift"
-    la_mal = lres(a, m_al)
-    if not leq(lam, la_mal):
-        return "res-left-super"
-    r_mal = rres(m_al, lam)
-    if not leq(a, r_mal):
-        return "res-right-super"
-    mU = _fold_meet(U)
-    if lres(a, mU) != _fold_meet([lres(a, u) for u in U]):
-        return "res-left-meets"
-    if rres(mU, lam) != _fold_meet([rres(u, lam) for u in U]):
-        return "res-right-meets"
-    if mul(a, la_mal) != m_al:
-        return "res-left-sandwich"
-    if mul(r_mal, lam) != m_al:
-        return "res-right-sandwich"
-    if lres(a, m_alab) != lab:
-        return "res-left-idem"
-    if rres(m_rall, lam) != ral:
-        return "res-right-idem"
-    if lres(lam, lres(a, z)) != lres(m_al, z):
-        return "res-left-compose"
-    r_amu = rres(a, mu)
-    if rres(r_amu, lam) != rres(a, mul(lam, mu)):
-        return "res-right-compose"
-    if lres(_fold_add(U), b) != _fold_meet([lres(u, b) for u in U]):
-        return "res-left-joins"
-    if rres(a, _fold_add(L)) != _fold_meet([rres(a, l) for l in L]):
-        return "res-right-joins"
-    if rres(lres(nu, a), mu) != lres(nu, r_amu):
-        return "res-commute"
-    if add(a, a) != a:
-        return "add-idempotent"
-    ab = add(a, b)
-    if ab != add(b, a):
-        return "add-commutative"
-    if add(ab, z) != add(a, add(b, z)):
-        return "add-associative"
-    if mul(mul(a, b), z) != mul(a, mul(b, z)):
-        return "mul-associative"
-    if mul(ab, lam) != add(m_al, m_bl):
-        return "mul-distributes-right"
-    if mul(lam, ab) != add(mul(lam, a), mul(lam, b)):
-        return "mul-distributes-left"
-    if mul(a, eps) != eps or mul(eps, a) != eps:
-        return "bottom-absorbs"
-    if mul(a, e) != a or mul(e, a) != a:
-        return "unit-neutral"
-    if add(a, eps) != a:
-        return "bottom-neutral-add"
-    if leq(a, b) != (ab == b):
-        return "order-is-join"
-    return None
-
-
 def _run_scalar_case(report: SuiteReport, case: dict, tag: str) -> bool:
+    """All scalar laws on one case, in table order; a failing case is shrunk
+    through the failing row's own law."""
     report.checks += len(_SCALAR_LAWS)
-    failing = _scalar_laws_fast(case)
-    if failing is None:
-        return True
-    pred = dict(_SCALAR_LAWS)[failing]
-    small = _shrink(case, pred)
-    report.failures.append(Failure(f"{tag}/{failing}", {k: _show(v) for k, v in small.items()}))
-    return False
+    terms = _scalar_terms(case)
+    for name, law in _SCALAR_LAWS:
+        if not law(terms):
+            return _fail(report, f"{tag}/{name}", case, lambda c: law(_scalar_terms(c)))
+    return True
 
 
 def _scalar_case(rng: random.Random, sr: SemiringId) -> dict:
@@ -496,6 +417,69 @@ def _suite_residuation(rng: random.Random, trials: int, report: SuiteReport) -> 
 # -- free-semimodule suite ---------------------------------------------------
 
 
+_FREEMOD_LAWS = [
+    (
+        "act-galois",
+        lambda c: vec_leq(act(c["x"], c["lam"]), c["y"])
+        == leq(c["lam"], vec_lres(c["x"], c["y"])),
+    ),
+    ("act-sub", lambda c: vec_leq(act(c["x"], vec_lres(c["x"], c["y"])), c["y"])),
+    (
+        "act-sandwich",
+        lambda c: act(c["x"], vec_lres(c["x"], act(c["x"], c["lam"])))
+        == act(c["x"], c["lam"]),
+    ),
+    (
+        "act-idem",
+        lambda c: vec_lres(c["x"], act(c["x"], vec_lres(c["x"], c["y"])))
+        == vec_lres(c["x"], c["y"]),
+    ),
+    (
+        "vec-compose",
+        lambda c: lres(c["lam"], vec_lres(c["x"], c["z"]))
+        == vec_lres(act(c["x"], c["lam"]), c["z"]),
+    ),
+    (
+        "vec-joins-to-meets",
+        lambda c: vec_lres(reduce(vjoin, c["U"]), c["y"])
+        == reduce(meet, [vec_lres(u, c["y"]) for u in c["U"]]),
+    ),
+    (
+        "vec-meets",
+        lambda c: vec_lres(c["x"], vmeet(c["y"], c["z"]))
+        == meet(vec_lres(c["x"], c["y"]), vec_lres(c["x"], c["z"])),
+    ),
+    (
+        "vec-shift",
+        lambda c: leq(
+            mul(vec_lres(c["x"], c["y"]), c["lam"]),
+            vec_lres(c["x"], act(c["y"], c["lam"])),
+        ),
+    ),
+    (
+        "rres-sub",
+        lambda c: vec_leq(act(vec_rres(c["x"], c["lam"]), c["lam"]), c["x"]),
+    ),
+    (
+        "rres-super",
+        lambda c: vec_leq(c["x"], vec_rres(act(c["x"], c["lam"]), c["lam"])),
+    ),
+    (
+        "mat-res-sub",
+        lambda c: vec_leq(mat_vec(c["A"], mat_lres(c["A"], c["ya"])), c["ya"]),
+    ),
+    (
+        "mat-res-fix",
+        lambda c: mat_vec(c["A"], mat_lres(c["A"], mat_vec(c["A"], c["x"])))
+        == mat_vec(c["A"], c["x"]),
+    ),
+    (
+        "mat-res-super",
+        lambda c: vec_leq(c["x"], mat_lres(c["A"], mat_vec(c["A"], c["x"]))),
+    ),
+]
+
+
 def _suite_freemod(rng: random.Random, trials: int, report: SuiteReport) -> None:
     for _ in range(trials):
         sr = rng.choice([RMAX, RMAX, NMAX, BOOL])
@@ -516,77 +500,8 @@ def _suite_freemod(rng: random.Random, trials: int, report: SuiteReport) -> None
             ),
             "ya": rand_vector(rng, sr, nrows),
         }
-        checks = [
-            (
-                "act-galois",
-                lambda c: vec_leq(act(c["x"], c["lam"]), c["y"])
-                == leq(c["lam"], vec_lres(c["x"], c["y"])),
-            ),
-            ("act-sub", lambda c: vec_leq(act(c["x"], vec_lres(c["x"], c["y"])), c["y"])),
-            (
-                "act-sandwich",
-                lambda c: act(c["x"], vec_lres(c["x"], act(c["x"], c["lam"])))
-                == act(c["x"], c["lam"]),
-            ),
-            (
-                "act-idem",
-                lambda c: vec_lres(c["x"], act(c["x"], vec_lres(c["x"], c["y"])))
-                == vec_lres(c["x"], c["y"]),
-            ),
-            (
-                "vec-compose",
-                lambda c: lres(c["lam"], vec_lres(c["x"], c["z"]))
-                == vec_lres(act(c["x"], c["lam"]), c["z"]),
-            ),
-            (
-                "vec-joins-to-meets",
-                lambda c: vec_lres(_vfold_join(c["U"]), c["y"])
-                == _fold_meet([vec_lres(u, c["y"]) for u in c["U"]]),
-            ),
-            (
-                "vec-meets",
-                lambda c: vec_lres(c["x"], vmeet(c["y"], c["z"]))
-                == meet(vec_lres(c["x"], c["y"]), vec_lres(c["x"], c["z"])),
-            ),
-            (
-                "vec-shift",
-                lambda c: leq(
-                    mul(vec_lres(c["x"], c["y"]), c["lam"]),
-                    vec_lres(c["x"], act(c["y"], c["lam"])),
-                ),
-            ),
-            (
-                "rres-sub",
-                lambda c: vec_leq(act(vec_rres(c["x"], c["lam"]), c["lam"]), c["x"]),
-            ),
-            (
-                "rres-super",
-                lambda c: vec_leq(c["x"], vec_rres(act(c["x"], c["lam"]), c["lam"])),
-            ),
-            (
-                "mat-res-sub",
-                lambda c: vec_leq(mat_vec(c["A"], mat_lres(c["A"], c["ya"])), c["ya"]),
-            ),
-            (
-                "mat-res-fix",
-                lambda c: mat_vec(c["A"], mat_lres(c["A"], mat_vec(c["A"], c["x"])))
-                == mat_vec(c["A"], c["x"]),
-            ),
-            (
-                "mat-res-super",
-                lambda c: vec_leq(c["x"], mat_lres(c["A"], mat_vec(c["A"], c["x"]))),
-            ),
-        ]
-        for law, pred in checks:
-            if not _check(report, law, case, pred):
-                return
-
-
-def _vfold_join(vs):
-    acc = vs[0]
-    for v in vs[1:]:
-        acc = vjoin(acc, v)
-    return acc
+        if not _check_all(report, _FREEMOD_LAWS, case):
+            return
 
 
 # -- projector suite ----------------------------------------------------------
@@ -606,74 +521,6 @@ def _projector_case(rng: random.Random) -> dict:
     return {"fam": fam, "x": x, "v": rand_member(rng, fam), "z": rand_vector(rng, RMAX, dim)}
 
 
-def _suite_projector(rng: random.Random, trials: int, report: SuiteReport) -> None:
-    checks = [
-        ("proj-below-id", lambda c: vec_leq(project(c["fam"], c["x"]).projection, c["x"])),
-        (
-            "proj-idempotent",
-            lambda c: project(c["fam"], project(c["fam"], c["x"]).projection).projection
-            == project(c["fam"], c["x"]).projection,
-        ),
-        (
-            "proj-maximal",
-            lambda c: not vec_leq(c["v"], c["x"])
-            or vec_leq(c["v"], project(c["fam"], c["x"]).projection),
-        ),
-        (
-            "proj-dual-characterization",
-            lambda c: _dual_characterization(c["fam"], c["x"], c["z"]),
-        ),
-        (
-            "orthogonality-on-generators",
-            lambda c: all(
-                vec_lres(g, project(c["fam"], c["x"]).projection) == vec_lres(g, c["x"])
-                for g in c["fam"]
-            ),
-        ),
-        (
-            "membership-residual",
-            lambda c: (
-                vec_lres(c["x"], project(c["fam"], c["x"]).projection)
-                == vec_lres(c["x"], c["x"])
-            )
-            == is_member(c["fam"], c["x"]),
-        ),
-        ("member-span-element", lambda c: is_member(c["fam"], c["v"])),
-        (
-            "dual-proj-fixes-op-span",
-            lambda c: project_dual(c["fam"], _op_span_element(c)) == _op_span_element(c),
-        ),
-        (
-            "dominating-meet-above",
-            lambda c: vec_leq(c["x"], inf_dominating(c["fam"], c["x"])[0]),
-        ),
-        (
-            "dominating-meet-of-member",
-            lambda c: not is_member(c["fam"], c["x"])
-            or inf_dominating(c["fam"], c["x"])[0] == c["x"],
-        ),
-        (
-            "separate-certificate",
-            lambda c: se.separate_from_module(c["fam"], c["x"]).separated
-            != is_member(c["fam"], c["x"]),
-        ),
-        (
-            "dual-separation",
-            lambda c: se.separate_dual(c["fam"], c["x"]).separated
-            == (project_dual(c["fam"], c["x"]) != c["x"]),
-        ),
-        (
-            "points-witness",
-            lambda c: c["x"] == c["z"] or se.separate_points(c["x"], c["z"]) is not None,
-        ),
-    ]
-    for _ in range(trials):
-        case = _projector_case(rng)
-        for law, pred in checks:
-            if not _check(report, law, case, pred):
-                return
-
-
 def _dual_characterization(fam, x, z) -> bool:
     p = project(fam, x).projection
     if any(not leq(vec_lres(g, x), vec_lres(g, p)) for g in fam):
@@ -690,45 +537,76 @@ def _op_span_element(c) -> Vector:
     return v
 
 
-# -- separation suite ---------------------------------------------------------
+_PROJECTOR_LAWS = [
+    ("proj-below-id", lambda c: vec_leq(project(c["fam"], c["x"]).projection, c["x"])),
+    (
+        "proj-idempotent",
+        lambda c: project(c["fam"], project(c["fam"], c["x"]).projection).projection
+        == project(c["fam"], c["x"]).projection,
+    ),
+    (
+        "proj-maximal",
+        lambda c: not vec_leq(c["v"], c["x"])
+        or vec_leq(c["v"], project(c["fam"], c["x"]).projection),
+    ),
+    (
+        "proj-dual-characterization",
+        lambda c: _dual_characterization(c["fam"], c["x"], c["z"]),
+    ),
+    (
+        "orthogonality-on-generators",
+        lambda c: all(
+            vec_lres(g, project(c["fam"], c["x"]).projection) == vec_lres(g, c["x"])
+            for g in c["fam"]
+        ),
+    ),
+    (
+        "membership-residual",
+        lambda c: (
+            vec_lres(c["x"], project(c["fam"], c["x"]).projection)
+            == vec_lres(c["x"], c["x"])
+        )
+        == is_member(c["fam"], c["x"]),
+    ),
+    ("member-span-element", lambda c: is_member(c["fam"], c["v"])),
+    (
+        "dual-proj-fixes-op-span",
+        lambda c: project_dual(c["fam"], _op_span_element(c)) == _op_span_element(c),
+    ),
+    (
+        "dominating-meet-above",
+        lambda c: vec_leq(c["x"], inf_dominating(c["fam"], c["x"])[0]),
+    ),
+    (
+        "dominating-meet-of-member",
+        lambda c: not is_member(c["fam"], c["x"])
+        or inf_dominating(c["fam"], c["x"])[0] == c["x"],
+    ),
+    (
+        "separate-certificate",
+        lambda c: se.separate_from_module(c["fam"], c["x"]).separated
+        != is_member(c["fam"], c["x"]),
+    ),
+    (
+        "dual-separation",
+        lambda c: se.separate_dual(c["fam"], c["x"]).separated
+        == (project_dual(c["fam"], c["x"]) != c["x"]),
+    ),
+    (
+        "points-witness",
+        lambda c: c["x"] == c["z"] or se.separate_points(c["x"], c["z"]) is not None,
+    ),
+]
 
 
-def _suite_separation(rng: random.Random, trials: int, report: SuiteReport) -> None:
-    checks = [
-        ("convex-certificate", _convex_runs_clean),
-        (
-            "convex-membership",
-            lambda c: se.separate_from_convex(c["C"], c["p"]).member,
-        ),
-        (
-            "halfspace-covers-hull",
-            lambda c: se.halfspace(c["C"], c["x"]).contains(c["p"]),
-        ),
-        (
-            "halfspace-covers-generators",
-            lambda c: all(se.halfspace(c["C"], c["x"]).contains(g) for g in c["C"]),
-        ),
-        (
-            "halfspace-excludes-outsider",
-            lambda c: se.separate_from_convex(c["C"], c["x"]).member
-            or not se.halfspace(c["C"], c["x"]).contains(c["x"]),
-        ),
-        ("projection-idempotent", _convex_projection_idempotent),
-    ]
+def _suite_projector(rng: random.Random, trials: int, report: SuiteReport) -> None:
     for _ in range(trials):
-        dim = rng.randrange(2, 5)
-        size = rng.randrange(1, 5)
-        fam = rand_family(rng, RMAX, dim, size)
-        case = {
-            "C": fam,
-            "x": rand_vector(rng, RMAX, dim)
-            if rng.random() < 0.7
-            else rand_convex_point(rng, fam),
-            "p": rand_convex_point(rng, fam),
-        }
-        for law, pred in checks:
-            if not _check(report, law, case, pred):
-                return
+        case = _projector_case(rng)
+        if not _check_all(report, _PROJECTOR_LAWS, case):
+            return
+
+
+# -- separation suite ---------------------------------------------------------
 
 
 def _convex_runs_clean(c) -> bool:
@@ -743,52 +621,46 @@ def _convex_projection_idempotent(c) -> bool:
     return se.convex_projection(c["C"], p) == p
 
 
-# -- Hilbert suite -------------------------------------------------------------
+_SEPARATION_LAWS = [
+    ("convex-certificate", _convex_runs_clean),
+    (
+        "convex-membership",
+        lambda c: se.separate_from_convex(c["C"], c["p"]).member,
+    ),
+    (
+        "halfspace-covers-hull",
+        lambda c: se.halfspace(c["C"], c["x"]).contains(c["p"]),
+    ),
+    (
+        "halfspace-covers-generators",
+        lambda c: all(se.halfspace(c["C"], c["x"]).contains(g) for g in c["C"]),
+    ),
+    (
+        "halfspace-excludes-outsider",
+        lambda c: se.separate_from_convex(c["C"], c["x"]).member
+        or not se.halfspace(c["C"], c["x"]).contains(c["x"]),
+    ),
+    ("projection-idempotent", _convex_projection_idempotent),
+]
 
 
-def _suite_hilbert(rng: random.Random, trials: int, report: SuiteReport) -> None:
-    checks = [
-        (
-            "symmetry",
-            lambda c: me.hilbert_distance(c["x"], c["y"]) == me.hilbert_distance(c["y"], c["x"]),
-        ),
-        (
-            "anti-triangular",
-            lambda c: leq(
-                mul(me.hilbert_distance(c["x"], c["y"]), me.hilbert_distance(c["y"], c["z"])),
-                me.hilbert_distance(c["x"], c["z"]),
-            ),
-        ),
-        ("definiteness", _definiteness),
-        (
-            "nonpositive",
-            lambda c: leq(me.hilbert_distance(c["x"], c["y"]), vec_lres(c["x"], c["x"]))
-            and leq(
-                me.hilbert_distance(c["x"], c["y"]),
-                meet(vec_lres(c["x"], c["x"]), vec_lres(c["y"], c["y"])),
-            ),
-        ),
-        (
-            "scaling-invariant",
-            lambda c: me.hilbert_distance(c["x"], act(c["x"], unit(c["x"].semiring)))
-            == me.hilbert_distance(c["x"], c["x"]),
-        ),
-        ("projection-maximizes", _projection_maximizes),
-    ]
-    for t in range(trials):
-        sr = (RMAX, NMAX, BOOL)[t % 3]
-        dim = rng.randrange(1, 5)
-        fam = rand_family(rng, sr, dim, rng.randrange(1, 4))
+def _suite_separation(rng: random.Random, trials: int, report: SuiteReport) -> None:
+    for _ in range(trials):
+        dim = rng.randrange(2, 5)
+        size = rng.randrange(1, 5)
+        fam = rand_family(rng, RMAX, dim, size)
         case = {
-            "x": rand_vector(rng, sr, dim),
-            "y": rand_vector(rng, sr, dim),
-            "z": rand_vector(rng, sr, dim),
-            "fam": fam,
-            "samples": [rand_member(rng, fam) for _ in range(100)],
+            "C": fam,
+            "x": rand_vector(rng, RMAX, dim)
+            if rng.random() < 0.7
+            else rand_convex_point(rng, fam),
+            "p": rand_convex_point(rng, fam),
         }
-        for law, pred in checks:
-            if not _check(report, law, case, pred):
-                return
+        if not _check_all(report, _SEPARATION_LAWS, case):
+            return
+
+
+# -- Hilbert suite -------------------------------------------------------------
 
 
 def _definiteness(c) -> bool:
@@ -802,62 +674,53 @@ def _projection_maximizes(c) -> bool:
     return me.projection_maximizes_distance(c["fam"], c["x"], c["samples"])
 
 
-# -- duality suite --------------------------------------------------------------
+_HILBERT_LAWS = [
+    (
+        "symmetry",
+        lambda c: me.hilbert_distance(c["x"], c["y"]) == me.hilbert_distance(c["y"], c["x"]),
+    ),
+    (
+        "anti-triangular",
+        lambda c: leq(
+            mul(me.hilbert_distance(c["x"], c["y"]), me.hilbert_distance(c["y"], c["z"])),
+            me.hilbert_distance(c["x"], c["z"]),
+        ),
+    ),
+    ("definiteness", _definiteness),
+    (
+        "nonpositive",
+        lambda c: leq(me.hilbert_distance(c["x"], c["y"]), vec_lres(c["x"], c["x"]))
+        and leq(
+            me.hilbert_distance(c["x"], c["y"]),
+            meet(vec_lres(c["x"], c["x"]), vec_lres(c["y"], c["y"])),
+        ),
+    ),
+    (
+        "scaling-invariant",
+        lambda c: me.hilbert_distance(c["x"], act(c["x"], unit(c["x"].semiring)))
+        == me.hilbert_distance(c["x"], c["x"]),
+    ),
+    ("projection-maximizes", _projection_maximizes),
+]
 
 
-def _suite_duality(rng: random.Random, trials: int, report: SuiteReport) -> None:
-    phi_r = make_phi(fin(RMAX, 0))
-    checks = [
-        ("galois-x-below-biconj", _ed1),
-        ("galois-triple-conj", _ed1b),
-        ("galois-covector", _ed2),
-        ("rmax-all-closed", _rmax_closed),
-        ("closed-meet-closed", _meet_closed),
-        ("form-additive", _form_additive),
-        ("form-homogeneous", _form_homogeneous),
-        ("form-maximal", _form_maximal),
-        ("riesz-roundtrip", _riesz_roundtrip),
-        ("forms-separate", _forms_separate),
-        ("extend-agrees-on-span", _extend_agrees),
-        ("self-pairing-unit", lambda c: leq(du.eval_form(c["x"], c["phi"], c["x"]), c["phi"].value)),
-    ]
-    for _ in range(trials):
+def _suite_hilbert(rng: random.Random, trials: int, report: SuiteReport) -> None:
+    for t in range(trials):
+        sr = (RMAX, NMAX, BOOL)[t % 3]
         dim = rng.randrange(1, 5)
-        nrows = rng.randrange(1, 4)
-        fam = rand_family(rng, RMAX, dim, rng.randrange(1, 4))
-        a = Matrix(
-            RMAX,
-            tuple(
-                tuple(rand_scalar(rng, RMAX) for _ in range(dim)) for _ in range(nrows)
-            ),
-        )
+        fam = rand_family(rng, sr, dim, rng.randrange(1, 4))
         case = {
-            "x": rand_vector(rng, RMAX, dim),
-            "w": rand_vector(rng, RMAX, dim),
-            "ya": rand_vector(rng, RMAX, nrows),
-            "lam": rand_scalar(rng, RMAX),
-            "phi": phi_r,
-            "A": a,
+            "x": rand_vector(rng, sr, dim),
+            "y": rand_vector(rng, sr, dim),
+            "z": rand_vector(rng, sr, dim),
             "fam": fam,
-            "vspan": rand_member(rng, fam),
+            "samples": [rand_member(rng, fam) for _ in range(100)],
         }
-        for law, pred in checks:
-            if not _check(report, law, case, pred):
-                return
-    # Boolean semilattice conjugation, exhaustive in low dimension
-    cfgb = du.DualPairConfig(du.CANONICAL, default_phi(BOOL))
-    for dim in (1, 2, 3):
-        for a_ent in itertools.product([bot(BOOL), top(BOOL)], repeat=dim):
-            a_vec = Vector(BOOL, a_ent)
-            conj = du.conj_left(cfgb, a_vec)
-            for x_ent in itertools.product([bot(BOOL), top(BOOL)], repeat=dim):
-                x = Vector(BOOL, x_ent)
-                val = du.bracket_eval(cfgb, conj, x)
-                expected = bot(BOOL) if vec_leq(x, a_vec) else top(BOOL)
-                case = {"a": a_vec, "x": x}
-                if not _check(report, "bool-conj-indicator", case, lambda c, v=val, e=expected: v == e):
-                    return
-    report.notes.append("bool conjugation: exhaustive for dim <= 3")
+        if not _check_all(report, _HILBERT_LAWS, case):
+            return
+
+
+# -- duality suite --------------------------------------------------------------
 
 
 def _configs(c):
@@ -969,6 +832,62 @@ def _extend_agrees(c) -> bool:
     return form(c["vspan"]) == du.eval_form(z, phi, c["vspan"])
 
 
+_DUALITY_LAWS = [
+    ("galois-x-below-biconj", _ed1),
+    ("galois-triple-conj", _ed1b),
+    ("galois-covector", _ed2),
+    ("rmax-all-closed", _rmax_closed),
+    ("closed-meet-closed", _meet_closed),
+    ("form-additive", _form_additive),
+    ("form-homogeneous", _form_homogeneous),
+    ("form-maximal", _form_maximal),
+    ("riesz-roundtrip", _riesz_roundtrip),
+    ("forms-separate", _forms_separate),
+    ("extend-agrees-on-span", _extend_agrees),
+    ("self-pairing-unit", lambda c: leq(du.eval_form(c["x"], c["phi"], c["x"]), c["phi"].value)),
+]
+
+
+def _suite_duality(rng: random.Random, trials: int, report: SuiteReport) -> None:
+    phi_r = make_phi(fin(RMAX, 0))
+    for _ in range(trials):
+        dim = rng.randrange(1, 5)
+        nrows = rng.randrange(1, 4)
+        fam = rand_family(rng, RMAX, dim, rng.randrange(1, 4))
+        a = Matrix(
+            RMAX,
+            tuple(
+                tuple(rand_scalar(rng, RMAX) for _ in range(dim)) for _ in range(nrows)
+            ),
+        )
+        case = {
+            "x": rand_vector(rng, RMAX, dim),
+            "w": rand_vector(rng, RMAX, dim),
+            "ya": rand_vector(rng, RMAX, nrows),
+            "lam": rand_scalar(rng, RMAX),
+            "phi": phi_r,
+            "A": a,
+            "fam": fam,
+            "vspan": rand_member(rng, fam),
+        }
+        if not _check_all(report, _DUALITY_LAWS, case):
+            return
+    # Boolean semilattice conjugation, exhaustive in low dimension
+    cfgb = du.DualPairConfig(du.CANONICAL, default_phi(BOOL))
+    for dim in (1, 2, 3):
+        for a_ent in itertools.product([bot(BOOL), top(BOOL)], repeat=dim):
+            a_vec = Vector(BOOL, a_ent)
+            conj = du.conj_left(cfgb, a_vec)
+            for x_ent in itertools.product([bot(BOOL), top(BOOL)], repeat=dim):
+                x = Vector(BOOL, x_ent)
+                val = du.bracket_eval(cfgb, conj, x)
+                expected = bot(BOOL) if vec_leq(x, a_vec) else top(BOOL)
+                case = {"a": a_vec, "x": x}
+                if not _check(report, "bool-conj-indicator", case, lambda c, v=val, e=expected: v == e):
+                    return
+    report.notes.append("bool conjugation: exhaustive for dim <= 3")
+
+
 # -- pinned non-reflexivity ------------------------------------------------------
 
 
@@ -1018,33 +937,6 @@ def _suite_nmax_reflexive(rng: random.Random, trials: int, report: SuiteReport) 
 # -- matrix transfer ---------------------------------------------------------------
 
 
-def _suite_matrix_transfer(rng: random.Random, trials: int, report: SuiteReport) -> None:
-    phi = default_phi(MAT2)
-    for _ in range(trials):
-        case = {
-            "lam": rand_matrix_scalar(rng, MAT2, finite_only=True),
-            "a": rand_matrix_scalar(rng, MAT2),
-            "b": rand_matrix_scalar(rng, MAT2),
-        }
-        checks = [
-            ("transfer-reflexive", lambda c: du.is_reflexive(MAT2, phi, [c["lam"]])),
-            ("mat-res-below", lambda c: leq(mul(c["a"], lres(c["a"], c["b"])), c["b"])),
-            ("mat-res-maximal", _mat_res_maximal),
-        ]
-        for law, pred in checks:
-            if not _check(report, law, case, pred):
-                return
-    # reflexivity also holds at the lattice extremes
-    for lam in (bot(MAT2), top(MAT2), unit(MAT2)):
-        if not _check(
-            report,
-            "transfer-reflexive-extremes",
-            {"lam": lam},
-            lambda c: du.is_reflexive(MAT2, phi, [c["lam"]]),
-        ):
-            return
-
-
 def _mat_res_maximal(c) -> bool:
     from .semiring import mat_of
 
@@ -1063,6 +955,35 @@ def _mat_res_maximal(c) -> bool:
             if leq(mul(a, mat_of(rows)), b):
                 return False
     return True
+
+
+_MAT2_PHI = default_phi(MAT2)
+
+
+def _transfer_reflexive(c) -> bool:
+    return du.is_reflexive(MAT2, _MAT2_PHI, [c["lam"]])
+
+
+_MATRIX_TRANSFER_LAWS = [
+    ("transfer-reflexive", _transfer_reflexive),
+    ("mat-res-below", lambda c: leq(mul(c["a"], lres(c["a"], c["b"])), c["b"])),
+    ("mat-res-maximal", _mat_res_maximal),
+]
+
+
+def _suite_matrix_transfer(rng: random.Random, trials: int, report: SuiteReport) -> None:
+    for _ in range(trials):
+        case = {
+            "lam": rand_matrix_scalar(rng, MAT2, finite_only=True),
+            "a": rand_matrix_scalar(rng, MAT2),
+            "b": rand_matrix_scalar(rng, MAT2),
+        }
+        if not _check_all(report, _MATRIX_TRANSFER_LAWS, case):
+            return
+    # reflexivity also holds at the lattice extremes
+    for lam in (bot(MAT2), top(MAT2), unit(MAT2)):
+        if not _check(report, "transfer-reflexive-extremes", {"lam": lam}, _transfer_reflexive):
+            return
 
 
 # -- row/column duality --------------------------------------------------------------
@@ -1163,35 +1084,6 @@ def rand_slopes(rng: random.Random, max_slopes: int = 9) -> fe.SlopeSet:
     return fe.SlopeSet(tuple(out))
 
 
-def _suite_fenchel(rng: random.Random, trials: int, report: SuiteReport) -> None:
-    checks = [
-        (
-            "hull-below-f",
-            lambda c: all(
-                leq(h, v)
-                for h, v in zip(fe.lsc_convex_hull(c["f"], c["S"]).values, c["f"].values)
-            ),
-        ),
-        ("biconjugate-fixed", lambda c: fe.biconjugate_is_fixed(c["f"], c["S"])),
-        (
-            "transform-matches-oracle",
-            lambda c: list(fe.fenchel_transform(c["f"], c["S"]).values)
-            == oracle_transform(c["f"], c["S"]),
-        ),
-        (
-            "hull-matches-oracle",
-            lambda c: list(fe.lsc_convex_hull(c["f"], c["S"]).values)
-            == oracle_hull(c["f"], c["S"]),
-        ),
-        ("hull-monotone", _hull_monotone),
-    ]
-    for _ in range(trials):
-        case = {"f": rand_grid(rng), "S": rand_slopes(rng)}
-        for law, pred in checks:
-            if not _check(report, law, case, pred):
-                return
-
-
 def _hull_monotone(c) -> bool:
     f, s = c["f"], c["S"]
     bigger = fe.GridFunction(
@@ -1200,6 +1092,36 @@ def _hull_monotone(c) -> bool:
     hf = fe.lsc_convex_hull(f, s)
     hg = fe.lsc_convex_hull(bigger, s)
     return all(leq(a, b) for a, b in zip(hf.values, hg.values))
+
+
+_FENCHEL_LAWS = [
+    (
+        "hull-below-f",
+        lambda c: all(
+            leq(h, v)
+            for h, v in zip(fe.lsc_convex_hull(c["f"], c["S"]).values, c["f"].values)
+        ),
+    ),
+    ("biconjugate-fixed", lambda c: fe.biconjugate_is_fixed(c["f"], c["S"])),
+    (
+        "transform-matches-oracle",
+        lambda c: list(fe.fenchel_transform(c["f"], c["S"]).values)
+        == oracle_transform(c["f"], c["S"]),
+    ),
+    (
+        "hull-matches-oracle",
+        lambda c: list(fe.lsc_convex_hull(c["f"], c["S"]).values)
+        == oracle_hull(c["f"], c["S"]),
+    ),
+    ("hull-monotone", _hull_monotone),
+]
+
+
+def _suite_fenchel(rng: random.Random, trials: int, report: SuiteReport) -> None:
+    for _ in range(trials):
+        case = {"f": rand_grid(rng), "S": rand_slopes(rng)}
+        if not _check_all(report, _FENCHEL_LAWS, case):
+            return
 
 
 SUITES = {

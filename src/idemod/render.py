@@ -14,6 +14,7 @@ the scene and the library version.
 """
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,10 +28,14 @@ from .semiring import FIN, RMAX, Scalar, fin, unit
 from .separate import HalfSpace, _lifted_projection, halfspace_contains, separate_from_convex
 
 _TAGS = ("+", "-", ".")
+# Samples per axis when a scene names none.
+DEFAULT_SAMPLES = 400
 # Far beyond the 560-pixel drawing area; bounds the raster a scene can ask for.
 MAX_SAMPLES = 2048
 # Render time grows with each list's length; bounds what one scene can ask for.
 MAX_SCENE_ITEMS = 16
+# The characters XML 1.0 admits in text: a label holding any other cannot be drawn.
+_XML_CHARS = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]*")
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,7 @@ class LineSpec:
 @dataclass
 class Scene:
     viewport: tuple[Fraction | int, Fraction | int, Fraction | int, Fraction | int]
-    samples: int = 400
+    samples: int = DEFAULT_SAMPLES
     generators: list[Vector] = field(default_factory=list)
     points: list[tuple[str, Vector]] = field(default_factory=list)
     halfspaces: list[HalfSpace] = field(default_factory=list)
@@ -72,7 +77,7 @@ def scene_from_json(obj) -> Scene:
     xmin, xmax, ymin, ymax = (rational_from_json(v) for v in vp)
     if not (xmin < xmax and ymin < ymax):
         raise SchemaError("viewport must be nonempty")
-    samples = obj.get("samples_per_axis", 400)
+    samples = obj.get("samples_per_axis", DEFAULT_SAMPLES)
     if not isinstance(samples, int) or not 16 <= samples <= MAX_SAMPLES:
         raise SchemaError(f"samples_per_axis must be an integer in [16, {MAX_SAMPLES}]")
     lists = {key: obj.get(key, []) for key in ("generators", "points", "halfspaces", "lines")}
@@ -85,7 +90,10 @@ def scene_from_json(obj) -> Scene:
     for p in lists["points"]:
         if not isinstance(p, dict) or "label" not in p or "coords" not in p:
             raise SchemaError('scene points need {"label": ..., "coords": [...]}')
-        scene.points.append((str(p["label"]), vector_from_json(RMAX, p["coords"], 2)))
+        label = str(p["label"])
+        if not _XML_CHARS.fullmatch(label):
+            raise SchemaError(f"point label {label!r} has a character XML text does not allow")
+        scene.points.append((label, vector_from_json(RMAX, p["coords"], 2)))
     for h in lists["halfspaces"]:
         if not isinstance(h, dict) or not {"x_ref", "y", "nu"} <= set(h):
             raise SchemaError('half-spaces need {"x_ref", "y", "nu"}')
@@ -103,6 +111,10 @@ def scene_from_json(obj) -> Scene:
             LineSpec(_coef_from_json(l["a"]), _coef_from_json(l["b"]), _coef_from_json(l["c"]))
         )
     return scene
+
+
+def _xml_text(s: str) -> str:
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _hull_member(gens: list[Vector], v: Vector) -> bool:
@@ -340,7 +352,10 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
         a, b = p.entries
         if a.kind != "fin" or b.kind != "fin":
             return None  # points at infinity are classified but not drawn
-        return px(Fraction(a.value)), py(Fraction(b.value))
+        try:
+            return px(Fraction(a.value)), py(Fraction(b.value))
+        except OverflowError:
+            return None  # nor are points too far out for a float pixel
 
     for src, dst in arrows:
         s_xy, d_xy = finite_xy(src), finite_xy(dst)
@@ -370,7 +385,7 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
         )
         parts.append(
             f'<text x="{x + 7:.2f}" y="{y - 7:.2f}" font-family="monospace" '
-            f'font-size="14" fill="#111111">{label}</text>'
+            f'font-size="14" fill="#111111">{_xml_text(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n", classification

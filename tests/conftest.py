@@ -1,4 +1,6 @@
 """Shared hypothesis strategies for scalars, vectors and families."""
+import os
+import pathlib
 from fractions import Fraction
 
 from hypothesis import settings, strategies as st
@@ -6,6 +8,11 @@ from hypothesis import settings, strategies as st
 # exact-arithmetic examples vary widely in cost; wall-clock deadlines only flake
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
+
+# pytest puts src/ on its own path (pyproject.toml); the tests that start a
+# fresh interpreter need it there too when the package is not installed
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 from idemod import (
     RMAX,

@@ -3,14 +3,17 @@ import json
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from idemod.cli import main
+from idemod.dual import ROWCOL_CAP
 from idemod.errors import TheoremViolation
-from idemod.jsonio import canonical_dumps
-from idemod.render import scene_from_json
+from idemod.jsonio import MAX_MAT_DIM, canonical_dumps
+from idemod.render import MAX_SAMPLES, MAX_SCENE_ITEMS, scene_from_json
 from idemod.semiring import scalar_to_text
 
 
@@ -107,8 +110,6 @@ def test_exit_codes(tmp_path, capsys):
 
 def test_matrix_dimension_cap(tmp_path, capsys, monkeypatch):
     """A "matN" tag past the cap exits 2 before its N x N phi is built."""
-    from idemod.jsonio import MAX_MAT_DIM
-
     def no_phi(sr):
         raise AssertionError(f"phi built for {sr!r}")
 
@@ -462,8 +463,6 @@ def test_render_exit_codes(tmp_path, capsys):
 def test_render_scene_lists_checked(tmp_path, capsys):
     """Scene lists must be arrays no longer than the cap; both are checked
     before any entry is parsed, and a failure exits 2."""
-    from idemod.render import MAX_SCENE_ITEMS
-
     out_svg = str(tmp_path / "x.svg")
     bare = {"viewport": ["-3", "6", "-3", "6"], "samples_per_axis": 16, "generators": 5}
     code, out, _ = run_cli(capsys, "render", write(tmp_path, "g.json", bare), "--out", out_svg)
@@ -524,3 +523,202 @@ def test_render_pixels_agree_with_exact_predicates(tmp_path, capsys):
             inside = separate_from_convex(fam, vector(RMAX, [u, v])).member
             drawn = any(x0 - 0.02 <= xpx <= x1 + 0.02 for x0, x1 in covered)
             assert drawn == inside, (i, j)
+
+
+@pytest.mark.parametrize("command", ["project", "render"])
+def test_deeply_nested_json_is_a_schema_error(tmp_path, capsys, command):
+    """Nesting past the recursion limit exits 2 like any other invalid JSON."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(deep), "--out", str(tmp_path / "x.svg"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "invalid JSON" in err
+
+
+def test_render_escapes_labels(tmp_path, capsys):
+    """Labels are text inside <text>: the SVG parses and reads them back,
+    and the JSON classification keys the raw labels."""
+    import xml.etree.ElementTree as ET
+
+    labels = ["a<b&c", "<script>x</script>"]
+    scene = dict(SCENE, points=[
+        {"label": labels[0], "coords": ["-1", "0"]},
+        {"label": labels[1], "coords": ["1", "3"]},
+    ])
+    out_svg = str(tmp_path / "x.svg")
+    code, out, _ = run_cli(capsys, "render", write(tmp_path, "s.json", scene), "--out", out_svg)
+    assert code == 0
+    assert sorted(json.loads(out)["points"]) == sorted(labels)
+    root = ET.parse(out_svg).getroot()
+    svg_ns = "{http://www.w3.org/2000/svg}"
+    assert [t.text for t in root.iter(svg_ns + "text")] == labels
+    assert not list(root.iter(svg_ns + "script"))
+    # a lone surrogate cannot be written as UTF-8, a control character not as XML
+    for bad in ("\ud800", "a\x01b"):
+        scene = dict(SCENE, points=[{"label": bad, "coords": ["-1", "0"]}])
+        code, out, err = run_cli(capsys, "render", write(tmp_path, "s.json", scene), "--out", out_svg)
+        assert code == 2 and out == "" and "label" in err
+
+
+def test_render_skips_points_too_far_out_to_draw(tmp_path, capsys):
+    """A finite point whose pixel coordinate overflows a float is classified
+    but, like a point at infinity, not drawn."""
+    far = str(10**400)
+    scene = dict(SCENE, generators=SCENE["generators"] + [[far, "0"]],
+                 points=[{"label": "F", "coords": ["0", far]}])
+    out_svg = str(tmp_path / "x.svg")
+    code, out, err = run_cli(capsys, "render", write(tmp_path, "s.json", scene), "--out", out_svg)
+    assert code == 0, err
+    assert json.loads(out)["points"]["F"]["in_convex"] is False
+    svg = open(out_svg, encoding="utf-8").read()
+    assert "<text" not in svg and svg.count("<circle") == len(SCENE["generators"])
+
+
+# -- fuzzing the commands that read a file ------------------------------------
+
+
+class _Raw(str):
+    """JSON text spliced into a document as it stands."""
+
+
+def _dumps(obj) -> str:
+    # json.dumps, except that _Raw text goes in verbatim: int literals past
+    # the 4300-digit limit and nesting past the recursion limit
+    if isinstance(obj, _Raw):
+        return obj
+    if isinstance(obj, list):
+        return "[" + ",".join(map(_dumps, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_dumps(v)}" for k, v in obj.items()) + "}"
+    return json.dumps(obj)
+
+
+_INFINITIES = st.sampled_from([float("inf"), float("-inf"), "+inf", "-inf", "inf", "Infinity"])
+_HUGE = st.sampled_from([
+    _Raw("9" * 4301), _Raw("-" + "9" * 5000), 10**400, str(10**400), f"1/{10**400}", _Raw("1e400"),
+])
+_DEEP = st.sampled_from([_Raw("[" * 100_000), _Raw('{"a":' * 100_000), _Raw("[" * 300 + "]" * 300)])
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9) | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["1_000", "0x1", " 2", "", "1/0", "eps", "e"]) | _INFINITIES | _HUGE | _DEEP,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_RATIONALS = st.sampled_from(["0", "1", "-3", "7/4", "-1/2", 2, -5])
+_TEXTS = {
+    "rmax": _RATIONALS | st.sampled_from(["+inf", "-inf"]),
+    "nmax": st.sampled_from(["0", "1", "3", 2, "+inf", "-inf"]),
+    "bool": st.sampled_from(["eps", "e"]),
+}
+
+
+def _lists(elements, cap, least=0):
+    # short lists, and lists right at the cap and one past it
+    sizes = st.sampled_from([n for n in (0, 1, 2, 3) if n >= least] + [cap, cap + 1])
+    return sizes.flatmap(lambda n: st.lists(elements, min_size=n, max_size=n))
+
+
+def _ascending(elements, least, most):
+    return st.lists(elements, min_size=least, max_size=most, unique_by=Fraction).map(
+        lambda qs: sorted(qs, key=Fraction))
+
+
+def _problems(tag):
+    n = int(tag[3:]) if tag.startswith("mat") else 0
+    scalar = _TEXTS["rmax"].map(lambda t: [[t] * n] * n) if n else _TEXTS[tag]
+
+    def of_dim(d):
+        vector = st.lists(scalar, min_size=d, max_size=d)
+        family = st.lists(vector, max_size=3)
+        return st.fixed_dictionaries({
+            "semiring": st.just(tag),
+            "point": vector,
+            "generators": family,
+            "convex": family,
+            "matrix": _lists(_lists(scalar, ROWCOL_CAP, 1) if tag == "bool" else vector,
+                             ROWCOL_CAP, 1),
+            "grid": st.integers(2, 4).flatmap(lambda m: st.fixed_dictionaries({
+                "points": _ascending(_RATIONALS, m, m),
+                "values": st.lists(_TEXTS["rmax"], min_size=m, max_size=m),
+            })),
+            "slopes": _ascending(_RATIONALS, 1, 4),
+        }, optional={
+            "phi": scalar,
+            "point2": vector,
+            "bracket": st.sampled_from(["canonical", "matrix", "opposite"]),
+        })
+
+    return st.integers(1, 3).flatmap(of_dim)
+
+
+_POINT = st.lists(_TEXTS["rmax"], min_size=2, max_size=2)
+_LABELS = st.text(max_size=4) | st.sampled_from(["a<b&c", "\ud800", "a\x01b"])
+_SCENES = st.fixed_dictionaries(
+    {
+        "viewport": st.tuples(*[_ascending(_RATIONALS, 2, 2)] * 2).map(lambda xy: xy[0] + xy[1]),
+        # never the default of 400: scenes at the list caps take seconds there
+        "samples_per_axis": st.sampled_from([15, 16, 17, 24, MAX_SAMPLES + 1]),
+    },
+    optional={
+        "generators": _lists(_POINT, MAX_SCENE_ITEMS),
+        "points": _lists(st.fixed_dictionaries({"label": _LABELS, "coords": _POINT}),
+                         MAX_SCENE_ITEMS),
+        "halfspaces": _lists(st.fixed_dictionaries({"x_ref": _POINT, "y": _POINT,
+                                                    "nu": _TEXTS["rmax"]}), MAX_SCENE_ITEMS),
+        "lines": _lists(st.fixed_dictionaries({
+            k: st.tuples(st.sampled_from(["+", "-", "."]), _TEXTS["rmax"]).map(list) for k in "abc"
+        }), MAX_SCENE_ITEMS),
+    },
+)
+
+
+def _slots(doc):
+    # every (container, key) pair inside a document
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield doc, key
+        yield from _slots(value)
+
+
+def _with_one_slot_replaced(docs):
+    """Documents, each either as drawn or with one slot (a field, an entry or
+    the whole document) replaced by junk: wrong types, deep nesting, huge
+    integer literals, infinities."""
+    def replace(drawn):
+        doc, pick, junk = drawn
+        slots = list(_slots(doc))
+        if pick is None:
+            return doc
+        if pick >= len(slots):
+            return junk
+        container, key = slots[pick]
+        container[key] = junk
+        return doc
+
+    return st.tuples(docs, st.none() | st.integers(0, 40), _JUNK).map(replace)
+
+
+_TAGS = ["rmax", "nmax", "bool", "mat2", f"mat{MAX_MAT_DIM}", f"mat{MAX_MAT_DIM + 1}"]
+_FILE_COMMANDS = ["project", "member", "separate", "dual", "hilbert", "hull", "rowcol"]
+_FUZZ_CASES = st.one_of(
+    st.tuples(st.sampled_from(_FILE_COMMANDS),
+              _with_one_slot_replaced(st.sampled_from(_TAGS).flatmap(_problems))),
+    # rowcol runs on Boolean matrices only
+    st.tuples(st.just("rowcol"), _with_one_slot_replaced(_problems("bool"))),
+    st.tuples(st.just("render"), _with_one_slot_replaced(_SCENES)),
+)
+
+
+@settings(max_examples=150, derandomize=True, suppress_health_check=list(HealthCheck))
+@given(_FUZZ_CASES)
+def test_fuzzed_files_exit_cleanly(tmp_path, capsys, command_and_doc):
+    """Malformed problem and scene files end in exit 0, 2 or 3 with at most
+    one stderr line and no traceback, within a time bound."""
+    command, doc = command_and_doc
+    path = tmp_path / "fuzz.json"
+    path.write_text(_dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, command, str(path), "--out", str(tmp_path / "fuzz.svg"))
+    assert time.perf_counter() - start < 5, "one file took more than 5 s"
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err and err.count("\n") <= 1

@@ -1,4 +1,7 @@
-"""The suite runner itself: determinism, failure reporting, shrinking."""
+"""The suite runner itself: determinism, failure reporting, shrinking, and
+the scalar-law table: the 28 laws of ``laws._SCALAR_LAWS`` read the subterms
+that ``laws._scalar_terms`` computes once per case."""
+import functools
 import itertools
 import random
 
@@ -16,12 +19,16 @@ from idemod.semiring import (
     POS_INF,
     RMAX,
     Scalar,
+    add,
     bot,
     fin,
     leq,
+    lres,
     mat_of,
     matrix_semiring,
+    meet,
     mul,
+    rres,
     top,
 )
 
@@ -65,24 +72,55 @@ def test_failure_formatting():
     assert "<rmax 3>" in str(f)
 
 
-# -- the fused scalar-law pass against the law table --------------------------
+# -- the scalar-law table and its shared subterms -----------------------------
 
 
-def _bool_cases():
-    # the exhaustive Boolean enumeration of the residuation suite
+def _scalar_case_groups():
+    # the exhaustive Boolean enumeration of the residuation suite, and 150
+    # drawn cases for each of the other instances
     carrier = [bot(BOOL), top(BOOL)]
     subsets = [[bot(BOOL)], [top(BOOL)], carrier]
-    for a, b, z, lam, mu, nu in itertools.product(carrier, repeat=6):
-        for U in subsets:
-            for L in subsets:
-                yield {"a": a, "b": b, "z": z, "lam": lam, "mu": mu, "nu": nu, "U": U, "L": L}
+    groups = {"bool": [
+        {"a": a, "b": b, "z": z, "lam": lam, "mu": mu, "nu": nu, "U": U, "L": L}
+        for a, b, z, lam, mu, nu in itertools.product(carrier, repeat=6)
+        for U in subsets
+        for L in subsets
+    ]}
+    rng = random.Random(20260808)
+    for sr, tag in ((RMAX, "rmax"), (NMAX, "nmax"), (laws.MAT2, "mat2")):
+        groups[tag] = [laws._scalar_case(rng, sr) for _ in range(150)]
+    return groups
 
 
-def _first_failing_in_table(case):
-    for name, pred in laws._SCALAR_LAWS:
-        if not laws._holds(pred, case):
-            return name
-    return None
+# each shared subterm, written out from its key
+_TERM_EXPRESSIONS = {
+    r"a\b": lambda c: lres(c["a"], c["b"]),
+    "a*lam": lambda c: mul(c["a"], c["lam"]),
+    "b*lam": lambda c: mul(c["b"], c["lam"]),
+    "a/lam": lambda c: rres(c["a"], c["lam"]),
+    "a/mu": lambda c: rres(c["a"], c["mu"]),
+    "a+b": lambda c: add(c["a"], c["b"]),
+    "meet U": lambda c: functools.reduce(meet, c["U"]),
+    r"a*(a\b)": lambda c: mul(c["a"], lres(c["a"], c["b"])),
+    "(a/lam)*lam": lambda c: mul(rres(c["a"], c["lam"]), c["lam"]),
+    r"a\(a*lam)": lambda c: lres(c["a"], mul(c["a"], c["lam"])),
+    "(a*lam)/lam": lambda c: rres(mul(c["a"], c["lam"]), c["lam"]),
+}
+
+
+def test_scalar_terms_match_their_expressions():
+    """_scalar_terms returns a copy of the case plus exactly the subterms
+    above, each equal to the expression its key spells; mat2 cases tell a
+    product from its mirror image."""
+    for tag, cases in _scalar_case_groups().items():
+        for case in cases:
+            before = dict(case)
+            terms = laws._scalar_terms(case)
+            assert case == before
+            assert terms.keys() == case.keys() | _TERM_EXPRESSIONS.keys()
+            assert all(terms[k] is v for k, v in case.items())
+            for key, expr in _TERM_EXPRESSIONS.items():
+                assert terms[key] == expr(case), (tag, key, case)
 
 
 _ONE = {
@@ -116,25 +154,22 @@ def _mul_bottom_is_unit(a, b):
     ("rres", _one_too_high(semiring.rres)),
     ("mul", _mul_bottom_is_unit),
 ])
-def test_fused_laws_report_the_tables_first_failure(broken, monkeypatch):
-    """_scalar_laws_fast answers, case by case, what running _SCALAR_LAWS in
-    table order answers: the first failing law's name, or None."""
-    rng = random.Random(20260808)
-    groups = {"bool": list(_bool_cases())}
-    for sr, tag in ((RMAX, "rmax"), (NMAX, "nmax"), (laws.MAT2, "mat2")):
-        groups[tag] = [laws._scalar_case(rng, sr) for _ in range(150)]
+def test_scalar_laws_notice_each_broken_op(broken, monkeypatch):
+    """With correct ops no scalar case fails; with a broken op monkeypatched
+    into laws, some case of every instance fails."""
+    groups = _scalar_case_groups()
     if broken is not None:
         monkeypatch.setattr(laws, *broken)
     for tag, cases in groups.items():
-        answers = []
+        report = laws.SuiteReport("residuation", 0, len(cases))
         for case in cases:
-            want = _first_failing_in_table(case)
-            assert laws._scalar_laws_fast(case) == want, (tag, case)
-            answers.append(want)
+            if not laws._run_scalar_case(report, case, tag):
+                break
         if broken is None:
-            assert set(answers) == {None}
+            assert not report.failures, report.failures
         else:
-            assert set(answers) - {None}, f"{tag}: the broken op went unnoticed"
+            assert report.failures, f"{tag}: the broken op went unnoticed"
+            assert report.failures[0].law.startswith(f"{tag}/")
 
 
 def test_rand_matrix_scalar_draws_like_rand_scalar():
