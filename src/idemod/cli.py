@@ -34,7 +34,6 @@ from .metric import hilbert_distance, projection_maximizes_distance
 from .project import _checked_member, is_member, project
 from .render import render_scene, scene_from_json
 from .separate import _checked_halfspace, separate_from_convex
-from .semiring import scalar_to_text
 
 EXIT_OK = 0
 EXIT_THEOREM = 1
@@ -154,12 +153,9 @@ def cmd_rowcol(args) -> dict:
     mat = _require(p, "matrix")
     rep = du.rowcol_report(mat, p.phi)
     return {
-        "row_space": [[scalar_to_text(s) for s in z.entries] for z in rep.row_space],
+        "row_space": [vector_json(z) for z in rep.row_space],
         "col_space": [vector_json(v) for v in rep.col_space],
-        "pairs": [
-            [[scalar_to_text(s) for s in z.entries], vector_json(v)]
-            for z, v in rep.iso_pairs
-        ],
+        "pairs": [[vector_json(z), vector_json(v)] for z, v in rep.iso_pairs],
         "bijective": rep.bijective,
         "order_reversing": rep.order_reversing,
     }

@@ -21,7 +21,7 @@ from .freemod import (
     Matrix,
     Vector,
     act,
-    bot_vector,
+    combine,
     covec_mat,
     mat_vec,
     vec_leq,
@@ -80,24 +80,21 @@ def bracket_eval(cfg: DualPairConfig, y, x: Vector) -> Scalar:
 def conj_left(cfg: DualPairConfig, x: Vector):
     """Conjugate of x: the greatest y with <y, x> <= phi."""
     phi = cfg.phi.value
-    if cfg.bracket == CANONICAL:
-        return CoVector(x.semiring, tuple(rres(phi, xi) for xi in x.entries))
+    if cfg.bracket == OPPOSITE:
+        return act(x, phi)  # the op-greatest y with x\y >= phi is x*phi
     if cfg.bracket == MATRIX:
-        ax = mat_vec(cfg.matrix, x)
-        return CoVector(x.semiring, tuple(rres(phi, v) for v in ax.entries))
-    # opposite: the op-greatest y with x\y >= phi is x*phi
-    return act(x, phi)
+        x = mat_vec(cfg.matrix, x)
+    return CoVector(x.semiring, tuple(rres(phi, xi) for xi in x.entries))
 
 
 def conj_right(cfg: DualPairConfig, y) -> Vector:
     """Conjugate of y: the greatest x with <y, x> <= phi."""
     phi = cfg.phi.value
-    if cfg.bracket == CANONICAL:
-        return Vector(y.semiring, tuple(lres(yi, phi) for yi in y.entries))
+    if cfg.bracket == OPPOSITE:
+        return vec_rres(y, phi)
     if cfg.bracket == MATRIX:
-        ya = covec_mat(y, cfg.matrix)
-        return Vector(y.semiring, tuple(lres(v, phi) for v in ya.entries))
-    return vec_rres(y, phi)
+        y = covec_mat(y, cfg.matrix)
+    return Vector(y.semiring, tuple(lres(yi, phi) for yi in y.entries))
 
 
 def is_closed(cfg: DualPairConfig, x: Vector) -> bool:
@@ -147,14 +144,7 @@ def extend_form(
     below phi; inputs that do not actually restrict a linear continuous form
     on the span are rejected.
     """
-    if len(values) != len(w):
-        raise MismatchError("one value per generator required")
-    if len(w) == 0:
-        x = bot_vector(w.semiring, w.dim)
-        return x, LinearForm(x, phi)
-    x = bot_vector(w.semiring, w.dim)
-    for g, val in zip(w, values):
-        x = vjoin(x, act(g, lres(val, phi.value)))
+    x = combine(w, [lres(val, phi.value) for val in values])
     form = LinearForm(x, phi)
     for g, val in zip(w, values):
         if form(g) != val:

@@ -7,6 +7,7 @@ fold, so completeness never needs an actual infinite join.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import MismatchError
 from .semiring import (
@@ -48,22 +49,9 @@ class Vector:
 
 
 @dataclass(frozen=True, slots=True)
-class CoVector:
-    """Row vector: the left-semimodule counterpart of Vector."""
-
-    semiring: SemiringId
-    entries: tuple[Scalar, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) < 1:
-            raise MismatchError("covectors have dimension >= 1")
-        for s in self.entries:
-            if s.semiring != self.semiring:
-                raise MismatchError("covector entries must share the semiring")
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
+class CoVector(Vector):
+    """Row vector: the left-semimodule counterpart of Vector, never equal
+    to one."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,6 +165,15 @@ def act(x: Vector, lam: Scalar) -> Vector:
     if lam.semiring != x.semiring:
         raise MismatchError("scalar from a different semiring")
     return Vector(x.semiring, tuple(mul(a, lam) for a in x.entries))
+
+
+def combine(w: GeneratingFamily, coeffs) -> Vector:
+    """The span element (+)_g g * c_g, one coefficient per generator of w;
+    the bottom vector when w is empty."""
+    if len(coeffs) != len(w):
+        raise MismatchError(f"{len(coeffs)} coefficients for {len(w)} generators")
+    terms = list(map(act, w, coeffs))
+    return reduce(vjoin, terms) if terms else bot_vector(w.semiring, w.dim)
 
 
 def vec_lres(x: Vector, y: Vector) -> Scalar:

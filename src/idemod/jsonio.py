@@ -23,6 +23,7 @@ from .semiring import (
     Phi,
     Scalar,
     SemiringId,
+    default_phi,
     make_phi,
     mat_of,
     mat_rows,
@@ -123,10 +124,6 @@ def rational_from_json(obj) -> Fraction | int:
     raise SchemaError(f"not a rational: {obj!r}")
 
 
-def rational_json(q) -> str:
-    return str(q)
-
-
 def grid_from_json(obj) -> GridFunction:
     if not isinstance(obj, dict) or "points" not in obj or "values" not in obj:
         raise SchemaError('grid function needs {"points": [...], "values": [...]}')
@@ -144,7 +141,7 @@ def grid_from_json(obj) -> GridFunction:
 
 def grid_json(g: GridFunction) -> dict:
     return {
-        "points": [rational_json(p) for p in g.points],
+        "points": [str(p) for p in g.points],
         "values": [scalar_json(v) for v in g.values],
     }
 
@@ -184,9 +181,6 @@ def problem_from_json(obj, semiring_override: str | None = None, phi_override: s
     if tag is None:
         raise SchemaError('problem needs a "semiring" field')
     sr = parse_semiring(tag)
-
-    from .semiring import default_phi
-
     phi_text = phi_override if phi_override is not None else obj.get("phi")
     phi = default_phi(sr) if phi_text is None else make_phi(scalar_from_json(sr, phi_text))
 

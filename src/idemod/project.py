@@ -9,13 +9,11 @@ from .errors import DomainError, MismatchError, TheoremViolation
 from .freemod import (
     GeneratingFamily,
     Vector,
-    act,
-    bot_vector,
+    combine,
     top_vector,
     vec_leq,
     vec_lres,
     vec_rres,
-    vjoin,
     vmeet,
 )
 from .semiring import BOT, TOP, Scalar, add, bot, fin, meet, mul, top
@@ -39,9 +37,7 @@ def project(w: GeneratingFamily, x: Vector) -> ProjectionResult:
     """Greatest element of span(w) below x: join of g*(g\\x) over generators."""
     _check_family(w, x)
     coeffs = tuple(vec_lres(g, x) for g in w)
-    p = bot_vector(x.semiring, x.dim)
-    for g, c in zip(w, coeffs):
-        p = vjoin(p, act(g, c))
+    p = combine(w, coeffs)
     return ProjectionResult(p, coeffs, p == x)
 
 

@@ -24,7 +24,7 @@ from . import __version__
 from .errors import SchemaError
 from .freemod import GeneratingFamily, Vector
 from .jsonio import rational_from_json, scalar_from_json, vector_from_json
-from .semiring import FIN, RMAX, Scalar, fin, unit
+from .semiring import FIN, RMAX, TOP, Scalar, fin, unit
 from .separate import HalfSpace, _lifted_projection, halfspace_contains, separate_from_convex
 
 _TAGS = ("+", "-", ".")
@@ -85,6 +85,7 @@ def scene_from_json(obj) -> Scene:
         if not isinstance(items, list) or len(items) > MAX_SCENE_ITEMS:
             raise SchemaError(f'"{key}" must be an array of at most {MAX_SCENE_ITEMS} entries')
     scene = Scene((xmin, xmax, ymin, ymax), samples)
+    labels = set()
     for g in lists["generators"]:
         scene.generators.append(vector_from_json(RMAX, g, 2))
     for p in lists["points"]:
@@ -93,6 +94,10 @@ def scene_from_json(obj) -> Scene:
         label = str(p["label"])
         if not _XML_CHARS.fullmatch(label):
             raise SchemaError(f"point label {label!r} has a character XML text does not allow")
+        if label in labels:
+            # the JSON classification is keyed by label: a repeat would hide a point
+            raise SchemaError(f"point label {label!r} is used twice")
+        labels.add(label)
         scene.points.append((label, vector_from_json(RMAX, p["coords"], 2)))
     for h in lists["halfspaces"]:
         if not isinstance(h, dict) or not {"x_ref", "y", "nu"} <= set(h):
@@ -117,10 +122,10 @@ def _xml_text(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _hull_member(gens: list[Vector], v: Vector) -> bool:
-    """v is a convex combination of the nonempty gens: the lifted projection
-    fixes (v, e)."""
-    nu, y = _lifted_projection(gens, v)
+def _hull_member(fam: GeneratingFamily, v: Vector) -> bool:
+    """v is a convex combination of the nonempty family: the lifted
+    projection fixes (v, e)."""
+    nu, y = _lifted_projection(fam, v)
     return nu == unit(RMAX) and y == v
 
 
@@ -208,26 +213,26 @@ def _crossings(row: list, below: list):
         start = stop
 
 
-_NEG_INF = object()
+# A side of a line's equation ranked as a pair: (0, 0) is -inf (no term),
+# (1, value) a finite max and (2, 0) +inf (a top coefficient).
+_SIDE_BOT = (0, 0)
+_SIDE_TOP = (2, 0)
 
 
 def _line_side(spec: LineSpec, u, v):
     """Sign of lhs - rhs at exact coordinates: -1, 0, or 1."""
-    lhs, rhs = _NEG_INF, _NEG_INF
+    lhs = rhs = _SIDE_BOT
     for (tag, coef), term_arg in ((spec.a, u), (spec.b, v), (spec.c, None)):
-        if coef.kind != "fin":
+        if coef.kind == FIN:
+            term = (1, coef.value if term_arg is None else coef.value + term_arg)
+        elif coef.kind == TOP:
+            term = _SIDE_TOP
+        else:
             continue
-        term = coef.value if term_arg is None else coef.value + term_arg
-        if tag in ("+", "."):
-            lhs = term if lhs is _NEG_INF else max(lhs, term)
-        if tag in ("-", "."):
-            rhs = term if rhs is _NEG_INF else max(rhs, term)
-    if lhs is _NEG_INF and rhs is _NEG_INF:
-        return 0
-    if lhs is _NEG_INF:
-        return -1
-    if rhs is _NEG_INF:
-        return 1
+        if tag != "-" and term > lhs:
+            lhs = term
+        if tag != "+" and term > rhs:
+            rhs = term
     return (lhs > rhs) - (lhs < rhs)
 
 
@@ -289,11 +294,11 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
             "#b8b8b8",
             "0.6",
         )
-    gens = scene.generators
-    if gens:
+    fam = GeneratingFamily(RMAX, 2, tuple(scene.generators))
+    if fam:
         emit_region(
-            lambda v: _hull_breaks(gens, v),
-            lambda p: _hull_member(gens, p),
+            lambda v: _hull_breaks(scene.generators, v),
+            lambda p: _hull_member(fam, p),
             "#4a4a4a",
             "0.85",
         )
@@ -324,15 +329,12 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
             f'y2="{py(Fraction(0)):.2f}" stroke="#888888" stroke-width="1"/>'
         )
 
-    fam = (
-        GeneratingFamily(RMAX, 2, tuple(scene.generators)) if scene.generators else None
-    )
     classification: dict[str, dict] = {}
     arrows = []
     labels = []
     for label, p in scene.points:
         info: dict = {}
-        if fam is not None:
+        if fam:
             sep = separate_from_convex(fam, p)
             info["in_convex"] = sep.member
             proj = sep.normalized

@@ -4,12 +4,12 @@ projection and half-space extraction.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import DomainError, MismatchError, TheoremViolation
-from .freemod import GeneratingFamily, Vector, act, vec_lres, vjoin
-from .project import _check_family, project, project_dual
+from .freemod import GeneratingFamily, Vector, act, combine, vec_lres
+from .project import _check_family, _checked_member, project, project_dual
 from .semiring import Scalar, add, inverse, is_invertible, leq, meet, unit
 
 
@@ -54,8 +54,7 @@ def separate_from_module(w: GeneratingFamily, x: Vector) -> SeparationCertificat
     for g in w:
         if vec_lres(g, p) != vec_lres(g, x):
             raise TheoremViolation(f"orthogonality failed on generator {g!r}")
-    separated = vec_lres(x, p) != vec_lres(x, x)
-    return SeparationCertificate(p, True, separated)
+    return SeparationCertificate(p, True, not _checked_member(res, x))
 
 
 def separate_dual(w: GeneratingFamily, x: Vector) -> SeparationCertificate:
@@ -88,19 +87,14 @@ def _check_convex(c: GeneratingFamily, x: Vector) -> None:
         raise DomainError("convex separation requires a complete semifield instance")
 
 
-def _lifted_projection(gens: Sequence[Vector], x: Vector) -> tuple[Scalar, Vector]:
+def _lifted_projection(c: GeneratingFamily, x: Vector) -> tuple[Scalar, Vector]:
     """(nu, y) with lambda_g = g\\x ^ e, nu = (+)_g lambda_g and
     y = (+)_g g * lambda_g: the projection of the lifted point (x, e) onto
-    the span of the lifted generators (g, e).  gens is nonempty; nothing is
+    the span of the lifted generators (g, e).  c is nonempty; nothing is
     checked."""
     e = unit(x.semiring)
-    nu = meet(vec_lres(gens[0], x), e)
-    y = act(gens[0], nu)
-    for g in gens[1:]:
-        lam = meet(vec_lres(g, x), e)
-        nu = add(nu, lam)
-        y = vjoin(y, act(g, lam))
-    return nu, y
+    lams = [meet(vec_lres(g, x), e) for g in c]
+    return reduce(add, lams), combine(c, lams)
 
 
 def separate_from_convex(c: GeneratingFamily, x: Vector) -> ConvexSeparation:
@@ -112,7 +106,7 @@ def separate_from_convex(c: GeneratingFamily, x: Vector) -> ConvexSeparation:
     """
     _check_convex(c, x)
     e = unit(x.semiring)
-    nu, y = _lifted_projection(c.generators, x)
+    nu, y = _lifted_projection(c, x)
     member = y == x and nu == e
     for g in c:
         if meet(vec_lres(g, x), e) != meet(vec_lres(g, y), nu):

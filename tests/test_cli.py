@@ -113,7 +113,7 @@ def test_matrix_dimension_cap(tmp_path, capsys, monkeypatch):
     def no_phi(sr):
         raise AssertionError(f"phi built for {sr!r}")
 
-    monkeypatch.setattr(sys.modules["idemod.semiring"], "default_phi", no_phi)
+    monkeypatch.setattr(sys.modules["idemod.jsonio"], "default_phi", no_phi)
     tag = f"mat{MAX_MAT_DIM + 1}"
     obj = {"semiring": tag, "generators": [], "point": []}
     code, out, err = run_cli(capsys, "project", write(tmp_path, "m.json", obj))
@@ -476,7 +476,10 @@ def test_render_scene_lists_checked(tmp_path, capsys):
         path = write(tmp_path, "many.json", dict(SCENE, **{key: [7] * (MAX_SCENE_ITEMS + 1)}))
         code, _, err = run_cli(capsys, "render", path, "--out", out_svg)
         assert code == 2 and key in err and str(MAX_SCENE_ITEMS) in err
-        full = scene_from_json(dict(SCENE, **{key: SCENE[key][:1] * MAX_SCENE_ITEMS}))
+        items = SCENE[key][:1] * MAX_SCENE_ITEMS
+        if key == "points":  # a label may be used once
+            items = [dict(p, label=f"P{i}") for i, p in enumerate(items)]
+        full = scene_from_json(dict(SCENE, **{key: items}))
         assert len(getattr(full, key)) == MAX_SCENE_ITEMS
 
 
@@ -560,6 +563,20 @@ def test_render_escapes_labels(tmp_path, capsys):
         assert code == 2 and out == "" and "label" in err
 
 
+@pytest.mark.parametrize("labels", [["A", "A"], [1, "1"]], ids=["same", "same-str"])
+def test_render_rejects_repeated_labels(tmp_path, capsys, labels):
+    """The JSON classification is keyed by str(label), so a label used twice
+    would keep one entry for two drawn points."""
+    scene = dict(SCENE, points=[
+        {"label": labels[0], "coords": ["0", "0"]},
+        {"label": labels[1], "coords": ["5", "-2"]},
+    ])
+    out_svg = tmp_path / "x.svg"
+    code, out, err = run_cli(capsys, "render", write(tmp_path, "s.json", scene), "--out", str(out_svg))
+    assert code == 2 and out == "" and "twice" in err
+    assert not out_svg.exists()
+
+
 def test_render_skips_points_too_far_out_to_draw(tmp_path, capsys):
     """A finite point whose pixel coordinate overflows a float is classified
     but, like a point at infinity, not drawn."""
@@ -612,10 +629,11 @@ _TEXTS = {
 }
 
 
-def _lists(elements, cap, least=0):
+def _lists(elements, cap, least=0, unique_by=None):
     # short lists, and lists right at the cap and one past it
     sizes = st.sampled_from([n for n in (0, 1, 2, 3) if n >= least] + [cap, cap + 1])
-    return sizes.flatmap(lambda n: st.lists(elements, min_size=n, max_size=n))
+    return sizes.flatmap(
+        lambda n: st.lists(elements, min_size=n, max_size=n, unique_by=unique_by))
 
 
 def _ascending(elements, least, most):
@@ -661,8 +679,9 @@ _SCENES = st.fixed_dictionaries(
     },
     optional={
         "generators": _lists(_POINT, MAX_SCENE_ITEMS),
+        # labels differ, or the scene stops at its second use of one
         "points": _lists(st.fixed_dictionaries({"label": _LABELS, "coords": _POINT}),
-                         MAX_SCENE_ITEMS),
+                         MAX_SCENE_ITEMS, unique_by=lambda p: p["label"]),
         "halfspaces": _lists(st.fixed_dictionaries({"x_ref": _POINT, "y": _POINT,
                                                     "nu": _TEXTS["rmax"]}), MAX_SCENE_ITEMS),
         "lines": _lists(st.fixed_dictionaries({

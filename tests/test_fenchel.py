@@ -120,9 +120,9 @@ def test_random_functions_match_oracle(seed):
     assert biconjugate_is_fixed(f, s)
 
 
-# The sweeps against the definitional double loops.  rand_grid puts -inf on
-# 8% of its points, which sends most larger grids into the all -inf regime,
-# so these grids choose their regime first.
+# The sweeps against the definitional double loops.  rand_grid puts -inf in
+# about one grid in ten, where every bracket is -inf and the sweeps do no
+# work; these grids choose their regime first, so each regime gets its share.
 RATS = st.one_of(
     st.integers(min_value=-20, max_value=20),
     st.fractions(min_value=-20, max_value=20, max_denominator=6),

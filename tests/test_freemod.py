@@ -12,6 +12,7 @@ from idemod import (
     act,
     bot,
     bot_vector,
+    combine,
     fin,
     leq,
     lres,
@@ -28,8 +29,8 @@ from idemod import (
     vjoin,
     vmeet,
 )
-from idemod.freemod import identity_matrix
-from conftest import scalars, vectors
+from idemod.freemod import GeneratingFamily, identity_matrix
+from conftest import families, scalars, vectors
 
 
 def test_join_meet_entrywise():
@@ -44,6 +45,24 @@ def test_act():
     x = vector(RMAX, [5, "-inf", "1/2"])
     assert act(x, fin(RMAX, 0)) == x
     assert act(x, bot(RMAX)) == bot_vector(RMAX, 3)
+
+
+def test_combine():
+    w = GeneratingFamily(RMAX, 2, (vector(RMAX, [0, 2]), vector(RMAX, [1, "-inf"])))
+    assert combine(w, [fin(RMAX, 1), fin(RMAX, -3)]) == vector(RMAX, [1, 3])
+    assert combine(w, [bot(RMAX), top(RMAX)]) == vector(RMAX, ["+inf", "-inf"])
+    assert combine(GeneratingFamily(RMAX, 3, ()), []) == bot_vector(RMAX, 3)
+    with pytest.raises(MismatchError):
+        combine(w, [fin(RMAX, 0)])
+
+
+@given(families(dim=3), st.data())
+def test_combine_is_the_join_of_scaled_generators(w, data):
+    coeffs = data.draw(st.lists(scalars(), min_size=len(w), max_size=len(w)))
+    want = bot_vector(RMAX, 3)
+    for g, c in zip(w, coeffs):
+        want = vjoin(want, act(g, c))
+    assert combine(w, coeffs) == want
 
 
 def test_vec_lres_values():
@@ -85,6 +104,18 @@ def test_mat_vec():
     assert mat_vec(i3, x) == x
     zero = matrix(RMAX, [["-inf", "-inf"], ["-inf", "-inf"]])
     assert mat_vec(zero, vector(RMAX, [3, "+inf"])) == bot_vector(RMAX, 2)
+
+
+def test_covector_is_never_a_vector():
+    from idemod import CoVector
+
+    es = (fin(RMAX, 1), bot(RMAX))
+    y, x = CoVector(RMAX, es), Vector(RMAX, es)
+    assert y != x and x != y and y == CoVector(RMAX, es)
+    assert hash(y) == hash((RMAX, es))
+    assert repr(y) == f"CoVector(semiring={RMAX!r}, entries={es!r})"
+    with pytest.raises(MismatchError):
+        CoVector(RMAX, ())
 
 
 def test_covec_mat():

@@ -228,3 +228,71 @@ def test_matrix_shrink_candidates():
     assert (6, 0, POS_INF, 0) in cands and (6, NEG_INF, POS_INF, POS_INF) in cands
     assert x.value not in cands
     assert all(c.semiring is x.semiring for c in laws._simpler(x))
+
+
+# -- reported cases, case distributions and the pinned reports ----------------
+
+
+def test_bool_conj_failure_reports_a_failing_case(monkeypatch):
+    """The Boolean indicator law recomputes the conjugate from the case, so a
+    shrunk case still fails."""
+    from idemod import dual
+    from idemod.freemod import CoVector, Vector
+
+    real = dual.conj_left
+    e, eps = top(BOOL), bot(BOOL)
+
+    def broken(cfg, x):
+        if x.semiring == BOOL and x.entries == (e, eps):
+            return CoVector(BOOL, (e, e))
+        return real(cfg, x)
+
+    monkeypatch.setattr(dual, "conj_left", broken)
+    [failure] = run_suite("duality", seed=1, trials=2).failures
+    assert failure.law == "bool-conj-indicator"
+    vectors = {
+        repr(v): v
+        for n in (1, 2, 3)
+        for v in (Vector(BOOL, es) for es in itertools.product([eps, e], repeat=n))
+    }
+    a, x = vectors[failure.case["a"]], vectors[failure.case["x"]]
+    assert a.entries == (e, eps)
+    cfg = dual.DualPairConfig(dual.CANONICAL, semiring.default_phi(BOOL))
+    val = dual.bracket_eval(cfg, broken(cfg, a), x)
+    assert val != (eps if all(leq(s, t) for s, t in zip(x.entries, a.entries)) else e)
+
+
+def test_fenchel_grids_rarely_hold_minus_infinity():
+    """One -inf value sends every bracket to -inf; about one fenchel case in
+    ten is in that regime."""
+    rng = random.Random(20260808)
+    cases = [(laws.rand_grid(rng), laws.rand_slopes(rng)) for _ in range(200)]
+    assert 5 <= sum(bot(RMAX) in f.values for f, _ in cases) <= 40
+
+
+def _perfbench_inputs():
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_law_report_matches_benchmark_pin(name, capsys):
+    """`idemod laws` prints the report the benchmark pins, byte for byte, at
+    the benchmark's seed and trials."""
+    import hashlib
+    import json
+
+    from idemod.cli import main
+
+    inputs = _perfbench_inputs()
+    pins = json.loads((inputs.BENCH_DIR / "reference.json").read_text(encoding="utf-8"))
+    trials = max(1, SUITES[name][1] // inputs.LAWS_TRIALS_DIVISOR)
+    assert main(["laws", name, "--seed", str(inputs.DEFAULT_SEED), "--trials", str(trials)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pins["laws"][name]

@@ -7,7 +7,19 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idemod import RMAX, GeneratingFamily, Vector, fin, separate_from_convex
+from idemod import (
+    RMAX,
+    GeneratingFamily,
+    Vector,
+    add,
+    bot,
+    fin,
+    leq,
+    mul,
+    separate_from_convex,
+    top,
+    unit,
+)
 from idemod.errors import SchemaError
 from idemod.render import (
     MAX_SAMPLES,
@@ -90,6 +102,46 @@ def test_line_row_matches_per_sample(spec, grid_row):
     v = vs[j]
     classify = lambda u: _line_side(spec, u, v)  # noqa: E731
     assert _row_classes(us, _line_breaks(spec, v), classify) == per_sample(us, None, classify)
+
+
+def line_side_oracle(spec, u, v):
+    """Sign of lhs - rhs in max-plus arithmetic: a bottom coefficient drops
+    its term, a top one makes its side +inf."""
+    lhs = rhs = bot(RMAX)
+    for (tag, coef), arg in ((spec.a, fin(RMAX, u)), (spec.b, fin(RMAX, v)), (spec.c, unit(RMAX))):
+        term = mul(coef, arg)
+        if tag != "-":
+            lhs = add(lhs, term)
+        if tag != "+":
+            rhs = add(rhs, term)
+    return leq(rhs, lhs) - leq(lhs, rhs)
+
+
+infinite_coefs = st.tuples(st.sampled_from(["+", "-", "."]), st.sampled_from([bot(RMAX), top(RMAX)]))
+lines_with_infinities = st.builds(LineSpec, *[st.one_of(coefs, infinite_coefs)] * 3)
+
+
+@settings(max_examples=300)
+@given(lines_with_infinities, grid_rows)
+def test_line_row_matches_maxplus_oracle(spec, grid_row):
+    (viewport, n), j = grid_row
+    us, vs = samples(viewport, n)
+    v = vs[j]
+    row = _row_classes(us, _line_breaks(spec, v), lambda u: _line_side(spec, u, v))
+    assert row == [line_side_oracle(spec, u, v) for u in us]
+
+
+@pytest.mark.parametrize("tag, cells", [("+", 0), ("-", 0), (".", 16 * 16)])
+def test_top_line_coefficient(tag, cells):
+    """A +inf coefficient makes its side +inf: the line max(+inf + u, 3) =
+    v never holds, and with the coefficient on both sides it holds everywhere."""
+    scene = scene_from_json({
+        "viewport": ["-4", "4", "-4", "4"],
+        "samples_per_axis": 16,
+        "lines": [{"a": [tag, "+inf"], "b": ["-", "0"], "c": ["+", "3"]}],
+    })
+    svg, _ = render_scene(scene)
+    assert svg.count('fill="#1f4e9c"') == cells
 
 
 def test_row_classes_calls_once_per_interval_and_break():
