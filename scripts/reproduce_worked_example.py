@@ -15,6 +15,8 @@ from idemod import (
     family,
     halfspace,
     hilbert_distance,
+    lift,
+    lift_family,
     project,
     scalar_to_text,
     separate_from_convex,
@@ -35,9 +37,8 @@ def main() -> None:
     hull = family(RMAX, [[0, 0], [1, 3], [3, 4]])
     m = vector(RMAX, [-1, 0])
 
-    lifted = family(RMAX, [[0, 0, 0], [1, 3, 0], [3, 4, 0]])
-    m_lifted = vector(RMAX, [-1, 0, 0])
-    n_point = project(lifted, m_lifted).projection
+    m_lifted = lift(m)
+    n_point = project(lift_family(hull), m_lifted).projection
     print("N = P_V(M, e) =", [scalar_to_text(s) for s in n_point.entries])
 
     sep = separate_from_convex(hull, m)

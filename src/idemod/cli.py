@@ -33,7 +33,7 @@ from .jsonio import (
 from .metric import hilbert_distance, projection_maximizes_distance
 from .project import _checked_member, is_member, project
 from .render import render_scene, scene_from_json
-from .separate import _checked_halfspace, separate_from_convex
+from .separate import separate_from_convex
 
 EXIT_OK = 0
 EXIT_THEOREM = 1
@@ -97,7 +97,6 @@ def cmd_separate(args) -> dict:
     }
     if sep.normalized is not None:
         out["normalized"] = vector_json(sep.normalized)
-    _checked_halfspace(fam, x, sep)  # re-checks the containment guarantees
     return out
 
 
@@ -129,7 +128,7 @@ def cmd_hilbert(args) -> dict:
         out["projection"] = vector_json(res.projection)
         out["distance_to_projection"] = scalar_json(hilbert_distance(x, res.projection))
         out["projection_maximizes"] = projection_maximizes_distance(
-            p.generators, x, list(p.generators)
+            x, res.projection, list(p.generators)
         )
     if not out:
         raise SchemaError('hilbert needs "point2" or "generators"')

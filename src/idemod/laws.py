@@ -668,7 +668,8 @@ def _definiteness(c) -> bool:
 
 
 def _projection_maximizes(c) -> bool:
-    return me.projection_maximizes_distance(c["fam"], c["x"], c["samples"])
+    p = project(c["fam"], c["x"]).projection
+    return me.projection_maximizes_distance(c["x"], p, c["samples"])
 
 
 _HILBERT_LAWS = [

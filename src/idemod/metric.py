@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .freemod import GeneratingFamily, Vector, vec_lres
-from .project import project
+from .freemod import Vector, vec_lres
 from .semiring import Scalar, leq, mul
 
 
@@ -18,9 +17,10 @@ def hilbert_distance(x: Vector, y: Vector) -> Scalar:
 
 
 def projection_maximizes_distance(
-    w: GeneratingFamily, x: Vector, v_samples: Iterable[Vector]
+    x: Vector, projection: Vector, v_samples: Iterable[Vector]
 ) -> bool:
-    """True iff d(x, v) <= d(x, P(x)) for every sample.  Samples must come
-    from the span of w; a False return indicates a library bug."""
-    bound = hilbert_distance(x, project(w, x).projection)
+    """True iff d(x, v) <= d(x, P(x)) for every sample, given the projection
+    P(x) of x onto a span.  Samples must come from that span; a False return
+    indicates a library bug."""
+    bound = hilbert_distance(x, projection)
     return all(leq(hilbert_distance(x, v), bound) for v in v_samples)

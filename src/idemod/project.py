@@ -16,7 +16,7 @@ from .freemod import (
     vec_rres,
     vmeet,
 )
-from .semiring import BOT, TOP, Scalar, add, bot, fin, meet, mul, top
+from .semiring import BOT, TOP, Scalar, add, bot, fin, leq, meet, mul, top
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,11 +52,13 @@ def is_member(w: GeneratingFamily, x: Vector) -> bool:
 
 def _checked_member(res: ProjectionResult, x: Vector) -> bool:
     """res.fixed for res = project(w, x), cross-checked against the
-    residuation form of membership."""
-    residual = vec_lres(x, res.projection) == vec_lres(x, x)
-    if res.fixed != residual:
+    residuation form of membership: P(x) <= x gives x\\P(x) <= x\\x, with
+    equality exactly when x is a member."""
+    xp, xx = vec_lres(x, res.projection), vec_lres(x, x)
+    if not leq(xp, xx) or res.fixed != (xp == xx):
         raise TheoremViolation(
-            f"membership tests disagree on {x!r}: fixed={res.fixed} residual={residual}"
+            f"membership tests disagree on {x!r}: fixed={res.fixed} "
+            f"x\\P(x)={xp!r} x\\x={xx!r}"
         )
     return res.fixed
 

@@ -24,8 +24,9 @@ from . import __version__
 from .errors import SchemaError
 from .freemod import GeneratingFamily, Vector
 from .jsonio import rational_from_json, scalar_from_json, vector_from_json
-from .semiring import FIN, RMAX, TOP, Scalar, fin, unit
-from .separate import HalfSpace, _lifted_projection, halfspace_contains, separate_from_convex
+from .project import project
+from .semiring import FIN, RMAX, TOP, Scalar, fin
+from .separate import HalfSpace, halfspace_contains, lift, lift_family, separate_from_convex
 
 _TAGS = ("+", "-", ".")
 # Samples per axis when a scene names none.
@@ -120,13 +121,6 @@ def scene_from_json(obj) -> Scene:
 
 def _xml_text(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _hull_member(fam: GeneratingFamily, v: Vector) -> bool:
-    """v is a convex combination of the nonempty family: the lifted
-    projection fixes (v, e)."""
-    nu, y = _lifted_projection(fam, v)
-    return nu == unit(RMAX) and y == v
 
 
 # Breakpoints in u of each predicate along the row at height v.  Between two
@@ -296,9 +290,11 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
         )
     fam = GeneratingFamily(RMAX, 2, tuple(scene.generators))
     if fam:
+        lifted = lift_family(fam)
         emit_region(
             lambda v: _hull_breaks(scene.generators, v),
-            lambda p: _hull_member(fam, p),
+            # p is in the hull iff the lifted projection fixes (p, e)
+            lambda p: project(lifted, lift(p)).fixed,
             "#4a4a4a",
             "0.85",
         )

@@ -1,16 +1,19 @@
 """Separation theorems: universal (submodule) form, opposite-order form,
 point-vs-point, and the convex form with explicit certificate, normalised
 projection and half-space extraction.
+
+Convex separation is universal separation one dimension up: (x, e) against
+the lifted generators (g, e).  Since e\\e = e and e\\nu = nu, a residual
+against a lifted vector is the plane residual met with the last coordinate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import DomainError, MismatchError, TheoremViolation
-from .freemod import GeneratingFamily, Vector, act, combine, vec_lres
+from .freemod import GeneratingFamily, Vector, act, vec_lres
 from .project import _check_family, _checked_member, project, project_dual
-from .semiring import Scalar, add, inverse, is_invertible, leq, meet, unit
+from .semiring import Scalar, inverse, is_invertible, leq, meet, unit
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,8 +54,8 @@ def separate_from_module(w: GeneratingFamily, x: Vector) -> SeparationCertificat
     pairing, and separates x from it iff x is not a member."""
     res = project(w, x)
     p = res.projection
-    for g in w:
-        if vec_lres(g, p) != vec_lres(g, x):
+    for g, gx in zip(w, res.coefficients):  # gx = g\x, computed by project
+        if vec_lres(g, p) != gx:
             raise TheoremViolation(f"orthogonality failed on generator {g!r}")
     return SeparationCertificate(p, True, not _checked_member(res, x))
 
@@ -87,14 +90,14 @@ def _check_convex(c: GeneratingFamily, x: Vector) -> None:
         raise DomainError("convex separation requires a complete semifield instance")
 
 
-def _lifted_projection(c: GeneratingFamily, x: Vector) -> tuple[Scalar, Vector]:
-    """(nu, y) with lambda_g = g\\x ^ e, nu = (+)_g lambda_g and
-    y = (+)_g g * lambda_g: the projection of the lifted point (x, e) onto
-    the span of the lifted generators (g, e).  c is nonempty; nothing is
-    checked."""
-    e = unit(x.semiring)
-    lams = [meet(vec_lres(g, x), e) for g in c]
-    return reduce(add, lams), combine(c, lams)
+def lift(v: Vector) -> Vector:
+    """(v, e): v with the unit appended as a last coordinate."""
+    return Vector(v.semiring, v.entries + (unit(v.semiring),))
+
+
+def lift_family(c: GeneratingFamily) -> GeneratingFamily:
+    """The lifted generators (g, e) of c."""
+    return GeneratingFamily(c.semiring, c.dim + 1, tuple(map(lift, c)))
 
 
 def separate_from_convex(c: GeneratingFamily, x: Vector) -> ConvexSeparation:
@@ -102,26 +105,16 @@ def separate_from_convex(c: GeneratingFamily, x: Vector) -> ConvexSeparation:
 
     (y, nu) is the projection of the lifted point (x, e) onto the span of the
     lifted generators (g, e); x belongs to the hull iff that projection is
-    (x, e) itself.
+    (x, e) itself.  The self-checks of ``separate_from_module`` make the
+    half-space (x, y, nu) hold every generator and exclude x when outside.
     """
     _check_convex(c, x)
-    e = unit(x.semiring)
-    nu, y = _lifted_projection(c, x)
-    member = y == x and nu == e
-    for g in c:
-        if meet(vec_lres(g, x), e) != meet(vec_lres(g, y), nu):
-            raise TheoremViolation(f"convex separation equality failed on {g!r}")
-    lhs = meet(vec_lres(x, x), e)
-    rhs = meet(vec_lres(x, y), nu)
-    if member:
-        if lhs != rhs:
-            raise TheoremViolation("member point not on the separating locus")
-    else:
-        if not (leq(rhs, lhs) and rhs != lhs):
-            raise TheoremViolation("strict separation failed for a non-member")
+    cert = separate_from_module(lift_family(c), lift(x))
+    lifted = cert.projection
+    y = Vector(x.semiring, lifted.entries[:-1])
+    nu = lifted.entries[-1]
     normalized = act(y, inverse(nu)) if is_invertible(nu) else None
-    lifted = Vector(x.semiring, tuple(y.entries) + (nu,))
-    return ConvexSeparation(nu, y, lifted, member, normalized)
+    return ConvexSeparation(nu, y, lifted, not cert.separated, normalized)
 
 
 def convex_projection(c: GeneratingFamily, x: Vector) -> Vector | None:
@@ -131,19 +124,9 @@ def convex_projection(c: GeneratingFamily, x: Vector) -> Vector | None:
 
 
 def halfspace(c: GeneratingFamily, x: Vector) -> HalfSpace:
-    return _checked_halfspace(c, x, separate_from_convex(c, x))
-
-
-def _checked_halfspace(c: GeneratingFamily, x: Vector, sep: ConvexSeparation) -> HalfSpace:
-    """The half-space of sep = separate_from_convex(c, x), checked to contain
-    every generator of c and to exclude x when x is outside."""
-    h = HalfSpace(x, sep.y, sep.nu)
-    for g in c:
-        if not halfspace_contains(h, g):
-            raise TheoremViolation(f"half-space misses generator {g!r}")
-    if not sep.member and halfspace_contains(h, x):
-        raise TheoremViolation("half-space failed to exclude the outside point")
-    return h
+    """The half-space of the convex separation of x from the hull of c."""
+    sep = separate_from_convex(c, x)
+    return HalfSpace(x, sep.y, sep.nu)
 
 
 def halfspace_contains(h: HalfSpace, v: Vector) -> bool:

@@ -147,6 +147,16 @@ def test_project_projects_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_hilbert_projects_once(tmp_path, capsys, monkeypatch):
+    # every projection folds its span exactly once, whoever calls project
+    folds = _count_calls(monkeypatch, "combine", sys.modules["idemod.project"])
+    code, out, _ = run_cli(capsys, "hilbert", write(tmp_path, "h.json", PROJECT_FILE))
+    data = json.loads(out)
+    assert code == 0 and data["projection"] == ["-1", "0", "-1"]
+    assert data["projection_maximizes"] is True
+    assert len(folds) == 1
+
+
 def test_separate_separates_once(tmp_path, capsys, monkeypatch):
     calls = _count_calls(monkeypatch, "separate_from_convex", sys.modules["idemod.cli"],
                          sys.modules["idemod.separate"])

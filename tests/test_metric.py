@@ -37,7 +37,7 @@ def test_worked_example_distances():
     assert bound == fin(RMAX, -1)
     for g in w:
         assert leq(hilbert_distance(x, g), bound)
-    assert projection_maximizes_distance(w, x, list(w))
+    assert projection_maximizes_distance(x, p, list(w))
 
 
 @given(vectors(dim=3), vectors(dim=3))
@@ -78,4 +78,4 @@ def test_anti_triangular_nmax(x, y, z):
 @given(families(dim=3, max_size=3), vectors(dim=3), scalars(), scalars())
 def test_projection_maximizes(fam, x, l1, l2):
     samples = [act(g, lam) for g in fam for lam in (l1, l2)]
-    assert projection_maximizes_distance(fam, x, samples)
+    assert projection_maximizes_distance(x, project(fam, x).projection, samples)

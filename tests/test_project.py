@@ -9,6 +9,8 @@ from idemod import (
     RMAX,
     DomainError,
     GeneratingFamily,
+    ProjectionResult,
+    TheoremViolation,
     Vector,
     act,
     add,
@@ -32,7 +34,7 @@ from idemod import (
     vmeet,
 )
 from idemod.laws import rand_family, rand_member, rand_vector
-from idemod.project import _ALL, _EMPTY, _OPEN, _box_floor, _cover_constraint
+from idemod.project import _ALL, _EMPTY, _OPEN, _box_floor, _checked_member, _cover_constraint
 from conftest import families, scalars, vectors
 
 
@@ -46,6 +48,15 @@ def test_projection_of_lifted_outside_point():
     assert res.projection == vector(RMAX, [-1, 0, -1])
     assert not res.fixed
     assert not is_member(W_LIFTED, x)
+
+
+def test_membership_check_rejects_a_projection_above_the_point():
+    """P(x) <= x gives x\\P(x) <= x\\x; a result above x raises even when its
+    fixed flag agrees with the residual equality."""
+    x = vector(RMAX, [-1, 0, 0])
+    above = ProjectionResult(act(x, fin(RMAX, 1)), (), False)
+    with pytest.raises(TheoremViolation, match="membership"):
+        _checked_member(above, x)
 
 
 def test_projection_fixes_generators_and_scalings():

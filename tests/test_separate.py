@@ -1,6 +1,12 @@
 """Separation: universal, dual, convex, half-spaces, point pairs."""
+import json
+import pathlib
+import subprocess
+import sys
+from functools import reduce
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from idemod import (
     BOOL,
@@ -8,6 +14,11 @@ from idemod import (
     RMAX,
     DomainError,
     MismatchError,
+    ProjectionResult,
+    TheoremViolation,
+    Vector,
+    act,
+    add,
     bot,
     bot_vector,
     convex_projection,
@@ -16,17 +27,24 @@ from idemod import (
     halfspace,
     halfspace_contains,
     is_member,
+    leq,
+    lift,
+    meet,
     separate_dual,
     separate_from_convex,
     separate_from_module,
     separate_points,
+    top,
     top_vector,
     unit,
     vec_lres,
     vector,
     vjoin,
 )
-from conftest import families, vectors
+from idemod.cli import main
+from conftest import families, scalars, vectors
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 W_LIFTED = family(RMAX, [[0, 0, 0], [1, 3, 0], [3, 4, 0]])
 HULL_ABC = family(RMAX, [[0, 0], [1, 3], [3, 4]])
@@ -144,12 +162,25 @@ def test_universal_separation_iff_membership(fam, x):
     assert cert.separated == (not is_member(fam, x))
 
 
+def _hulls_and_points(sr):
+    return st.tuples(families(sr, dim=2, max_size=3).filter(len), vectors(sr, dim=2))
+
+
 @settings(max_examples=100)
-@given(families(dim=2, max_size=3).filter(lambda f: len(f) > 0), vectors(dim=2))
-def test_convex_relations_on_generators(fam, x):
-    sep = separate_from_convex(fam, x)  # equalities asserted internally
-    e = unit(RMAX)
-    from idemod import leq, meet
+@given(st.sampled_from([RMAX, BOOL]).flatmap(_hulls_and_points))
+def test_convex_relations_on_generators(case):
+    """The certificate against the convex form of the theorem, written out
+    in the plane: lambda_g = g\\x ^ e, nu and y their folds."""
+    fam, x = case
+    sep = separate_from_convex(fam, x)
+    e = unit(x.semiring)
+    lams = [meet(vec_lres(g, x), e) for g in fam]
+    assert sep.nu == reduce(add, lams)
+    assert sep.y == reduce(vjoin, map(act, fam, lams))
+    assert sep.member == (sep.y == x and sep.nu == e)
+    assert sep.lifted_projection == Vector(x.semiring, sep.y.entries + (sep.nu,))
+    for g in fam:
+        assert meet(vec_lres(g, x), e) == meet(vec_lres(g, sep.y), sep.nu)
 
     lhs = meet(vec_lres(x, x), e)
     rhs = meet(vec_lres(x, sep.y), sep.nu)
@@ -157,6 +188,73 @@ def test_convex_relations_on_generators(fam, x):
         assert lhs == rhs
     else:
         assert leq(rhs, lhs) and rhs != lhs
+    h = halfspace(fam, x)
+    assert all(h.contains(g) for g in fam)
+    assert sep.member or not h.contains(x)
+
+
+@given(
+    st.sampled_from([RMAX, BOOL]).flatmap(
+        lambda sr: st.tuples(vectors(sr, dim=2), vectors(sr, dim=2), scalars(sr))
+    )
+)
+def test_lifted_residuals_meet_the_last_coordinate(case):
+    """(v, e)\\(x, e) = v\\x ^ e and (v, e)\\(y, nu) = v\\y ^ nu, nu in
+    {-inf, finite, +inf}: e\\e = e and e\\nu = nu."""
+    v, x, nu = case
+    sr = v.semiring
+    assert vec_lres(lift(v), lift(x)) == meet(vec_lres(v, x), unit(sr))
+    for n in (bot(sr), nu, top(sr)):
+        assert vec_lres(lift(v), Vector(sr, x.entries + (n,))) == meet(vec_lres(v, x), n)
+
+
+def _lower_first_entry(res):
+    p = res.projection
+    lowered = Vector(p.semiring, (bot(p.semiring),) + p.entries[1:])
+    return ProjectionResult(lowered, res.coefficients, res.fixed)
+
+
+def _flip_fixed(res):
+    return ProjectionResult(res.projection, res.coefficients, not res.fixed)
+
+
+@pytest.mark.parametrize(
+    "fault, message", [(_lower_first_entry, "orthogonality"), (_flip_fixed, "membership")]
+)
+def test_convex_self_checks_catch_a_faulty_projection(fault, message, monkeypatch, tmp_path, capsys):
+    """A projection that breaks orthogonality on a lifted generator, or a
+    wrong fixed-point flag, raises for points outside and inside the hull,
+    and `idemod separate` exits 1."""
+    separate = sys.modules["idemod.separate"]
+    monkeypatch.setattr(separate, "project", lambda w, x, _fn=separate.project: fault(_fn(w, x)))
+    for x in (M, vector(RMAX, [1, 3])):
+        with pytest.raises(TheoremViolation, match=message):
+            separate_from_convex(HULL_ABC, x)
+    path = tmp_path / "s.json"
+    path.write_text(
+        json.dumps({"semiring": "rmax", "convex": [["0", "0"], ["1", "3"], ["3", "4"]],
+                    "point": ["-1", "0"]}),
+        encoding="utf-8",
+    )
+    assert main(["separate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_worked_example_script(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_worked_example.py"),
+         "--outdir", str(tmp_path), "--samples", "32"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads((tmp_path / "worked_example.json").read_text(encoding="utf-8"))
+    assert data["N"] == ["-1", "0", "-1"]
+    assert data["nu"] == "-1"
+    assert data["P"] == ["0", "1"]
+    assert data["halfspace_contains"] == {"A": True, "B": True, "C": True, "M": False}
+    assert (tmp_path / "worked_example.svg").is_file()
 
 
 @settings(max_examples=100)
