@@ -10,7 +10,6 @@ with itself through residuation, valued in the order-reversed scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -20,6 +19,7 @@ from .freemod import (
     GeneratingFamily,
     Matrix,
     Vector,
+    _bracket,
     act,
     combine,
     covec_mat,
@@ -34,11 +34,9 @@ from .semiring import (
     Phi,
     Scalar,
     SemiringId,
-    add,
     bot,
     leq,
     lres,
-    mul,
     rres,
     sort_key,
     top,
@@ -72,9 +70,9 @@ def bracket_eval(cfg: DualPairConfig, y, x: Vector) -> Scalar:
         return vec_lres(x, y)
     if cfg.bracket == MATRIX:
         x = mat_vec(cfg.matrix, x)
-    elif len(y.entries) != len(x.entries):
+    if len(y.entries) != len(x.entries):
         raise MismatchError("bracket sides of unequal dimension")
-    return reduce(add, map(mul, y.entries, x.entries))
+    return _bracket(y.entries, x.entries)
 
 
 def conj_left(cfg: DualPairConfig, x: Vector):
@@ -122,7 +120,7 @@ def represent_form(values_on_basis: Sequence[Scalar], phi: Phi, sr: SemiringId) 
     x_i = f(delta_i)\\phi."""
     if not values_on_basis:
         raise MismatchError("need at least one basis value")
-    return Vector(sr, tuple(lres(v, phi.value) for v in values_on_basis))
+    return conj_right(DualPairConfig(CANONICAL, phi), CoVector(sr, tuple(values_on_basis)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,7 +188,6 @@ def rowcol_report(a: Matrix, phi: Phi) -> LatticeReport:
         raise DomainError("exhaustive row/column duality is Boolean-only")
     if a.rows > ROWCOL_CAP or a.cols > ROWCOL_CAP:
         raise DomainError(f"matrix exceeds the enumeration cap {ROWCOL_CAP}")
-    p = phi.value
     carrier = (bot(BOOL), top(BOOL))
 
     rows: dict[tuple, CoVector] = {}
@@ -204,10 +201,8 @@ def rowcol_report(a: Matrix, phi: Phi) -> LatticeReport:
     row_space = tuple(rows[k] for k in sorted(rows))
     col_space = tuple(cols[k] for k in sorted(cols))
 
-    pairs = []
-    for z in row_space:
-        zres = Vector(BOOL, tuple(lres(zi, p) for zi in z.entries))
-        pairs.append((z, mat_vec(a, zres)))
+    cfg = DualPairConfig(CANONICAL, phi)
+    pairs = [(z, mat_vec(a, conj_right(cfg, z))) for z in row_space]
 
     images = [img for _, img in pairs]
     bijective = (

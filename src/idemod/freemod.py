@@ -123,10 +123,7 @@ def family(sr: SemiringId, vectors_) -> GeneratingFamily:
 
 def column_family(a: Matrix) -> GeneratingFamily:
     """The columns of ``a`` as a generating family."""
-    cols = tuple(
-        Vector(a.semiring, tuple(a.entries[i][j] for i in range(a.rows)))
-        for j in range(a.cols)
-    )
+    cols = tuple(Vector(a.semiring, col) for col in zip(*a.entries))
     return GeneratingFamily(a.semiring, a.rows, cols)
 
 
@@ -143,6 +140,21 @@ def _need_like(x: Vector, y: Vector) -> None:
         raise MismatchError("mixed semirings")
     if x.dim != y.dim:
         raise MismatchError(f"dimension mismatch {x.dim} vs {y.dim}")
+
+
+# The two pairings of entry sequences, which vec_lres, bracket_eval and the
+# matrix kernels fold.  They look the scalar ops up when called, so a
+# rebinding of those names in this module reaches every kernel.
+
+
+def _bracket(ys, xs) -> Scalar:
+    """<y, x> = (+)_i y_i * x_i over equal-length entry sequences."""
+    return reduce(add, map(mul, ys, xs))
+
+
+def _residual(xs, ys) -> Scalar:
+    r"""x\y = (^)_i x_i\y_i over equal-length entry sequences."""
+    return reduce(meet, map(lres, xs, ys))
 
 
 def vec_leq(x: Vector, y: Vector) -> bool:
@@ -179,10 +191,7 @@ def combine(w: GeneratingFamily, coeffs) -> Vector:
 def vec_lres(x: Vector, y: Vector) -> Scalar:
     r"""x\y: the greatest lambda with x*lambda <= y."""
     _need_like(x, y)
-    acc = lres(x.entries[0], y.entries[0])
-    for a, b in zip(x.entries[1:], y.entries[1:]):
-        acc = meet(acc, lres(a, b))
-    return acc
+    return _residual(x.entries, y.entries)
 
 
 def vec_rres(x: Vector, lam: Scalar) -> Vector:
@@ -197,13 +206,7 @@ def mat_vec(a: Matrix, x: Vector) -> Vector:
         raise MismatchError("mixed semirings")
     if a.cols != x.dim:
         raise MismatchError(f"matrix with {a.cols} columns applied to dim {x.dim}")
-    out = []
-    for row in a.entries:
-        acc = mul(row[0], x.entries[0])
-        for aij, xj in zip(row[1:], x.entries[1:]):
-            acc = add(acc, mul(aij, xj))
-        out.append(acc)
-    return Vector(a.semiring, tuple(out))
+    return Vector(a.semiring, tuple(_bracket(row, x.entries) for row in a.entries))
 
 
 def covec_mat(y: CoVector, a: Matrix) -> CoVector:
@@ -211,13 +214,7 @@ def covec_mat(y: CoVector, a: Matrix) -> CoVector:
         raise MismatchError("mixed semirings")
     if a.rows != y.dim:
         raise MismatchError(f"covector of dim {y.dim} applied to {a.rows} rows")
-    out = []
-    for j in range(a.cols):
-        acc = mul(y.entries[0], a.entries[0][j])
-        for i in range(1, a.rows):
-            acc = add(acc, mul(y.entries[i], a.entries[i][j]))
-        out.append(acc)
-    return CoVector(a.semiring, tuple(out))
+    return CoVector(a.semiring, tuple(_bracket(y.entries, col) for col in zip(*a.entries)))
 
 
 def mat_lres(a: Matrix, y: Vector) -> Vector:
@@ -226,13 +223,7 @@ def mat_lres(a: Matrix, y: Vector) -> Vector:
         raise MismatchError("mixed semirings")
     if a.rows != y.dim:
         raise MismatchError(f"matrix with {a.rows} rows residuated against dim {y.dim}")
-    out = []
-    for j in range(a.cols):
-        acc = lres(a.entries[0][j], y.entries[0])
-        for i in range(1, a.rows):
-            acc = meet(acc, lres(a.entries[i][j], y.entries[i]))
-        out.append(acc)
-    return Vector(a.semiring, tuple(out))
+    return Vector(a.semiring, tuple(_residual(col, y.entries) for col in zip(*a.entries)))
 
 
 def identity_matrix(sr: SemiringId, n: int) -> Matrix:

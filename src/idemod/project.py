@@ -1,9 +1,14 @@
 """Canonical projector onto a finitely generated complete subsemimodule,
 its opposite-order mirror, and the meet of dominating elements.
+
+The two projectors are mirror images: P(x) joins g*(g\\x) from the bottom
+vector, its opposite-order twin meets g/(x\\g) from the top vector, and both
+return their coefficients and whether x is fixed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import DomainError, MismatchError, TheoremViolation
 from .freemod import (
@@ -22,7 +27,7 @@ from .semiring import BOT, TOP, Scalar, add, bot, fin, leq, meet, mul, top
 @dataclass(frozen=True, slots=True)
 class ProjectionResult:
     projection: Vector
-    coefficients: tuple[Scalar, ...]  # one residuation coefficient per generator
+    coefficients: tuple[Scalar, ...]  # g\x (x\g for the dual) per generator
     fixed: bool  # projection == x
 
 
@@ -63,14 +68,14 @@ def _checked_member(res: ProjectionResult, x: Vector) -> bool:
     return res.fixed
 
 
-def project_dual(w: GeneratingFamily, x: Vector) -> Vector:
-    """Projection onto the opposite-order span of w: the meet of g/(x\\g)
-    over generators.  Empty family yields the all-top vector."""
+def project_dual(w: GeneratingFamily, x: Vector) -> ProjectionResult:
+    """Projection onto the opposite-order span of w: its least element above
+    x, the meet of g/(x\\g) over generators.  Empty family yields the
+    all-top vector."""
     _check_family(w, x)
-    p = top_vector(x.semiring, x.dim)
-    for g in w:
-        p = vmeet(p, vec_rres(g, vec_lres(x, g)))
-    return p
+    coeffs = tuple(vec_lres(x, g) for g in w)
+    p = reduce(vmeet, map(vec_rres, w, coeffs), top_vector(x.semiring, x.dim))
+    return ProjectionResult(p, coeffs, p == x)
 
 
 # -- meet of dominating span elements ---------------------------------------

@@ -2,6 +2,9 @@
 point-vs-point, and the convex form with explicit certificate, normalised
 projection and half-space extraction.
 
+The universal and opposite-order forms check orthogonality against the
+coefficients their projector returns.
+
 Convex separation is universal separation one dimension up: (x, e) against
 the lifted generators (g, e).  Since e\\e = e and e\\nu = nu, a residual
 against a lifted vector is the plane residual met with the last coordinate.
@@ -19,11 +22,11 @@ from .semiring import Scalar, inverse, is_invertible, leq, meet, unit
 @dataclass(frozen=True, slots=True)
 class SeparationCertificate:
     """Projection of x onto the span, with the two residuation facts that make
-    it a separation: orthogonality on every generator, and the membership
-    residual that is strict exactly when x is outside."""
+    it a separation: orthogonality on every generator, checked before the
+    certificate is built, and the membership residual that is strict exactly
+    when x is outside."""
 
     projection: Vector
-    orthogonality_checked: bool
     separated: bool
 
 
@@ -57,18 +60,18 @@ def separate_from_module(w: GeneratingFamily, x: Vector) -> SeparationCertificat
     for g, gx in zip(w, res.coefficients):  # gx = g\x, computed by project
         if vec_lres(g, p) != gx:
             raise TheoremViolation(f"orthogonality failed on generator {g!r}")
-    return SeparationCertificate(p, True, not _checked_member(res, x))
+    return SeparationCertificate(p, not _checked_member(res, x))
 
 
 def separate_dual(w: GeneratingFamily, x: Vector) -> SeparationCertificate:
     """Opposite-order mirror: the dual projection agrees with x against every
     generator, and separates iff x is outside the opposite-order span."""
-    p = project_dual(w, x)
-    for g in w:
-        if vec_lres(p, g) != vec_lres(x, g):
+    res = project_dual(w, x)
+    p = res.projection
+    for g, xg in zip(w, res.coefficients):  # xg = x\g, computed by project_dual
+        if vec_lres(p, g) != xg:
             raise TheoremViolation(f"dual orthogonality failed on generator {g!r}")
-    separated = vec_lres(p, x) != vec_lres(x, x)
-    return SeparationCertificate(p, True, separated)
+    return SeparationCertificate(p, vec_lres(p, x) != vec_lres(x, x))
 
 
 def separate_points(x: Vector, y: Vector) -> Vector | None:

@@ -16,6 +16,7 @@ from idemod import (
     DomainError,
     DualPairConfig,
     LinearForm,
+    MismatchError,
     Vector,
     act,
     add,
@@ -243,6 +244,21 @@ def test_meet_of_closed_is_closed_matrix_bracket(y1, y2):
     c1 = conj_right(cfg, CoVector(RMAX, y1.entries[:2]))
     c2 = conj_right(cfg, CoVector(RMAX, y2.entries[:2]))
     assert is_closed(cfg, vmeet(c1, c2))
+
+
+def test_bracket_sides_must_match_for_every_bracket():
+    """The covector needs one entry per entry of x, or per row of A when the
+    matrix bracket pairs it with A x; neither side is truncated."""
+    a = matrix(RMAX, [[0, -1], [1, "-inf"], [2, 0]])
+    cfg = DualPairConfig(MATRIX, PHI0, a)
+    x = vector(RMAX, [0, 1])
+    assert bracket_eval(cfg, covector(RMAX, [0, 0, 0]), x) == fin(RMAX, 2)
+    for n in (1, 2, 4, 5):
+        with pytest.raises(MismatchError):
+            bracket_eval(cfg, covector(RMAX, [0] * n), x)
+    for n in (1, 3):
+        with pytest.raises(MismatchError):
+            bracket_eval(CFG, covector(RMAX, [0] * n), x)
 
 
 @given(vectors(dim=2), vectors(dim=2), scalars())

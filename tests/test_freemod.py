@@ -1,5 +1,6 @@
 """Vectors, matrices and vector-level residuation."""
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +9,16 @@ from idemod import Vector
 
 from idemod import (
     RMAX,
+    CoVector,
+    Matrix,
     MismatchError,
     act,
+    add,
     bot,
     bot_vector,
+    column_family,
     combine,
+    covec_mat,
     fin,
     leq,
     lres,
@@ -20,6 +26,7 @@ from idemod import (
     mat_vec,
     matrix,
     meet,
+    mul,
     top,
     top_vector,
     vec_leq,
@@ -202,3 +209,27 @@ def test_vectors_over_matrix_semiring(data):
     assert vec_leq(act(x, lam), y) == leq(lam, vec_lres(x, y))
     assert vec_leq(act(x, vec_lres(x, y)), y)
     assert act(x, vec_lres(x, act(x, lam))) == act(x, lam)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_matrix_kernels_over_matrix_semiring(data):
+    """A x, y A and A\\y keep each operand on its side when the scalars do
+    not commute: A x spans the columns with x_j on the right, (y A)_j joins
+    y_i * a_ij, and A\\y residuates x -> A x."""
+    from conftest import MAT2, mat2_scalars
+
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+
+    def entries(n):
+        return tuple(data.draw(st.lists(mat2_scalars(), min_size=n, max_size=n)))
+
+    a = Matrix(MAT2, tuple(entries(cols) for _ in range(rows)))
+    x, z, ys = Vector(MAT2, entries(cols)), Vector(MAT2, entries(cols)), entries(rows)
+    assert mat_vec(a, x) == combine(column_family(a), x.entries)
+    want = (reduce(add, (mul(ys[i], a.entries[i][j]) for i in range(rows))) for j in range(cols))
+    assert covec_mat(CoVector(MAT2, ys), a) == CoVector(MAT2, tuple(want))
+    y = Vector(MAT2, ys)
+    back = mat_lres(a, y)
+    assert vec_leq(mat_vec(a, back), y) and vec_leq(z, mat_lres(a, mat_vec(a, z)))
+    assert vec_leq(mat_vec(a, z), y) == vec_leq(z, back)

@@ -86,17 +86,20 @@ def test_project_dual_formula():
     w = family(RMAX, [[0, 0]])
     x = vector(RMAX, [-1, -2])
     assert vec_lres(x, w.generators[0]) == fin(RMAX, 1)
-    assert project_dual(w, x) == vector(RMAX, [-1, -1])
+    res = project_dual(w, x)
+    assert res.projection == vector(RMAX, [-1, -1])
+    assert res.coefficients == (fin(RMAX, 1),) and not res.fixed
 
 
 def test_project_dual_empty_family_is_top():
-    assert project_dual(GeneratingFamily(RMAX, 2, ()), vector(RMAX, [0, 0])) == top_vector(RMAX, 2)
+    res = project_dual(GeneratingFamily(RMAX, 2, ()), vector(RMAX, [0, 0]))
+    assert res.projection == top_vector(RMAX, 2) and res.coefficients == ()
 
 
 def test_project_dual_fixes_op_span():
     w = family(RMAX, [[0, -1], [2, 0]])
     v = vmeet(vec_rres(w.generators[0], fin(RMAX, 3)), vec_rres(w.generators[1], fin(RMAX, -1)))
-    assert project_dual(w, v) == v
+    assert project_dual(w, v).fixed
 
 
 def test_dominating_meet_pinned_counterexample():

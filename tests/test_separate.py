@@ -54,7 +54,6 @@ M = vector(RMAX, [-1, 0])
 def test_module_separation_of_lifted_point():
     cert = separate_from_module(W_LIFTED, vector(RMAX, [-1, 0, 0]))
     assert cert.projection == vector(RMAX, [-1, 0, -1])
-    assert cert.orthogonality_checked
     assert cert.separated
 
 
@@ -142,6 +141,23 @@ def test_dual_separation():
     # opposite-order span elements are fixed, hence not separated
     assert not separate_dual(w, vector(RMAX, [3, 3])).separated
     assert not separate_dual(w, top_vector(RMAX, 2)).separated
+
+
+def test_dual_separation_reuses_the_projector_coefficients(monkeypatch):
+    """The orthogonality check compares against the x\\g that project_dual
+    holds: 2p + 2 vector residuals for p generators, member or not."""
+    calls = []
+    for mod in (sys.modules["idemod.project"], sys.modules["idemod.separate"]):
+        def counted(x, y, _fn=mod.vec_lres):
+            calls.append(1)
+            return _fn(x, y)
+
+        monkeypatch.setattr(mod, "vec_lres", counted)
+    w = family(RMAX, [[0, 0], [2, -1], [-1, 3]])
+    for x, separated in ((vector(RMAX, [0, 5]), True), (w.generators[1], False)):
+        calls.clear()
+        assert separate_dual(w, x).separated is separated
+        assert len(calls) == 2 * len(w) + 2
 
 
 def test_separate_points():
