@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import asdict
 
 from . import dual as du
 from .errors import DomainError, MismatchError, SchemaError, TheoremViolation
@@ -177,7 +178,7 @@ def cmd_laws(args) -> tuple[dict, int]:
         "checks": report.checks,
         "ok": report.ok,
         "notes": report.notes,
-        "failures": [{"law": f.law, "case": f.case} for f in report.failures],
+        "failures": [asdict(f) for f in report.failures],
     }
     return out, EXIT_OK if report.ok else EXIT_THEOREM
 

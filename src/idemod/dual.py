@@ -115,12 +115,12 @@ def eval_form(x: Vector, phi: Phi, y: Vector) -> Scalar:
     return rres(phi.value, vec_lres(y, x))
 
 
-def represent_form(values_on_basis: Sequence[Scalar], phi: Phi, sr: SemiringId) -> Vector:
+def represent_form(values_on_basis: Sequence[Scalar], phi: Phi) -> Vector:
     """Representer of the form whose values on the coordinate basis are given:
     x_i = f(delta_i)\\phi."""
-    if not values_on_basis:
-        raise MismatchError("need at least one basis value")
-    return conj_right(DualPairConfig(CANONICAL, phi), CoVector(sr, tuple(values_on_basis)))
+    return conj_right(
+        DualPairConfig(CANONICAL, phi), CoVector(phi.value.semiring, tuple(values_on_basis))
+    )
 
 
 @dataclass(frozen=True, slots=True)

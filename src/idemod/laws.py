@@ -78,7 +78,9 @@ MAT2 = matrix_semiring(2)
 @dataclass
 class Failure:
     law: str
-    case: dict[str, str]
+    case: dict[str, str]  # shrunk
+    original: dict[str, str] = field(default_factory=dict)  # where shrinking began
+    steps: int = 0
 
     def __str__(self) -> str:
         parts = ", ".join(f"{k}={v}" for k, v in self.case.items())
@@ -227,8 +229,10 @@ def _holds(pred, case) -> bool:
         return False
 
 
-def _shrink(case: dict, pred) -> dict:
+def _shrink(case: dict, pred) -> tuple[dict, int]:
+    """A smaller case pred still fails on, and the number of steps taken."""
     budget = 300
+    steps = 0
     improved = True
     while improved and budget > 0:
         improved = False
@@ -236,7 +240,7 @@ def _shrink(case: dict, pred) -> dict:
             for cand in _simpler(case[key]):
                 budget -= 1
                 if budget <= 0:
-                    return case
+                    return case, steps
                 trial = dict(case)
                 trial[key] = cand
                 try:
@@ -245,15 +249,17 @@ def _shrink(case: dict, pred) -> dict:
                     still_failing = False
                 if still_failing:
                     case = trial
+                    steps += 1
                     improved = True
                     break
-    return case
+    return case, steps
 
 
 def _fail(report: SuiteReport, law: str, case: dict, pred) -> bool:
     """Shrink a failing case against pred, record it under law, return False."""
-    small = _shrink(case, pred)
-    report.failures.append(Failure(law, {k: repr(v) for k, v in small.items()}))
+    small, steps = _shrink(case, pred)
+    shown = ({k: repr(v) for k, v in c.items()} for c in (small, case))
+    report.failures.append(Failure(law, *shown, steps))
     return False
 
 
@@ -807,7 +813,7 @@ def _riesz_roundtrip(c) -> bool:
         for i in range(dim)
     ]
     values = [du.eval_form(x, phi, d) for d in basis]
-    return du.represent_form(values, phi, RMAX) == x
+    return du.represent_form(values, phi) == x
 
 
 def _forms_separate(c) -> bool:
@@ -906,9 +912,8 @@ def _suite_nmax_reflexive(rng: random.Random, trials: int, report: SuiteReport) 
         return
     lam = fin(NMAX, 2)
     if du.is_reflexive(NMAX, phi, [lam]):
-        report.failures.append(
-            Failure("nmax-expected-counterexample", {"lam": repr(lam)})
-        )
+        case = {"lam": repr(lam)}
+        report.failures.append(Failure("nmax-expected-counterexample", case, case))
         return
     report.checks += 1
     report.notes.append(

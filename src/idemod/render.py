@@ -3,19 +3,18 @@ labelled points with projection arrows, and the generic line shapes
 max(a+u, b+v, c) = max(a'+u, b'+v, c').
 
 Regions are rasterised on a grid of exact rational sample points, one row
-at a time.  Along a row every scene predicate is a max/min of affine pieces
-in u with slope 0 or +-1, so it is constant between finitely many exact
-breakpoints taken from the scene coordinates and the row.  Each open
-interval between breakpoints is classified once, at its first sample, and
-each sample that lies on a breakpoint is classified on its own, always with
-the same exact predicate the library uses everywhere.  So only the picture
-is approximate, never the algebra.  Output bytes are a pure function of
-the scene and the library version.
+at a time.  Each row of a hull or a half-space is one closed interval in u
+(every axis-parallel slice of a tropical polytope is a segment) with exact
+bounds in closed form.  A line's sign along a row is constant between at
+most two exact breakpoints: it is computed once per open interval between
+them and once per sample on one.  So only the picture is approximate, never
+the algebra.  Output bytes are a pure function of the scene and the library
+version.
 """
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
@@ -24,9 +23,8 @@ from . import __version__
 from .errors import SchemaError
 from .freemod import GeneratingFamily, Vector
 from .jsonio import rational_from_json, scalar_from_json, vector_from_json
-from .project import project
-from .semiring import FIN, RMAX, TOP, Scalar, fin
-from .separate import HalfSpace, halfspace_contains, lift, lift_family, separate_from_convex
+from .semiring import FIN, RMAX, TOP, Scalar
+from .separate import HalfSpace, halfspace_contains, separate_from_convex
 
 _TAGS = ("+", "-", ".")
 # Samples per axis when a scene names none.
@@ -123,34 +121,70 @@ def _xml_text(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-# Breakpoints in u of each predicate along the row at height v.  Between two
-# consecutive breakpoints the order of every affine piece the predicate
-# compares is fixed, so the predicate is constant there.
+# A bound, or a side of a line's equation, ranked as a pair: (0, 0) is -inf,
+# (1, value) a finite value and (2, 0) +inf, so that tuple order is the
+# order of the extended line.
+_BOT = (0, 0)
+_TOP = (2, 0)
 
 
-def _hull_breaks(gens: list[Vector], v) -> list:
-    # lambda_g = min(u - g1, v - g2, 0); y compares u with g1 and g1 + v - g2
-    out = []
-    for g in gens:
-        g1, g2 = g.entries
-        if g1.kind == FIN:
-            out.append(g1.value)
-            if g2.kind == FIN:
-                out.append(g1.value + v - g2.value)
-    return out
+def _ranked(s: Scalar) -> tuple:
+    return (1, s.value) if s.kind == FIN else _TOP if s.kind == TOP else _BOT
 
 
-def _halfspace_breaks(h: HalfSpace, v) -> list:
-    # min(x1 - u, x2 - v, 0) <= min(y1 - u, y2 - v, nu)
-    (x1, x2), (y1, y2) = h.x_ref.entries, h.y.entries
-    ks = [s.value - v for s in (x2, y2) if s.kind == FIN] + [0]
-    if h.nu.kind == FIN:
-        ks.append(h.nu.value)
-    return [c.value - k for c in (x1, y1) if c.kind == FIN for k in ks]
+def _minus(a: tuple, b: tuple) -> tuple:
+    """a - b for ranked a and b; an infinite b decides alone: a - (-inf) is
+    +inf and a - (+inf) is -inf."""
+    if b[0] == 1:
+        return (1, a[1] - b[1]) if a[0] == 1 else a
+    return _TOP if b == _BOT else _BOT
+
+
+def _hull_rows(gens: list[Vector]):
+    """v -> ranked (lo, hi): the hull's row at height v is lo <= u <= hi.
+    With lambda_g = min(u - g1, v - g2, 0), the lifted projection fixes
+    (u, v, e) iff some lambda_g is e (u >= L1), some lambda_g + g2 is v
+    (u >= L3) and some lambda_g + g1 is u (u <= R)."""
+    ranked = [tuple(map(_ranked, g.entries)) for g in gens]
+    ranked = [g for g in ranked if _TOP not in g]  # lambda_g = -inf bounds nothing
+
+    def row(v):
+        vr = (1, v)
+        l1 = l3 = _TOP
+        r = _BOT
+        for g1, g2 in ranked:
+            shifted = _minus(g1, _minus(g2, vr))  # g1 + v - g2
+            if g2 <= vr:
+                l1 = min(l1, g1)
+            if g2 >= vr:
+                l3 = min(l3, shifted)
+            r = max(r, min(g1, shifted))
+        return max(l1, l3), r
+
+    return row
+
+
+def _halfspace_rows(h: HalfSpace):
+    """v -> ranked (lo, hi), as ``_hull_rows``.  With c1 = min(x2 - v, 0) and
+    c2 = min(y2 - v, nu) the row is {u : min(x1 - u, c1) <= min(y1 - u, c2)}:
+    u <= y1 - c1 unless x1 <= y1 or c1 = -inf, and u >= x1 - c2 unless
+    c1 <= c2 or x1 = -inf."""
+    (x1, x2), (y1, y2) = (tuple(map(_ranked, p.entries)) for p in (h.x_ref, h.y))
+    nu = _ranked(h.nu)
+
+    def row(v):
+        vr = (1, v)
+        c1 = min(_minus(x2, vr), (1, 0))
+        c2 = min(_minus(y2, vr), nu)
+        hi = _TOP if x1 <= y1 or c1 == _BOT else _minus(y1, c1)
+        lo = _BOT if c1 <= c2 or x1 == _BOT else _minus(x1, c2)
+        return lo, hi
+
+    return row
 
 
 def _line_breaks(spec: LineSpec, v) -> list:
-    # a + u against the constants b + v and c
+    # where a + u meets the constants b + v and c along the row at height v
     a, b, c = spec.a[1], spec.b[1], spec.c[1]
     if a.kind != FIN:
         return []
@@ -207,20 +241,14 @@ def _crossings(row: list, below: list):
         start = stop
 
 
-# A side of a line's equation ranked as a pair: (0, 0) is -inf (no term),
-# (1, value) a finite max and (2, 0) +inf (a top coefficient).
-_SIDE_BOT = (0, 0)
-_SIDE_TOP = (2, 0)
-
-
 def _line_side(spec: LineSpec, u, v):
     """Sign of lhs - rhs at exact coordinates: -1, 0, or 1."""
-    lhs = rhs = _SIDE_BOT
+    lhs = rhs = _BOT
     for (tag, coef), term_arg in ((spec.a, u), (spec.b, v), (spec.c, None)):
         if coef.kind == FIN:
             term = (1, coef.value if term_arg is None else coef.value + term_arg)
         elif coef.kind == TOP:
-            term = _SIDE_TOP
+            term = _TOP
         else:
             continue
         if tag != "-" and term > lhs:
@@ -263,41 +291,26 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
         f'<rect x="0" y="0" width="{_W}" height="{_W}" fill="#ffffff"/>',
     ]
 
-    def emit_region(breaks, contains, color: str, opacity: str) -> None:
+    ranked_us = [(1, u) for u in us]
+
+    def emit_region(rows, color: str, opacity: str) -> None:
         for j, v in enumerate(vs):
-            fv = fin(RMAX, v)
-            flags = _row_classes(
-                us, breaks(v), lambda u: contains(Vector(RMAX, (fin(RMAX, u), fv)))
-            )
-            start = 0
-            for stop, inside in _runs(flags):
-                if inside:
-                    x0 = xs[start] - half
-                    x1 = xs[stop - 1] + half
-                    parts.append(
-                        f'<rect x="{x0:.2f}" y="{ys[j] - half:.2f}" '
-                        f'width="{x1 - x0:.2f}" height="{step:.2f}" '
-                        f'fill="{color}" fill-opacity="{opacity}"/>'
-                    )
-                start = stop
+            lo, hi = rows(v)
+            start, stop = bisect_left(ranked_us, lo), bisect_right(ranked_us, hi)
+            if start < stop:
+                x0 = xs[start] - half
+                x1 = xs[stop - 1] + half
+                parts.append(
+                    f'<rect x="{x0:.2f}" y="{ys[j] - half:.2f}" '
+                    f'width="{x1 - x0:.2f}" height="{step:.2f}" '
+                    f'fill="{color}" fill-opacity="{opacity}"/>'
+                )
 
     for h in scene.halfspaces:
-        emit_region(
-            lambda v, h=h: _halfspace_breaks(h, v),
-            lambda p, h=h: halfspace_contains(h, p),
-            "#b8b8b8",
-            "0.6",
-        )
+        emit_region(_halfspace_rows(h), "#b8b8b8", "0.6")
     fam = GeneratingFamily(RMAX, 2, tuple(scene.generators))
     if fam:
-        lifted = lift_family(fam)
-        emit_region(
-            lambda v: _hull_breaks(scene.generators, v),
-            # p is in the hull iff the lifted projection fixes (p, e)
-            lambda p: project(lifted, lift(p)).fixed,
-            "#4a4a4a",
-            "0.85",
-        )
+        emit_region(_hull_rows(scene.generators), "#4a4a4a", "0.85")
 
     for li, spec in enumerate(scene.lines):
         color = _LINE_COLORS[li % len(_LINE_COLORS)]

@@ -6,11 +6,13 @@ import json
 import random
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 from idemod import (
     BOOL,
     RMAX,
     CoVector,
+    HalfSpace,
     Matrix,
     add,
     bot,
@@ -36,6 +38,7 @@ from idemod import (
 from idemod.cli import main
 from idemod.dual import lattice_meet, vec_key
 from idemod.laws import oracle_hull, oracle_transform, rand_grid, rand_slopes, run_suite
+from idemod.render import MAX_SAMPLES, MAX_SCENE_ITEMS, Scene, render_scene
 
 SEED = 20260808
 
@@ -269,3 +272,23 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
         )
         assert run("project", str(dim))[0] == 3
         assert run("render", str(scene), "--out", str(tmp_path / "no" / "x.svg"))[0] == 4
+
+
+def test_render_regions_at_the_sample_cap():
+    with criterion("C10", "16 generators and 16 half-spaces at 2048^2 rendered, under 3 s"):
+        rng = random.Random(SEED)
+
+        def quarter_point():
+            return vector(RMAX, [Fraction(rng.randrange(-24, 25), 4) for _ in range(2)])
+
+        gens = [quarter_point() for _ in range(MAX_SCENE_ITEMS)]
+        hs = [
+            HalfSpace(quarter_point(), quarter_point(), fin(RMAX, Fraction(rng.randrange(-8, 9), 4)))
+            for _ in range(MAX_SCENE_ITEMS)
+        ]
+        scene = Scene((-8, 8, -8, 8), MAX_SAMPLES, gens, [], hs, [])
+        t0 = time.monotonic()
+        svg, _ = render_scene(scene)
+        elapsed = time.monotonic() - t0
+        assert svg.count("<rect ") > MAX_SAMPLES  # the background and some shading
+        assert elapsed < 3.0, f"took {elapsed:.2f}s"

@@ -291,6 +291,22 @@ def test_laws_command(tmp_path, capsys):
     assert code2 == 0 and out2 == out
 
 
+def test_laws_failure_record_carries_original_and_steps(capsys, monkeypatch):
+    from idemod import RMAX, fin, laws
+
+    def failing(suite, seed, trials):
+        report = laws.SuiteReport(suite, seed, trials or 1)
+        laws._fail(report, "never", {"a": fin(RMAX, 7)}, lambda c: False)
+        return report
+
+    monkeypatch.setattr(laws, "run_suite", failing)
+    code, out, _ = run_cli(capsys, "laws", "residuation")
+    [failure] = json.loads(out)["failures"]
+    assert code == 1 and failure["law"] == "never"
+    assert failure["original"] == {"a": repr(fin(RMAX, 7))} != failure["case"]
+    assert failure["steps"] >= 1
+
+
 def test_json_roundtrip_is_reparseable(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "project", write(tmp_path, "p.json", PROJECT_FILE))
     again = canonical_dumps(json.loads(out))

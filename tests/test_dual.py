@@ -159,13 +159,21 @@ def test_riesz_eval():
 
 
 def test_riesz_represent_roundtrip():
-    x = represent_form([fin(RMAX, -2), fin(RMAX, 1)], PHI0, RMAX)
+    x = represent_form([fin(RMAX, -2), fin(RMAX, 1)], PHI0)
     assert x == vector(RMAX, [2, -1])
-    assert represent_form([bot(RMAX), bot(RMAX)], PHI0, RMAX) == top_vector(RMAX, 2)
+    assert represent_form([bot(RMAX), bot(RMAX)], PHI0) == top_vector(RMAX, 2)
     basis = [vector(RMAX, [0, "-inf"]), vector(RMAX, ["-inf", 0])]
     for probe in (vector(RMAX, [1, 5]), vector(RMAX, ["-inf", 2]), top_vector(RMAX, 2)):
         values = [eval_form(probe, PHI0, d) for d in basis]
-        assert represent_form(values, PHI0, RMAX) == probe
+        assert represent_form(values, PHI0) == probe
+
+
+def test_represent_form_takes_the_semiring_of_phi():
+    # the covector's own checks reject an empty basis and foreign values
+    with pytest.raises(MismatchError, match="dimension"):
+        represent_form([], PHI0)
+    with pytest.raises(MismatchError):
+        represent_form([top(BOOL)], PHI0)
 
 
 def test_extend_form():

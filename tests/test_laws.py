@@ -60,10 +60,22 @@ def test_nmax_suite_reports_pinned_counterexample():
 def test_shrink_finds_small_counterexample():
     # a deliberately false "law": multiplication never exceeds the left factor
     case = {"a": fin(RMAX, 7), "lam": fin(RMAX, 5)}
-    small = _shrink(case, lambda c: leq(mul(c["a"], c["lam"]), c["a"]))
+    small, steps = _shrink(case, lambda c: leq(mul(c["a"], c["lam"]), c["a"]))
     assert not leq(mul(small["a"], small["lam"]), small["a"])
     # at least one component was simplified away from the original values
-    assert small != case
+    assert small != case and steps >= 1
+
+
+def test_failure_records_original_case_and_shrink_steps():
+    report = laws.SuiteReport("demo", seed=0, trials=1)
+    case = {"a": fin(RMAX, 7), "lam": fin(RMAX, 5)}
+    assert laws._fail(report, "never", case, lambda c: False) is False
+    [failure] = report.failures
+    assert failure.original == {"a": repr(fin(RMAX, 7)), "lam": repr(fin(RMAX, 5))}
+    assert failure.case != failure.original
+    # a predicate that always fails takes every candidate until the budget of
+    # 300 is spent, and each step spends at least one
+    assert 1 <= failure.steps < 300
 
 
 def test_failure_formatting():
@@ -207,9 +219,9 @@ def test_matrix_failures_are_shrunk(monkeypatch):
     real_shrink = laws._shrink
 
     def recording_shrink(case, pred):
-        small = real_shrink(case, pred)
+        small, steps = real_shrink(case, pred)
         shrunk.append((case, small))
-        return small
+        return small, steps
 
     monkeypatch.setattr(laws, "_shrink", recording_shrink)
     rep = run_suite("residuation", seed=20260808, trials=20)
@@ -217,6 +229,7 @@ def test_matrix_failures_are_shrunk(monkeypatch):
     assert failure.law.startswith("mat2/")
     [(original, small)] = shrunk
     assert failure.case == {k: repr(v) for k, v in small.items()}
+    assert failure.original == {k: repr(v) for k, v in original.items()}
     assert _finite_entries(list(small.values())) < _finite_entries(list(original.values()))
 
 

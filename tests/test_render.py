@@ -1,5 +1,5 @@
-"""Interval classification of raster rows against per-sample classification,
-and the byte gate on the README figure."""
+"""Closed-form region rows and interval classification of line rows against
+per-sample classification, and the byte gate on the README figure."""
 import hashlib
 from fractions import Fraction
 from unittest import mock
@@ -22,15 +22,20 @@ from idemod import (
 )
 from idemod.errors import SchemaError
 from idemod.render import (
+    _BOT,
+    _MARGIN,
+    _TOP,
+    _W,
     MAX_SAMPLES,
     LineSpec,
     Scene,
     _crossings,
-    _halfspace_breaks,
-    _hull_breaks,
+    _halfspace_rows,
+    _hull_rows,
     _line_breaks,
     _line_side,
     _row_classes,
+    _runs,
     render_scene,
     scene_from_json,
 )
@@ -73,6 +78,12 @@ grid_rows = st.sampled_from(GRIDS).flatmap(
 )
 
 
+def within(bounds, u):
+    """u lies in the closed interval of ranked bounds (lo, hi)."""
+    lo, hi = bounds
+    return lo <= (1, u) <= hi
+
+
 @settings(max_examples=300)
 @given(st.lists(points2, min_size=1, max_size=4), grid_rows)
 def test_hull_row_matches_per_sample(gens, grid_row):
@@ -80,8 +91,10 @@ def test_hull_row_matches_per_sample(gens, grid_row):
     us, vs = samples(viewport, n)
     v = vs[j]
     fam = GeneratingFamily(RMAX, 2, tuple(gens))
-    classify = lambda u: separate_from_convex(fam, point(u, v)).member  # noqa: E731
-    assert _row_classes(us, _hull_breaks(gens, v), classify) == per_sample(us, None, classify)
+    bounds = _hull_rows(gens)(v)
+    assert [within(bounds, u) for u in us] == [
+        separate_from_convex(fam, point(u, v)).member for u in us
+    ]
 
 
 @settings(max_examples=300)
@@ -90,8 +103,8 @@ def test_halfspace_row_matches_per_sample(h, grid_row):
     (viewport, n), j = grid_row
     us, vs = samples(viewport, n)
     v = vs[j]
-    classify = lambda u: halfspace_contains(h, point(u, v))  # noqa: E731
-    assert _row_classes(us, _halfspace_breaks(h, v), classify) == per_sample(us, None, classify)
+    bounds = _halfspace_rows(h)(v)
+    assert [within(bounds, u) for u in us] == [halfspace_contains(h, point(u, v)) for u in us]
 
 
 @settings(max_examples=300)
@@ -177,6 +190,38 @@ def test_crossings_match_per_cell(rows):
             assert list(_crossings(row, below)) == crossings_per_cell(row, below)
 
 
+def region_rects_per_sample(scene):
+    """The oracle for region shading: every sample classified on its own with
+    the library predicates, and one rect per run of inside samples."""
+    xmin, xmax, ymin, ymax = (Fraction(t) for t in scene.viewport)
+    n = scene.samples
+    us, vs = samples(scene.viewport, n)
+    inner = _W - 2 * _MARGIN
+    xs = [float(_MARGIN + (u - xmin) / (xmax - xmin) * inner) for u in us]
+    ys = [float(_W - _MARGIN - (v - ymin) / (ymax - ymin) * inner) for v in vs]
+    step = inner / (n - 1)
+    half = step / 2
+    regions = [
+        (lambda p, h=h: halfspace_contains(h, p), "#b8b8b8", "0.6") for h in scene.halfspaces
+    ]
+    if scene.generators:
+        fam = GeneratingFamily(RMAX, 2, tuple(scene.generators))
+        regions.append((lambda p: separate_from_convex(fam, p).member, "#4a4a4a", "0.85"))
+    rects = []
+    for contains, color, opacity in regions:
+        for v, y in zip(vs, ys):
+            start = 0
+            for stop, inside in _runs([contains(point(u, v)) for u in us]):
+                if inside:
+                    x0, x1 = xs[start] - half, xs[stop - 1] + half
+                    rects.append(
+                        f'<rect x="{x0:.2f}" y="{y - half:.2f}" width="{x1 - x0:.2f}" '
+                        f'height="{step:.2f}" fill="{color}" fill-opacity="{opacity}"/>'
+                    )
+                start = stop
+    return rects
+
+
 @settings(max_examples=40)
 @given(
     st.sampled_from(GRIDS),
@@ -185,11 +230,19 @@ def test_crossings_match_per_cell(rows):
     st.lists(lines, max_size=2),
 )
 def test_svg_bytes_match_per_sample_render(grid, gens, hs, ls):
+    """Regions shaded per sample and line rows classified per sample give the
+    same bytes as the closed-form rows and the interval classification."""
     viewport, n = grid
     scene = Scene(viewport, n, gens, [], hs, ls)
     svg, _ = render_scene(scene)
-    with mock.patch("idemod.render._row_classes", per_sample):
-        oracle, _ = render_scene(scene)
+    no_region = lambda _: lambda v: (_TOP, _BOT)  # noqa: E731
+    with mock.patch("idemod.render._row_classes", per_sample), mock.patch(
+        "idemod.render._hull_rows", no_region
+    ), mock.patch("idemod.render._halfspace_rows", no_region):
+        rest, _ = render_scene(scene)
+    # region rects come right after the svg header, the comment and the background
+    parts = rest.split("\n")
+    oracle = "\n".join(parts[:3] + region_rects_per_sample(scene) + parts[3:])
     assert svg == oracle
 
 
