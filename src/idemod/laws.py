@@ -173,21 +173,26 @@ def _toward_zero(q):
     return q // 2 if isinstance(q, int) else int(q)
 
 
+def _below(q, ladder: tuple) -> tuple:
+    """The rungs of ladder below q, or all of them when q is off the ladder."""
+    return ladder[:ladder.index(q)] if q in ladder else ladder
+
+
 def _simpler_scalar(s: Scalar):
+    """Candidates of strictly lower rank, so that shrinking ends: bottom <
+    unit < top < any other finite value, and those move toward 0."""
     sr = s.semiring
     if sr.name == "mat":
-        # one entry at a time: -inf, 0 or +inf, or a finite one moved toward 0
+        # one entry at a time, ranked -inf < 0 < +inf < any other finite value
         flat = s.value
         for i, q in enumerate(flat):
-            cands = [c for c in (NEG_INF, 0, POS_INF) if c != q]
+            cands = _below(q, (NEG_INF, 0, POS_INF))
             if q is not NEG_INF and q is not POS_INF and q not in (0, 1, -1):
-                cands.append(_toward_zero(q))
+                cands += (_toward_zero(q),)
             for c in cands:
                 yield Scalar(sr, MAT, flat[:i] + (c,) + flat[i + 1:])
         return
-    for cand in (bot(sr), unit(sr), top(sr)):
-        if cand != s:
-            yield cand
+    yield from _below(s, (bot(sr), unit(sr), top(sr)))
     if s.kind == FIN and s.value not in (0, 1, -1):
         yield fin(sr, _toward_zero(s.value))
 

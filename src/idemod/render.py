@@ -2,14 +2,19 @@
 labelled points with projection arrows, and the generic line shapes
 max(a+u, b+v, c) = max(a'+u, b'+v, c').
 
-Regions are rasterised on a grid of exact rational sample points, one row
-at a time.  Each row of a hull or a half-space is one closed interval in u
-(every axis-parallel slice of a tropical polytope is a segment) with exact
-bounds in closed form.  A line's sign along a row is constant between at
-most two exact breakpoints: it is computed once per open interval between
-them and once per sample on one.  So only the picture is approximate, never
-the algebra.  Output bytes are a pure function of the scene and the library
-version.
+Regions are rasterised on a grid of exact sample points, one row at a
+time.  The raster runs on the scene scaled once by k, the least common
+multiple of every denominator in it (viewport corner, sample steps and
+finite entries), so samples, bounds and breakpoints are ints.  That is
+exact: every raster quantity is built from max, min, + and -, which commute
+with multiplication by k > 0, so no comparison changes.  Labelled points are
+classified on the unscaled scene.  Each row of a hull or a half-space is one
+closed interval in u (every axis-parallel slice of a tropical polytope is a
+segment) with exact bounds in closed form.  A line's sign along a row is
+constant between at most two exact breakpoints: it is computed once per open
+interval between them and once per sample on one.  So only the picture is
+approximate, never the algebra.  Output bytes are a pure function of the
+scene and the library version.
 """
 from __future__ import annotations
 
@@ -18,12 +23,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
+from math import lcm
 
 from . import __version__
 from .errors import SchemaError
 from .freemod import GeneratingFamily, Vector
 from .jsonio import rational_from_json, scalar_from_json, vector_from_json
-from .semiring import FIN, RMAX, TOP, Scalar
+from .semiring import FIN, RMAX, TOP, Scalar, fin
 from .separate import HalfSpace, halfspace_contains, separate_from_convex
 
 _TAGS = ("+", "-", ".")
@@ -222,12 +228,12 @@ def _runs(row: list) -> list[tuple[int, object]]:
     return out
 
 
-def _crossings(row: list, below: list):
-    """Ascending i with row[i] == 0, row[i] != row[i + 1] or row[i] != below[i]:
-    the cells of a line's sign row that the line crosses.  Walks the segments
-    on which both rows are constant, so the cost is in runs, not cells."""
-    n = len(row)
-    runs, runs_below = _runs(row), _runs(below)
+def _crossings(runs: list, runs_below: list):
+    """Ascending i with row[i] == 0, row[i] != row[i + 1] or row[i] != below[i]
+    for the sign rows with these ``_runs``: the cells of a line's sign row that
+    the line crosses.  Walks the segments on which both rows are constant, so
+    the cost is in runs, not cells."""
+    n = runs[-1][0]
     start = a = b = 0
     while start < n:
         (stop_a, s), (stop_b, t) = runs[a], runs_below[b]
@@ -263,12 +269,31 @@ _MARGIN = 40
 _LINE_COLORS = ("#1f4e9c", "#9c1f1f", "#1f7a3c", "#7a1f9c")
 
 
+def _pixels(n: int) -> tuple[list[float], list[float]]:
+    """The pixel x of sample column i and y of sample row j on an n x n grid:
+    px and py of the sample, as exact ratios of ints.  int / int rounds
+    correctly, as float(Fraction) does, so the floats are the same."""
+    inner, m = _W - 2 * _MARGIN, n - 1
+    xs = [(_MARGIN * m + i * inner) / m for i in range(n)]
+    ys = [((_W - _MARGIN) * m - j * inner) / m for j in range(n)]
+    return xs, ys
+
+
+def _scaled(s: Scalar, k: int) -> Scalar:
+    return fin(RMAX, s.value * k) if s.kind == FIN else s
+
+
+def _scaled_vector(p: Vector, k: int) -> Vector:
+    return Vector(RMAX, tuple(_scaled(s, k) for s in p.entries))
+
+
 def render_scene(scene: Scene) -> tuple[str, dict]:
     """Build the SVG text plus an exact classification of the labelled
     points (hull membership and half-space membership)."""
     xmin, xmax, ymin, ymax = (Fraction(t) for t in scene.viewport)
     n = scene.samples
     span_x, span_y = xmax - xmin, ymax - ymin
+    dx, dy = span_x / (n - 1), span_y / (n - 1)
     inner = _W - 2 * _MARGIN
 
     def px(u: Fraction) -> float:
@@ -277,10 +302,18 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
     def py(v: Fraction) -> float:
         return float(_W - _MARGIN - (v - ymin) / span_y * inner)
 
-    us = [xmin + span_x * i / (n - 1) for i in range(n)]
-    vs = [ymin + span_y * j / (n - 1) for j in range(n)]
-    xs = [px(u) for u in us]
-    ys = [py(v) for v in vs]
+    # the raster runs on the scene scaled by k, on ints (see the module docstring)
+    scalars = [s for g in scene.generators for s in g.entries]
+    for h in scene.halfspaces:
+        scalars += [*h.x_ref.entries, *h.y.entries, h.nu]
+    for spec in scene.lines:
+        scalars += [spec.a[1], spec.b[1], spec.c[1]]
+    k = lcm(*(q.denominator for q in (xmin, ymin, dx, dy)),
+            *(s.value.denominator for s in scalars if s.kind == FIN))
+    u0, v0, du, dv = (int(q * k) for q in (xmin, ymin, dx, dy))
+    us = [u0 + i * du for i in range(n)]
+    vs = [v0 + j * dv for j in range(n)]
+    xs, ys = _pixels(n)
     step = inner / (n - 1)
     half = step / 2
 
@@ -307,24 +340,29 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
                 )
 
     for h in scene.halfspaces:
+        h = HalfSpace(_scaled_vector(h.x_ref, k), _scaled_vector(h.y, k), _scaled(h.nu, k))
         emit_region(_halfspace_rows(h), "#b8b8b8", "0.6")
     fam = GeneratingFamily(RMAX, 2, tuple(scene.generators))
     if fam:
-        emit_region(_hull_rows(scene.generators), "#4a4a4a", "0.85")
+        gens = [_scaled_vector(g, k) for g in scene.generators]
+        emit_region(_hull_rows(gens), "#4a4a4a", "0.85")
 
+    x_attrs = [f'<rect x="{x - half:.2f}" y="' for x in xs]
+    y_attrs = [f'{y - half:.2f}" ' for y in ys]
     for li, spec in enumerate(scene.lines):
-        color = _LINE_COLORS[li % len(_LINE_COLORS)]
-        signs = [
-            _row_classes(us, _line_breaks(spec, v), lambda u, v=v: _line_side(spec, u, v))
+        spec = LineSpec(*((tag, _scaled(coef, k)) for tag, coef in (spec.a, spec.b, spec.c)))
+        tail = (
+            f'width="{step:.2f}" height="{step:.2f}" '
+            f'fill="{_LINE_COLORS[li % len(_LINE_COLORS)]}"/>'
+        )
+        runs = [
+            _runs(_row_classes(us, _line_breaks(spec, v), lambda u, v=v: _line_side(spec, u, v)))
             for v in vs
         ]
         for j in range(n):
-            below = signs[j + 1] if j + 1 < n else signs[j]
-            for i in _crossings(signs[j], below):
-                parts.append(
-                    f'<rect x="{xs[i] - half:.2f}" y="{ys[j] - half:.2f}" '
-                    f'width="{step:.2f}" height="{step:.2f}" fill="{color}"/>'
-                )
+            below = runs[j + 1] if j + 1 < n else runs[j]
+            row_tail = y_attrs[j] + tail
+            parts += [x_attrs[i] + row_tail for i in _crossings(runs[j], below)]
 
     # axes through the origin when visible
     if xmin <= 0 <= xmax:

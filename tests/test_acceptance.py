@@ -38,7 +38,7 @@ from idemod import (
 from idemod.cli import main
 from idemod.dual import lattice_meet, vec_key
 from idemod.laws import oracle_hull, oracle_transform, rand_grid, rand_slopes, run_suite
-from idemod.render import MAX_SAMPLES, MAX_SCENE_ITEMS, Scene, render_scene
+from idemod.render import MAX_SAMPLES, MAX_SCENE_ITEMS, LineSpec, Scene, render_scene
 
 SEED = 20260808
 
@@ -291,4 +291,31 @@ def test_render_regions_at_the_sample_cap():
         svg, _ = render_scene(scene)
         elapsed = time.monotonic() - t0
         assert svg.count("<rect ") > MAX_SAMPLES  # the background and some shading
+        assert elapsed < 3.0, f"took {elapsed:.2f}s"
+
+
+def test_render_dense_lines():
+    with criterion("C11", "16 lines, 16 half-spaces and 3 generators at 400^2 rendered, under 3 s"):
+        rng = random.Random(SEED)
+
+        def quarter():
+            return Fraction(rng.randrange(-24, 25), 4)
+
+        def coef():
+            return (rng.choice("+-."), fin(RMAX, quarter()))
+
+        def quarter_point():
+            return vector(RMAX, [quarter(), quarter()])
+
+        lines = [LineSpec(coef(), coef(), coef()) for _ in range(MAX_SCENE_ITEMS)]
+        hs = [
+            HalfSpace(quarter_point(), quarter_point(), fin(RMAX, Fraction(rng.randrange(-8, 9), 4)))
+            for _ in range(MAX_SCENE_ITEMS)
+        ]
+        gens = [quarter_point() for _ in range(3)]
+        scene = Scene((-8, 8, -8, 8), 400, gens, [], hs, lines)
+        t0 = time.monotonic()
+        svg, _ = render_scene(scene)
+        elapsed = time.monotonic() - t0
+        assert svg.count('fill="#1f4e9c"/>') > 400  # the first line crosses some cells
         assert elapsed < 3.0, f"took {elapsed:.2f}s"

@@ -4,12 +4,14 @@ that ``laws._scalar_terms`` computes once per case."""
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from idemod import IdemodError
 from idemod import laws
 from idemod import semiring
+from idemod.freemod import Vector
 from idemod.laws import SUITES, Failure, run_suite, _shrink
 from idemod.semiring import (
     BOOL,
@@ -73,9 +75,9 @@ def test_failure_records_original_case_and_shrink_steps():
     [failure] = report.failures
     assert failure.original == {"a": repr(fin(RMAX, 7)), "lam": repr(fin(RMAX, 5))}
     assert failure.case != failure.original
-    # a predicate that always fails takes every candidate until the budget of
-    # 300 is spent, and each step spends at least one
-    assert 1 <= failure.steps < 300
+    # a predicate that always fails takes each scalar to bottom in one step
+    assert failure.case == {"a": repr(bot(RMAX)), "lam": repr(bot(RMAX))}
+    assert failure.steps == 2
 
 
 def test_failure_formatting():
@@ -236,11 +238,50 @@ def test_matrix_failures_are_shrunk(monkeypatch):
 def test_matrix_shrink_candidates():
     x = mat_of([[fin(RMAX, 6), bot(RMAX)], [top(RMAX), fin(RMAX, 0)]])
     cands = {tuple(c.value) for c in laws._simpler(x)}
-    assert (NEG_INF, NEG_INF, POS_INF, 0) in cands  # 6 -> -inf
-    assert (3, NEG_INF, POS_INF, 0) in cands  # 6 moved toward 0
-    assert (6, 0, POS_INF, 0) in cands and (6, NEG_INF, POS_INF, POS_INF) in cands
-    assert x.value not in cands
+    # each entry moves only down the ranks -inf < 0 < +inf < other finite
+    assert cands == {
+        (NEG_INF, NEG_INF, POS_INF, 0),  # 6 -> -inf
+        (0, NEG_INF, POS_INF, 0),  # 6 -> 0
+        (POS_INF, NEG_INF, POS_INF, 0),  # 6 -> +inf
+        (3, NEG_INF, POS_INF, 0),  # 6 moved toward 0
+        (6, NEG_INF, NEG_INF, 0),  # +inf -> -inf
+        (6, NEG_INF, 0, 0),  # +inf -> 0
+        (6, NEG_INF, POS_INF, NEG_INF),  # 0 -> -inf
+    }
     assert all(c.semiring is x.semiring for c in laws._simpler(x))
+
+
+def test_scalar_shrink_candidates_have_lower_rank():
+    for sr in (RMAX, NMAX, BOOL):
+        assert list(laws._simpler(bot(sr))) == []
+        assert list(laws._simpler(top(sr))) == [bot(sr)] + ([] if sr is BOOL else [fin(sr, 0)])
+    assert list(laws._simpler(fin(RMAX, 0))) == [bot(RMAX)]
+    assert list(laws._simpler(fin(RMAX, -1))) == [bot(RMAX), fin(RMAX, 0), top(RMAX)]
+    assert list(laws._simpler(fin(RMAX, Fraction(7, 2)))) == [
+        bot(RMAX), fin(RMAX, 0), top(RMAX), fin(RMAX, 3)
+    ]
+
+
+def test_always_failing_shrink_reaches_bottom_one_step_per_scalar():
+    """With a predicate that never holds, every candidate is taken, and each
+    step lowers one scalar (or one matrix entry) straight to bottom."""
+    mat2 = matrix_semiring(2)
+    case = {
+        "a": fin(RMAX, 7),
+        "lam": top(RMAX),
+        "x": Vector(RMAX, (fin(RMAX, Fraction(5, 2)), bot(RMAX), fin(RMAX, 0))),
+        "m": mat_of([[fin(RMAX, 6), bot(RMAX)], [top(RMAX), fin(RMAX, 0)]]),
+        "n": fin(NMAX, 4),
+    }
+    small, steps = _shrink(case, lambda c: False)
+    assert small == {
+        "a": bot(RMAX),
+        "lam": bot(RMAX),
+        "x": Vector(RMAX, (bot(RMAX),) * 3),
+        "m": bot(mat2),
+        "n": bot(NMAX),
+    }
+    assert steps == 1 + 1 + 2 + 3 + 1
 
 
 # -- reported cases, case distributions and the pinned reports ----------------

@@ -23,6 +23,7 @@ from idemod import (
 from idemod.errors import SchemaError
 from idemod.render import (
     _BOT,
+    _LINE_COLORS,
     _MARGIN,
     _TOP,
     _W,
@@ -34,6 +35,7 @@ from idemod.render import (
     _hull_rows,
     _line_breaks,
     _line_side,
+    _pixels,
     _row_classes,
     _runs,
     render_scene,
@@ -44,12 +46,14 @@ from idemod.separate import HalfSpace, halfspace_contains
 from conftest import scalars, vectors
 
 # grids whose steps (1/2, 1/4, 3/5, ...) land on the quarter-integer
-# coordinates and breakpoints that scalars() draws, plus an irregular one
+# coordinates and breakpoints that scalars() draws, plus two irregular ones,
+# the last with steps 1/3 and 2/7 that divide no quarter and a corner in fifths
 GRIDS = [
     ((-4, 4, -4, 4), 17),
     ((-4, 4, -4, 4), 33),
     ((-3, 6, -3, 6), 16),
     ((Fraction(-5, 2), 3, -2, Fraction(7, 3)), 19),
+    ((Fraction(-5, 2), Fraction(5, 2), Fraction(-11, 5), Fraction(73, 35)), 16),
 ]
 
 
@@ -187,19 +191,65 @@ sign_rows = st.integers(min_value=1, max_value=24).flatmap(
 def test_crossings_match_per_cell(rows):
     for row in rows:
         for below in rows:
-            assert list(_crossings(row, below)) == crossings_per_cell(row, below)
+            assert list(_crossings(_runs(row), _runs(below))) == crossings_per_cell(row, below)
+
+
+def pixels_per_sample(viewport, n):
+    """The oracle for pixel centres: px and py of each exact sample."""
+    xmin, xmax, ymin, ymax = (Fraction(t) for t in viewport)
+    us, vs = samples(viewport, n)
+    inner = _W - 2 * _MARGIN
+    xs = [float(_MARGIN + (u - xmin) / (xmax - xmin) * inner) for u in us]
+    ys = [float(_W - _MARGIN - (v - ymin) / (ymax - ymin) * inner) for v in vs]
+    return xs, ys
+
+
+@pytest.mark.parametrize("grid", GRIDS + [((-4, 4, -4, 4), MAX_SAMPLES)])
+def test_pixels_match_exact_samples(grid):
+    assert _pixels(grid[1]) == pixels_per_sample(*grid)
+
+
+def line_rects_per_sample(scene):
+    """The oracle for lines: signs from the max-plus operations on the exact
+    samples, and one rect per cell that crossings_per_cell picks."""
+    n = scene.samples
+    us, vs = samples(scene.viewport, n)
+    xs, ys = pixels_per_sample(scene.viewport, n)
+    step = (_W - 2 * _MARGIN) / (n - 1)
+    half = step / 2
+    rects = []
+    for li, spec in enumerate(scene.lines):
+        color = _LINE_COLORS[li % len(_LINE_COLORS)]
+        signs = [[line_side_oracle(spec, u, v) for u in us] for v in vs]
+        for j, y in enumerate(ys):
+            for i in crossings_per_cell(signs[j], signs[min(j + 1, n - 1)]):
+                rects.append(
+                    f'<rect x="{xs[i] - half:.2f}" y="{y - half:.2f}" '
+                    f'width="{step:.2f}" height="{step:.2f}" fill="{color}"/>'
+                )
+    return rects
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(GRIDS), st.lists(lines_with_infinities, min_size=1, max_size=2))
+def test_line_rects_match_maxplus_oracle(grid, ls):
+    """The line rects of a render are the cells that the max-plus sign oracle
+    on the exact rational samples picks, whatever lattice the render uses."""
+    viewport, n = grid
+    scene = Scene(viewport, n, lines=ls)
+    svg, _ = render_scene(scene)
+    parts = render_scene(Scene(viewport, n))[0].split("\n")
+    # line rects come right after the svg header, the comment and the background
+    assert svg == "\n".join(parts[:3] + line_rects_per_sample(scene) + parts[3:])
 
 
 def region_rects_per_sample(scene):
     """The oracle for region shading: every sample classified on its own with
     the library predicates, and one rect per run of inside samples."""
-    xmin, xmax, ymin, ymax = (Fraction(t) for t in scene.viewport)
     n = scene.samples
     us, vs = samples(scene.viewport, n)
-    inner = _W - 2 * _MARGIN
-    xs = [float(_MARGIN + (u - xmin) / (xmax - xmin) * inner) for u in us]
-    ys = [float(_W - _MARGIN - (v - ymin) / (ymax - ymin) * inner) for v in vs]
-    step = inner / (n - 1)
+    xs, ys = pixels_per_sample(scene.viewport, n)
+    step = (_W - 2 * _MARGIN) / (n - 1)
     half = step / 2
     regions = [
         (lambda p, h=h: halfspace_contains(h, p), "#b8b8b8", "0.6") for h in scene.halfspaces
