@@ -1,5 +1,5 @@
 """Finite free semimodules: column vectors, row covectors, rectangular
-matrices, and their residuations.
+matrices, generating families, and their residuations.
 
 Index sets are always {0..n-1}; every supremum in the library is a finite
 fold, so completeness never needs an actual infinite join.
@@ -36,8 +36,9 @@ class Vector:
     def __post_init__(self) -> None:
         if len(self.entries) < 1:
             raise MismatchError("vectors have dimension >= 1")
+        sr = self.semiring
         for s in self.entries:
-            if s.semiring != self.semiring:
+            if s.semiring is not sr and s.semiring != sr:
                 raise MismatchError("vector entries must share the semiring")
 
     @property
@@ -64,12 +65,12 @@ class Matrix:
     def __post_init__(self) -> None:
         if len(self.entries) < 1 or len(self.entries[0]) < 1:
             raise MismatchError("matrices need at least one row and column")
-        p = len(self.entries[0])
+        p, sr = len(self.entries[0]), self.semiring
         for row in self.entries:
             if len(row) != p:
                 raise MismatchError("ragged matrix")
             for s in row:
-                if s.semiring != self.semiring:
+                if s.semiring is not sr and s.semiring != sr:
                     raise MismatchError("matrix entries must share the semiring")
 
     @property
@@ -81,25 +82,29 @@ class Matrix:
         return len(self.entries[0])
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratingFamily:
-    """Finite family of equal-dimension vectors; may be empty, in which case
-    it generates only the bottom vector."""
+@dataclass(frozen=True, slots=True, init=False)
+class GeneratingFamily(Matrix):
+    """Finite family of equal-dimension vectors, stored as its generator matrix
+    A (rows in ``entries``, generator g in column g), so the matrix kernels
+    apply to it.  An empty A has no columns and spans only the bottom vector."""
 
-    semiring: SemiringId
-    dim: int
-    generators: tuple[Vector, ...]
+    def __init__(self, semiring: SemiringId, dim: int, generators) -> None:
+        if dim < 1:
+            raise MismatchError("families have dimension >= 1")
+        if any(g.semiring is not semiring and g.semiring != semiring or g.dim != dim for g in generators):
+            raise MismatchError("family generators must share semiring and dimension")
+        rows = tuple(zip(*(g.entries for g in generators))) or ((),) * dim
+        object.__setattr__(self, "semiring", semiring)
+        object.__setattr__(self, "entries", rows)
 
-    def __post_init__(self) -> None:
-        for g in self.generators:
-            if g.semiring != self.semiring or g.dim != self.dim:
-                raise MismatchError("family generators must share semiring and dimension")
+    dim = Matrix.rows  # of the generators
+    generators = property(tuple)  # the columns of A as vectors
 
     def __len__(self) -> int:
-        return len(self.generators)
+        return len(self.entries[0])
 
     def __iter__(self):
-        return iter(self.generators)
+        return (Vector(self.semiring, col) for col in zip(*self.entries))
 
 
 def vector(sr: SemiringId, values) -> Vector:
@@ -122,9 +127,16 @@ def family(sr: SemiringId, vectors_) -> GeneratingFamily:
 
 
 def column_family(a: Matrix) -> GeneratingFamily:
-    """The columns of ``a`` as a generating family."""
-    cols = tuple(Vector(a.semiring, col) for col in zip(*a.entries))
-    return GeneratingFamily(a.semiring, a.rows, cols)
+    """The columns of ``a`` as a generating family, whose matrix is ``a``."""
+    return _family_of_rows(a.semiring, a.entries)
+
+
+def _family_of_rows(sr: SemiringId, rows) -> GeneratingFamily:
+    # rows must already be equal-length rows of scalars over sr
+    w = object.__new__(GeneratingFamily)
+    object.__setattr__(w, "semiring", sr)
+    object.__setattr__(w, "entries", rows)
+    return w
 
 
 def bot_vector(sr: SemiringId, n: int) -> Vector:
@@ -136,7 +148,7 @@ def top_vector(sr: SemiringId, n: int) -> Vector:
 
 
 def _need_like(x: Vector, y: Vector) -> None:
-    if x.semiring != y.semiring:
+    if x.semiring is not y.semiring and x.semiring != y.semiring:
         raise MismatchError("mixed semirings")
     if x.dim != y.dim:
         raise MismatchError(f"dimension mismatch {x.dim} vs {y.dim}")
@@ -174,18 +186,17 @@ def vmeet(x: Vector, y: Vector) -> Vector:
 
 def act(x: Vector, lam: Scalar) -> Vector:
     """Right action x * lam, entrywise."""
-    if lam.semiring != x.semiring:
+    if lam.semiring is not x.semiring and lam.semiring != x.semiring:
         raise MismatchError("scalar from a different semiring")
     return Vector(x.semiring, tuple(mul(a, lam) for a in x.entries))
 
 
 def combine(w: GeneratingFamily, coeffs) -> Vector:
-    """The span element (+)_g g * c_g, one coefficient per generator of w;
-    the bottom vector when w is empty."""
+    """The span element A*c = (+)_g g * c_g of the generator matrix A of w,
+    one coefficient per generator; the bottom vector when w is empty."""
     if len(coeffs) != len(w):
         raise MismatchError(f"{len(coeffs)} coefficients for {len(w)} generators")
-    terms = list(map(act, w, coeffs))
-    return reduce(vjoin, terms) if terms else bot_vector(w.semiring, w.dim)
+    return mat_vec(w, Vector(w.semiring, tuple(coeffs))) if coeffs else bot_vector(w.semiring, w.dim)
 
 
 def vec_lres(x: Vector, y: Vector) -> Scalar:
@@ -196,13 +207,13 @@ def vec_lres(x: Vector, y: Vector) -> Scalar:
 
 def vec_rres(x: Vector, lam: Scalar) -> Vector:
     """x/lam: the greatest y with y*lam <= x, entrywise."""
-    if lam.semiring != x.semiring:
+    if lam.semiring is not x.semiring and lam.semiring != x.semiring:
         raise MismatchError("scalar from a different semiring")
     return Vector(x.semiring, tuple(rres(a, lam) for a in x.entries))
 
 
 def mat_vec(a: Matrix, x: Vector) -> Vector:
-    if a.semiring != x.semiring:
+    if a.semiring is not x.semiring and a.semiring != x.semiring:
         raise MismatchError("mixed semirings")
     if a.cols != x.dim:
         raise MismatchError(f"matrix with {a.cols} columns applied to dim {x.dim}")
@@ -210,7 +221,7 @@ def mat_vec(a: Matrix, x: Vector) -> Vector:
 
 
 def covec_mat(y: CoVector, a: Matrix) -> CoVector:
-    if a.semiring != y.semiring:
+    if a.semiring is not y.semiring and a.semiring != y.semiring:
         raise MismatchError("mixed semirings")
     if a.rows != y.dim:
         raise MismatchError(f"covector of dim {y.dim} applied to {a.rows} rows")
@@ -219,7 +230,7 @@ def covec_mat(y: CoVector, a: Matrix) -> CoVector:
 
 def mat_lres(a: Matrix, y: Vector) -> Vector:
     r"""a\y: the greatest x with a*x <= y (residuation of x -> a*x)."""
-    if a.semiring != y.semiring:
+    if a.semiring is not y.semiring and a.semiring != y.semiring:
         raise MismatchError("mixed semirings")
     if a.rows != y.dim:
         raise MismatchError(f"matrix with {a.rows} rows residuated against dim {y.dim}")

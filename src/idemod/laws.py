@@ -154,14 +154,14 @@ def rand_member(rng: random.Random, fam: GeneratingFamily) -> Vector:
     """Random span element: each generator scaled by a random scalar, or
     by bottom one time in five."""
     sr = fam.semiring
-    return combine(fam, [rand_scalar(rng, sr) if rng.random() < 0.8 else bot(sr) for _ in fam])
+    return combine(fam, [rand_scalar(rng, sr) if rng.random() < 0.8 else bot(sr) for _ in range(len(fam))])
 
 
 def rand_convex_point(rng: random.Random, fam: GeneratingFamily) -> Vector:
     """Random hull element: combination with coefficients <= e joining to e."""
     sr = fam.semiring
     e = unit(sr)
-    coeffs = [meet(rand_scalar(rng, sr), e) for _ in fam]
+    coeffs = [meet(rand_scalar(rng, sr), e) for _ in range(len(fam))]
     coeffs[rng.randrange(len(coeffs))] = e
     return combine(fam, coeffs)
 
@@ -205,17 +205,12 @@ def _simpler(value):
             for cand in _simpler_scalar(s):
                 yield Vector(value.semiring, value.entries[:i] + (cand,) + value.entries[i + 1:])
     elif isinstance(value, GeneratingFamily):
-        for i in range(len(value)):
-            yield GeneratingFamily(
-                value.semiring, value.dim, value.generators[:i] + value.generators[i + 1:]
-            )
-        for i, g in enumerate(value.generators):
+        sr, dim, gens = value.semiring, value.dim, value.generators
+        for i in range(len(gens)):
+            yield GeneratingFamily(sr, dim, gens[:i] + gens[i + 1:])
+        for i, g in enumerate(gens):
             for cand in _simpler(g):
-                yield GeneratingFamily(
-                    value.semiring,
-                    value.dim,
-                    value.generators[:i] + (cand,) + value.generators[i + 1:],
-                )
+                yield GeneratingFamily(sr, dim, gens[:i] + (cand,) + gens[i + 1:])
     elif isinstance(value, (list, tuple)):
         if len(value) > 1:
             for i in range(len(value)):

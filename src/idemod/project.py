@@ -1,8 +1,9 @@
 """Canonical projector onto a finitely generated complete subsemimodule,
 its opposite-order mirror, and the meet of dominating elements.
 
-The two projectors are mirror images: P(x) joins g*(g\\x) from the bottom
-vector, its opposite-order twin meets g/(x\\g) from the top vector, and both
+A family is its generator matrix A, and P(x) = A(A\\x): the coefficients
+g\\x fold A's columns against x, the projection folds A's rows against them.
+The opposite-order mirror meets g/(x\\g) from the top vector, and both
 return their coefficients and whether x is fixed.
 """
 from __future__ import annotations
@@ -14,14 +15,13 @@ from .errors import DomainError, MismatchError, TheoremViolation
 from .freemod import (
     GeneratingFamily,
     Vector,
+    _residual,
     combine,
-    top_vector,
+    mat_lres,
     vec_leq,
     vec_lres,
-    vec_rres,
-    vmeet,
 )
-from .semiring import BOT, TOP, Scalar, add, bot, fin, leq, meet, mul, top
+from .semiring import BOT, TOP, Scalar, add, bot, fin, leq, meet, mul, rres, top
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,10 +38,15 @@ def _check_family(w: GeneratingFamily, x: Vector) -> None:
         raise MismatchError(f"family dim {w.dim} vs point dim {x.dim}")
 
 
+def _dual_coefficients(w: GeneratingFamily, x: Vector) -> tuple[Scalar, ...]:
+    """x\\g per generator g: the residual fold of x against each column of A."""
+    return tuple(_residual(x.entries, g) for g in zip(*w.entries))
+
+
 def project(w: GeneratingFamily, x: Vector) -> ProjectionResult:
-    """Greatest element of span(w) below x: join of g*(g\\x) over generators."""
+    """Greatest element of span(w) below x: A(A\\x) for the generator matrix A."""
     _check_family(w, x)
-    coeffs = tuple(vec_lres(g, x) for g in w)
+    coeffs = mat_lres(w, x).entries if len(w) else ()  # A\x; none when A has no columns
     p = combine(w, coeffs)
     return ProjectionResult(p, coeffs, p == x)
 
@@ -70,11 +75,12 @@ def _checked_member(res: ProjectionResult, x: Vector) -> bool:
 
 def project_dual(w: GeneratingFamily, x: Vector) -> ProjectionResult:
     """Projection onto the opposite-order span of w: its least element above
-    x, the meet of g/(x\\g) over generators.  Empty family yields the
-    all-top vector."""
+    x, the meet of g/(x\\g) over generators, row by row of A.  Empty family
+    yields the all-top vector."""
     _check_family(w, x)
-    coeffs = tuple(vec_lres(x, g) for g in w)
-    p = reduce(vmeet, map(vec_rres, w, coeffs), top_vector(x.semiring, x.dim))
+    coeffs = _dual_coefficients(w, x)
+    t = top(x.semiring)
+    p = Vector(x.semiring, tuple(reduce(meet, map(rres, row, coeffs), t) for row in w.entries))
     return ProjectionResult(p, coeffs, p == x)
 
 
@@ -131,21 +137,16 @@ def inf_dominating(w: GeneratingFamily, x: Vector) -> tuple[Vector, bool]:
     sr = x.semiring
     if sr.name != "rmax":
         raise DomainError("dominating meet is implemented over RMAX only")
-    covers = []  # for each row k with x_k above bottom: its covering columns and bounds
+    covers = []  # for each row k with x_k above bottom: its covering columns j and bounds
     for k, xk in enumerate(x.entries):
         if xk.kind != BOT:
-            bounds = [(g.entries, _cover_constraint(g.entries[k], xk)) for g in w]
-            covers.append([(col, c) for col, c in bounds if c[0] != _EMPTY])
-    entries = []
-    for i in range(x.dim):
-        qi = bot(sr)
-        for row in covers:
-            m = top(sr)
-            for col, c in row:
-                m = meet(m, _box_floor(col[i], c))
-            qi = add(qi, m)
-        entries.append(qi)
-    q = Vector(sr, tuple(entries))
+            bounds = [(j, _cover_constraint(a, xk)) for j, a in enumerate(w.entries[k])]
+            covers.append([(j, c) for j, c in bounds if c[0] != _EMPTY])
+    q = Vector(sr, tuple(
+        reduce(add, (reduce(meet, (_box_floor(row[j], c) for j, c in cover), top(sr))
+                     for cover in covers), bot(sr))
+        for row in w.entries
+    ))
     if not vec_leq(x, q):
         raise TheoremViolation("dominating meet fell below the point")
     return q, is_member(w, q)

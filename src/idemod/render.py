@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from math import lcm
+from operator import itemgetter
 
 from . import __version__
 from .errors import SchemaError
@@ -198,8 +199,9 @@ def _line_breaks(spec: LineSpec, v) -> list:
     return [k - a.value for k in ks]
 
 
-def _row_classes(us: list, breaks: list, classify) -> list:
-    """[classify(u) for u in us], for ascending samples us and a classify that
+def _row_classes(us: list, breaks: list, classify) -> list[tuple[int, object]]:
+    """(stop, value) of each maximal run of equal values in
+    [classify(u) for u in us], for ascending samples us and a classify that
     is constant on each open interval between the breaks: one call per such
     interval that holds samples, one per sample that lies on a break."""
     n = len(us)
@@ -208,31 +210,22 @@ def _row_classes(us: list, breaks: list, classify) -> list:
     for b in sorted(set(breaks)):
         k = bisect_left(us, b, start)
         if k > start:
-            out += [classify(us[start])] * (k - start)
+            out.append((k, classify(us[start])))
             start = k
         if k < n and us[k] == b:
-            out.append(classify(us[k]))
+            out.append((k + 1, classify(us[k])))
             start = k + 1
     if start < n:
-        out += [classify(us[start])] * (n - start)
-    return out
-
-
-def _runs(row: list) -> list[tuple[int, object]]:
-    """(stop, value) of each maximal run of equal values in row, in order."""
-    out = []
-    stop = 0
-    for value, group in groupby(row):
-        stop += len(list(group))
-        out.append((stop, value))
-    return out
+        out.append((n, classify(us[start])))
+    # adjacent intervals of one class make one run
+    return [(list(run)[-1][0], value) for value, run in groupby(out, key=itemgetter(1))]
 
 
 def _crossings(runs: list, runs_below: list):
     """Ascending i with row[i] == 0, row[i] != row[i + 1] or row[i] != below[i]
-    for the sign rows with these ``_runs``: the cells of a line's sign row that
-    the line crosses.  Walks the segments on which both rows are constant, so
-    the cost is in runs, not cells."""
+    for the sign rows with these runs (as ``_row_classes`` gives them): the
+    cells of a line's sign row that the line crosses.  Walks the segments on
+    which both rows are constant, so the cost is in runs, not cells."""
     n = runs[-1][0]
     start = a = b = 0
     while start < n:
@@ -356,7 +349,7 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
             f'fill="{_LINE_COLORS[li % len(_LINE_COLORS)]}"/>'
         )
         runs = [
-            _runs(_row_classes(us, _line_breaks(spec, v), lambda u, v=v: _line_side(spec, u, v)))
+            _row_classes(us, _line_breaks(spec, v), lambda u, v=v: _line_side(spec, u, v))
             for v in vs
         ]
         for j in range(n):

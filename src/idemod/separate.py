@@ -3,7 +3,7 @@ point-vs-point, and the convex form with explicit certificate, normalised
 projection and half-space extraction.
 
 The universal and opposite-order forms check orthogonality against the
-coefficients their projector returns.
+coefficients their projector returns: A\\P(x) = A\\x, and P(x)\\g = x\\g.
 
 Convex separation is universal separation one dimension up: (x, e) against
 the lifted generators (g, e).  Since e\\e = e and e\\nu = nu, a residual
@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, MismatchError, TheoremViolation
-from .freemod import GeneratingFamily, Vector, act, vec_lres
-from .project import _check_family, _checked_member, project, project_dual
+from .freemod import GeneratingFamily, Vector, _family_of_rows, act, mat_lres, vec_lres
+from .project import _check_family, _checked_member, _dual_coefficients, project, project_dual
 from .semiring import Scalar, inverse, is_invertible, leq, meet, unit
 
 
@@ -57,9 +57,8 @@ def separate_from_module(w: GeneratingFamily, x: Vector) -> SeparationCertificat
     pairing, and separates x from it iff x is not a member."""
     res = project(w, x)
     p = res.projection
-    for g, gx in zip(w, res.coefficients):  # gx = g\x, computed by project
-        if vec_lres(g, p) != gx:
-            raise TheoremViolation(f"orthogonality failed on generator {g!r}")
+    if len(w) and mat_lres(w, p).entries != res.coefficients:  # A\x, computed by project
+        raise TheoremViolation(f"orthogonality failed: A\\P(x) differs from A\\x for x = {x!r}")
     return SeparationCertificate(p, not _checked_member(res, x))
 
 
@@ -68,9 +67,8 @@ def separate_dual(w: GeneratingFamily, x: Vector) -> SeparationCertificate:
     generator, and separates iff x is outside the opposite-order span."""
     res = project_dual(w, x)
     p = res.projection
-    for g, xg in zip(w, res.coefficients):  # xg = x\g, computed by project_dual
-        if vec_lres(p, g) != xg:
-            raise TheoremViolation(f"dual orthogonality failed on generator {g!r}")
+    if _dual_coefficients(w, p) != res.coefficients:  # x\g, computed by project_dual
+        raise TheoremViolation(f"dual orthogonality failed: P(x)\\g differs from x\\g for x = {x!r}")
     return SeparationCertificate(p, vec_lres(p, x) != vec_lres(x, x))
 
 
@@ -99,8 +97,8 @@ def lift(v: Vector) -> Vector:
 
 
 def lift_family(c: GeneratingFamily) -> GeneratingFamily:
-    """The lifted generators (g, e) of c."""
-    return GeneratingFamily(c.semiring, c.dim + 1, tuple(map(lift, c)))
+    """The lifted generators (g, e) of c: A with a row of units appended."""
+    return _family_of_rows(c.semiring, c.entries + ((unit(c.semiring),) * len(c),))
 
 
 def separate_from_convex(c: GeneratingFamily, x: Vector) -> ConvexSeparation:

@@ -148,8 +148,8 @@ def test_project_projects_once(tmp_path, capsys, monkeypatch):
 
 
 def test_hilbert_projects_once(tmp_path, capsys, monkeypatch):
-    # every projection folds its span exactly once, whoever calls project
-    folds = _count_calls(monkeypatch, "combine", sys.modules["idemod.project"])
+    # every projection folds its span A(A\x) exactly once, whoever calls project
+    folds = _count_calls(monkeypatch, "mat_vec", sys.modules["idemod.freemod"])
     code, out, _ = run_cli(capsys, "hilbert", write(tmp_path, "h.json", PROJECT_FILE))
     data = json.loads(out)
     assert code == 0 and data["projection"] == ["-1", "0", "-1"]

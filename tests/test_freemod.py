@@ -154,6 +154,50 @@ def test_mat_lres():
     assert mat_lres(a2, vector(RMAX, [0, 0])).entries[1] == top(RMAX)
 
 
+def test_equal_semiring_tags_need_not_be_identical():
+    """The identity fast path of the semiring checks falls back to equality."""
+    from idemod import SemiringId
+
+    rmax = SemiringId("rmax")
+    assert rmax is not RMAX and rmax == RMAX
+    v = Vector(rmax, (fin(RMAX, 1), bot(RMAX)))
+    assert v == vector(RMAX, [1, "-inf"])
+    a = Matrix(rmax, ((fin(RMAX, 0), fin(RMAX, 2)),))
+    assert mat_vec(a, vector(RMAX, [1, 0])) == vector(RMAX, [2])
+    assert act(v, fin(rmax, 1)) == vector(RMAX, [2, "-inf"])
+    w = GeneratingFamily(rmax, 2, (v,))
+    assert w == GeneratingFamily(RMAX, 2, (v,))
+
+
+def test_family_is_its_generator_matrix():
+    """Generator g is column g of the family's matrix, so the matrix kernels
+    apply to the family itself."""
+    g1, g2 = vector(RMAX, [0, 2, "-inf"]), vector(RMAX, [1, "+inf", -3])
+    w = GeneratingFamily(RMAX, 3, (g1, g2))
+    a = matrix(RMAX, [[0, 1], [2, "+inf"], ["-inf", -3]])
+    assert w.entries == a.entries and (w.rows, w.cols) == (3, 2)
+    assert w == column_family(a) and w != a
+    assert (len(w), w.dim, w.generators, list(w)) == (2, 3, (g1, g2), [g1, g2])
+    x = vector(RMAX, [1, -1])
+    assert mat_vec(w, x) == mat_vec(a, x) == combine(w, x.entries)
+    with pytest.raises(MismatchError):
+        GeneratingFamily(RMAX, 2, (g1,))
+    with pytest.raises(MismatchError):
+        GeneratingFamily(RMAX, 0, ())
+
+
+def test_empty_family_is_a_matrix_without_columns():
+    """The empty family's matrix has its rows and no columns; a Matrix keeps
+    at least one column, and the projector handles p = 0 itself."""
+    w = GeneratingFamily(RMAX, 3, ())
+    assert w.entries == ((), (), ()) and (len(w), w.dim, w.generators) == (0, 3, ())
+    assert list(w) == [] and w != GeneratingFamily(RMAX, 2, ())
+    with pytest.raises(MismatchError):
+        Matrix(RMAX, ((), (), ()))
+    with pytest.raises(MismatchError):
+        mat_lres(w, bot_vector(RMAX, 3))  # A\x would be a vector of dimension 0
+
+
 def test_dimension_mismatch():
     with pytest.raises(MismatchError):
         vjoin(vector(RMAX, [0]), vector(RMAX, [0, 1]))
@@ -226,7 +270,8 @@ def test_matrix_kernels_over_matrix_semiring(data):
 
     a = Matrix(MAT2, tuple(entries(cols) for _ in range(rows)))
     x, z, ys = Vector(MAT2, entries(cols)), Vector(MAT2, entries(cols)), entries(rows)
-    assert mat_vec(a, x) == combine(column_family(a), x.entries)
+    span = (act(Vector(MAT2, col), c) for col, c in zip(zip(*a.entries), x.entries))
+    assert mat_vec(a, x) == reduce(vjoin, span)  # (+)_g g * x_g over the columns g
     want = (reduce(add, (mul(ys[i], a.entries[i][j]) for i in range(rows))) for j in range(cols))
     assert covec_mat(CoVector(MAT2, ys), a) == CoVector(MAT2, tuple(want))
     y = Vector(MAT2, ys)

@@ -1,11 +1,14 @@
 """Projector, membership, opposite-order projection and the dominating meet."""
 import itertools
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from idemod import (
+    BOOL,
+    NMAX,
     RMAX,
     DomainError,
     GeneratingFamily,
@@ -35,7 +38,7 @@ from idemod import (
 )
 from idemod.laws import rand_family, rand_member, rand_vector
 from idemod.project import _ALL, _EMPTY, _OPEN, _box_floor, _checked_member, _cover_constraint
-from conftest import families, scalars, vectors
+from conftest import MAT2, families, mat2_scalars, scalars, vectors
 
 
 W_LIFTED = family(RMAX, [[0, 0, 0], [1, 3, 0], [3, 4, 0]])
@@ -294,3 +297,31 @@ def test_dual_characterization(fam, x, z):
     assert all(leq(vec_lres(g, x), vec_lres(g, p)) for g in fam)
     if all(leq(vec_lres(g, x), vec_lres(g, z)) for g in fam):
         assert vec_leq(p, z)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_projectors_match_their_generator_by_generator_definitions(data):
+    """Oracle independent of the family's matrix: P(x) joins g*(g\\x) from
+    the bottom vector, and its mirror meets g/(x\\g) from the top vector,
+    over rmax, nmax, bool and the non-commuting mat2, with +-inf entries."""
+    sr = data.draw(st.sampled_from([RMAX, NMAX, BOOL, MAT2]), label="semiring")
+    n, p = data.draw(st.integers(1, 5), label="n"), data.draw(st.integers(0, 5), label="p")
+    entry = mat2_scalars() if sr is MAT2 else scalars(sr)
+
+    def draw_vector():
+        return Vector(sr, tuple(data.draw(st.lists(entry, min_size=n, max_size=n))))
+
+    gens = tuple(draw_vector() for _ in range(p))
+    x = draw_vector()
+    if gens and data.draw(st.booleans(), label="x in the span"):
+        x = reduce(vjoin, (act(g, data.draw(entry)) for g in gens))
+    w = GeneratingFamily(sr, n, gens)
+
+    coeffs = tuple(vec_lres(g, x) for g in gens)
+    want = reduce(vjoin, map(act, gens, coeffs), bot_vector(sr, n))
+    assert project(w, x) == ProjectionResult(want, coeffs, want == x)
+
+    coeffs = tuple(vec_lres(x, g) for g in gens)
+    want = reduce(vmeet, map(vec_rres, gens, coeffs), top_vector(sr, n))
+    assert project_dual(w, x) == ProjectionResult(want, coeffs, want == x)

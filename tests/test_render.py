@@ -2,6 +2,7 @@
 per-sample classification, and the byte gate on the README figure."""
 import hashlib
 from fractions import Fraction
+from itertools import groupby
 from unittest import mock
 
 import pytest
@@ -37,7 +38,6 @@ from idemod.render import (
     _line_side,
     _pixels,
     _row_classes,
-    _runs,
     render_scene,
     scene_from_json,
 )
@@ -68,9 +68,19 @@ def point(u, v):
     return Vector(RMAX, (fin(RMAX, u), fin(RMAX, v)))
 
 
+def runs(row):
+    """(stop, value) of each maximal run of equal values in row, in order."""
+    out = []
+    stop = 0
+    for value, group in groupby(row):
+        stop += len(list(group))
+        out.append((stop, value))
+    return out
+
+
 def per_sample(us, breaks, classify):
-    """The oracle: every sample classified on its own."""
-    return [classify(u) for u in us]
+    """The oracle: every sample classified on its own, then cut into runs."""
+    return runs([classify(u) for u in us])
 
 
 points2 = vectors(RMAX, dim=2)
@@ -145,7 +155,7 @@ def test_line_row_matches_maxplus_oracle(spec, grid_row):
     us, vs = samples(viewport, n)
     v = vs[j]
     row = _row_classes(us, _line_breaks(spec, v), lambda u: _line_side(spec, u, v))
-    assert row == [line_side_oracle(spec, u, v) for u in us]
+    assert row == runs([line_side_oracle(spec, u, v) for u in us])
 
 
 @pytest.mark.parametrize("tag, cells", [("+", 0), ("-", 0), (".", 16 * 16)])
@@ -165,7 +175,7 @@ def test_row_classes_calls_once_per_interval_and_break():
     us = [Fraction(i, 2) for i in range(-8, 9)]  # -4, -7/2, ..., 4
     calls = []
     flags = _row_classes(us, [Fraction(1, 3), 1, 1, 9], lambda u: calls.append(u) or u > 1)
-    assert flags == [u > 1 for u in us]
+    assert flags == runs([u > 1 for u in us]) == [(11, False), (17, True)]
     # (-inf, 1/3), (1/3, 1), the sample on 1, (1, 9); 9 lies past the grid
     assert calls == [-4, Fraction(1, 2), 1, Fraction(3, 2)]
 
@@ -191,7 +201,7 @@ sign_rows = st.integers(min_value=1, max_value=24).flatmap(
 def test_crossings_match_per_cell(rows):
     for row in rows:
         for below in rows:
-            assert list(_crossings(_runs(row), _runs(below))) == crossings_per_cell(row, below)
+            assert list(_crossings(runs(row), runs(below))) == crossings_per_cell(row, below)
 
 
 def pixels_per_sample(viewport, n):
@@ -261,7 +271,7 @@ def region_rects_per_sample(scene):
     for contains, color, opacity in regions:
         for v, y in zip(vs, ys):
             start = 0
-            for stop, inside in _runs([contains(point(u, v)) for u in us]):
+            for stop, inside in runs([contains(point(u, v)) for u in us]):
                 if inside:
                     x0, x1 = xs[start] - half, xs[stop - 1] + half
                     rects.append(

@@ -145,14 +145,15 @@ def test_dual_separation():
 
 def test_dual_separation_reuses_the_projector_coefficients(monkeypatch):
     """The orthogonality check compares against the x\\g that project_dual
-    holds: 2p + 2 vector residuals for p generators, member or not."""
+    holds: 2p + 2 residual folds for p generators, member or not (x\\g and
+    P(x)\\g per generator, then the membership residuals)."""
     calls = []
-    for mod in (sys.modules["idemod.project"], sys.modules["idemod.separate"]):
-        def counted(x, y, _fn=mod.vec_lres):
+    for mod in (sys.modules["idemod.project"], sys.modules["idemod.freemod"]):
+        def counted(x, y, _fn=mod._residual):
             calls.append(1)
             return _fn(x, y)
 
-        monkeypatch.setattr(mod, "vec_lres", counted)
+        monkeypatch.setattr(mod, "_residual", counted)
     w = family(RMAX, [[0, 0], [2, -1], [-1, 3]])
     for x, separated in ((vector(RMAX, [0, 5]), True), (w.generators[1], False)):
         calls.clear()
