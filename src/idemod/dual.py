@@ -33,7 +33,6 @@ from .semiring import (
     BOOL,
     Phi,
     Scalar,
-    SemiringId,
     bot,
     leq,
     lres,
@@ -99,7 +98,7 @@ def is_closed(cfg: DualPairConfig, x: Vector) -> bool:
     return conj_right(cfg, conj_left(cfg, x)) == x
 
 
-def is_reflexive(sr: SemiringId, phi: Phi, samples: Iterable[Scalar]) -> bool:
+def is_reflexive(phi: Phi, samples: Iterable[Scalar]) -> bool:
     """Check phi/(lam\\phi) = lam and (phi/lam)\\phi = lam on the samples."""
     p = phi.value
     for lam in samples:

@@ -46,7 +46,7 @@ class GridFunction:
         if any(b <= a for a, b in zip(self.points, self.points[1:])):
             raise MismatchError("grid points must be strictly increasing")
         for v in self.values:
-            if v.semiring != RMAX:
+            if v.semiring is not RMAX:
                 raise MismatchError("grid values must be RMAX scalars")
 
 

@@ -38,7 +38,7 @@ class Vector:
             raise MismatchError("vectors have dimension >= 1")
         sr = self.semiring
         for s in self.entries:
-            if s.semiring is not sr and s.semiring != sr:
+            if s.semiring is not sr:
                 raise MismatchError("vector entries must share the semiring")
 
     @property
@@ -70,7 +70,7 @@ class Matrix:
             if len(row) != p:
                 raise MismatchError("ragged matrix")
             for s in row:
-                if s.semiring is not sr and s.semiring != sr:
+                if s.semiring is not sr:
                     raise MismatchError("matrix entries must share the semiring")
 
     @property
@@ -91,7 +91,7 @@ class GeneratingFamily(Matrix):
     def __init__(self, semiring: SemiringId, dim: int, generators) -> None:
         if dim < 1:
             raise MismatchError("families have dimension >= 1")
-        if any(g.semiring is not semiring and g.semiring != semiring or g.dim != dim for g in generators):
+        if any(g.semiring is not semiring or g.dim != dim for g in generators):
             raise MismatchError("family generators must share semiring and dimension")
         rows = tuple(zip(*(g.entries for g in generators))) or ((),) * dim
         object.__setattr__(self, "semiring", semiring)
@@ -148,7 +148,7 @@ def top_vector(sr: SemiringId, n: int) -> Vector:
 
 
 def _need_like(x: Vector, y: Vector) -> None:
-    if x.semiring is not y.semiring and x.semiring != y.semiring:
+    if x.semiring is not y.semiring:
         raise MismatchError("mixed semirings")
     if x.dim != y.dim:
         raise MismatchError(f"dimension mismatch {x.dim} vs {y.dim}")
@@ -186,7 +186,7 @@ def vmeet(x: Vector, y: Vector) -> Vector:
 
 def act(x: Vector, lam: Scalar) -> Vector:
     """Right action x * lam, entrywise."""
-    if lam.semiring is not x.semiring and lam.semiring != x.semiring:
+    if lam.semiring is not x.semiring:
         raise MismatchError("scalar from a different semiring")
     return Vector(x.semiring, tuple(mul(a, lam) for a in x.entries))
 
@@ -207,13 +207,13 @@ def vec_lres(x: Vector, y: Vector) -> Scalar:
 
 def vec_rres(x: Vector, lam: Scalar) -> Vector:
     """x/lam: the greatest y with y*lam <= x, entrywise."""
-    if lam.semiring is not x.semiring and lam.semiring != x.semiring:
+    if lam.semiring is not x.semiring:
         raise MismatchError("scalar from a different semiring")
     return Vector(x.semiring, tuple(rres(a, lam) for a in x.entries))
 
 
 def mat_vec(a: Matrix, x: Vector) -> Vector:
-    if a.semiring is not x.semiring and a.semiring != x.semiring:
+    if a.semiring is not x.semiring:
         raise MismatchError("mixed semirings")
     if a.cols != x.dim:
         raise MismatchError(f"matrix with {a.cols} columns applied to dim {x.dim}")
@@ -221,7 +221,7 @@ def mat_vec(a: Matrix, x: Vector) -> Vector:
 
 
 def covec_mat(y: CoVector, a: Matrix) -> CoVector:
-    if a.semiring is not y.semiring and a.semiring != y.semiring:
+    if a.semiring is not y.semiring:
         raise MismatchError("mixed semirings")
     if a.rows != y.dim:
         raise MismatchError(f"covector of dim {y.dim} applied to {a.rows} rows")
@@ -230,7 +230,7 @@ def covec_mat(y: CoVector, a: Matrix) -> CoVector:
 
 def mat_lres(a: Matrix, y: Vector) -> Vector:
     r"""a\y: the greatest x with a*x <= y (residuation of x -> a*x)."""
-    if a.semiring is not y.semiring and a.semiring != y.semiring:
+    if a.semiring is not y.semiring:
         raise MismatchError("mixed semirings")
     if a.rows != y.dim:
         raise MismatchError(f"matrix with {a.rows} rows residuated against dim {y.dim}")

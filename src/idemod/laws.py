@@ -907,11 +907,11 @@ def _suite_nmax_reflexive(rng: random.Random, trials: int, report: SuiteReport) 
         report,
         "nmax-reflexive-on-units",
         {"samples": good},
-        lambda c: du.is_reflexive(NMAX, phi, c["samples"]),
+        lambda c: du.is_reflexive(phi, c["samples"]),
     ):
         return
     lam = fin(NMAX, 2)
-    if du.is_reflexive(NMAX, phi, [lam]):
+    if du.is_reflexive(phi, [lam]):
         case = {"lam": repr(lam)}
         report.failures.append(Failure("nmax-expected-counterexample", case, case))
         return
@@ -925,7 +925,7 @@ def _suite_nmax_reflexive(rng: random.Random, trials: int, report: SuiteReport) 
             report,
             "nmax-positive-naturals-open",
             {"lam": fin(NMAX, n)},
-            lambda c: not du.is_reflexive(NMAX, phi, [c["lam"]]),
+            lambda c: not du.is_reflexive(phi, [c["lam"]]),
         ):
             return
     # pinned: conjugation cannot tell 1 from 2 in the canonical pair
@@ -967,7 +967,7 @@ _MAT2_PHI = default_phi(MAT2)
 
 
 def _transfer_reflexive(c) -> bool:
-    return du.is_reflexive(MAT2, _MAT2_PHI, [c["lam"]])
+    return du.is_reflexive(_MAT2_PHI, [c["lam"]])
 
 
 _MATRIX_TRANSFER_LAWS = [

@@ -32,7 +32,7 @@ class ProjectionResult:
 
 
 def _check_family(w: GeneratingFamily, x: Vector) -> None:
-    if w.semiring != x.semiring:
+    if w.semiring is not x.semiring:
         raise MismatchError("family and point live in different semirings")
     if w.dim != x.dim:
         raise MismatchError(f"family dim {w.dim} vs point dim {x.dim}")

@@ -30,7 +30,7 @@ from . import __version__
 from .errors import SchemaError
 from .freemod import GeneratingFamily, Vector
 from .jsonio import rational_from_json, scalar_from_json, vector_from_json
-from .semiring import FIN, RMAX, TOP, Scalar, fin
+from .semiring import FIN, RMAX, TOP, Scalar, fin, sort_key
 from .separate import HalfSpace, halfspace_contains, separate_from_convex
 
 _TAGS = ("+", "-", ".")
@@ -128,15 +128,11 @@ def _xml_text(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-# A bound, or a side of a line's equation, ranked as a pair: (0, 0) is -inf,
-# (1, value) a finite value and (2, 0) +inf, so that tuple order is the
-# order of the extended line.
+# A bound, or a side of a line's equation, ranked as ``sort_key`` ranks a
+# scalar: (0, 0) is -inf, (1, value) a finite value and (2, 0) +inf, so that
+# tuple order is the order of the extended line.
 _BOT = (0, 0)
 _TOP = (2, 0)
-
-
-def _ranked(s: Scalar) -> tuple:
-    return (1, s.value) if s.kind == FIN else _TOP if s.kind == TOP else _BOT
 
 
 def _minus(a: tuple, b: tuple) -> tuple:
@@ -152,7 +148,7 @@ def _hull_rows(gens: list[Vector]):
     With lambda_g = min(u - g1, v - g2, 0), the lifted projection fixes
     (u, v, e) iff some lambda_g is e (u >= L1), some lambda_g + g2 is v
     (u >= L3) and some lambda_g + g1 is u (u <= R)."""
-    ranked = [tuple(map(_ranked, g.entries)) for g in gens]
+    ranked = [tuple(map(sort_key, g.entries)) for g in gens]
     ranked = [g for g in ranked if _TOP not in g]  # lambda_g = -inf bounds nothing
 
     def row(v):
@@ -176,8 +172,8 @@ def _halfspace_rows(h: HalfSpace):
     c2 = min(y2 - v, nu) the row is {u : min(x1 - u, c1) <= min(y1 - u, c2)}:
     u <= y1 - c1 unless x1 <= y1 or c1 = -inf, and u >= x1 - c2 unless
     c1 <= c2 or x1 = -inf."""
-    (x1, x2), (y1, y2) = (tuple(map(_ranked, p.entries)) for p in (h.x_ref, h.y))
-    nu = _ranked(h.nu)
+    (x1, x2), (y1, y2) = (tuple(map(sort_key, p.entries)) for p in (h.x_ref, h.y))
+    nu = sort_key(h.nu)
 
     def row(v):
         vr = (1, v)

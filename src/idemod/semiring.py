@@ -13,6 +13,11 @@ Four instances are supported:
   residuals loop over those tuples directly (Cuninghame-Green, *Minimax
   Algebra*, 1979, ch. 2; Butkovic, *Max-linear Systems*, 2010, 1.2).
 
+Each instance is one ``SemiringId`` object: building a tag for the same
+(name, dim) again returns it, so "the same semiring" is ``is`` everywhere,
+and the tag holds the instance's bottom, top and unit and its interned
+small ints, which ``bot``, ``top``, ``unit`` and ``fin`` return.
+
 Everything is exact: finite values are ints or ``fractions.Fraction``
 (an integral Fraction is always normalised to int), infinities are
 symbolic.  The two conventionally ambiguous expressions are fixed once and
@@ -40,49 +45,61 @@ MAT = "mat"
 Rational = int | Fraction
 
 
-@dataclass(frozen=True, slots=True)
 class SemiringId:
-    """Tag selecting one of the four concrete instances."""
+    """Tag selecting one of the four concrete instances, one object per
+    (name, dim): equality and hash are identity.  ``fins`` maps the ints
+    -64..64 of RMAX and 0..64 of NMAX to their scalars (empty for BOOL and
+    matrices).  Immutable by convention, like Scalar."""
 
-    name: str  # "rmax" | "bool" | "nmax" | "mat"
-    dim: int = 0
+    __slots__ = ("name", "dim", "bot", "top", "unit", "fins")
 
-    def __post_init__(self) -> None:
-        if self.name not in ("rmax", "bool", "nmax", "mat"):
-            raise DomainError(f"unknown semiring {self.name!r}")
-        if self.name == "mat" and self.dim < 1:
+    def __new__(cls, name: str, dim: int = 0) -> "SemiringId":
+        try:
+            return _TAGS[name, dim]
+        except (KeyError, TypeError):
+            pass
+        if name not in ("rmax", "bool", "nmax", "mat"):
+            raise DomainError(f"unknown semiring {name!r}")
+        if name == "mat" and dim < 1:
             raise DomainError("matrix semiring needs dimension >= 1")
-        if self.name != "mat" and self.dim != 0:
+        if name != "mat" and dim != 0:
             raise DomainError("dim is only meaningful for matrix semirings")
+        sr = object.__new__(cls)
+        sr.name, sr.dim = name, dim
+        small = range(-64, 65) if name == "rmax" else range(65) if name == "nmax" else ()
+        sr.fins = {q: Scalar(sr, FIN, q) for q in small}
+        if name == "mat":
+            r = range(dim)
+            sr.bot = Scalar(sr, MAT, (NEG_INF,) * (dim * dim))
+            sr.top = Scalar(sr, MAT, (POS_INF,) * (dim * dim))
+            sr.unit = Scalar(sr, MAT, tuple(0 if i == j else NEG_INF for i in r for j in r))
+        else:
+            sr.bot, sr.top = Scalar(sr, BOT), Scalar(sr, TOP)
+            sr.unit = sr.top if name == "bool" else sr.fins[0]
+        return _TAGS.setdefault((name, dim), sr)  # one winner if two threads race
+
+    def __reduce__(self):
+        return SemiringId, (self.name, self.dim)
+
+    def __repr__(self) -> str:
+        return f"SemiringId(name={self.name!r}, dim={self.dim!r})"
 
     def __str__(self) -> str:
         return f"mat{self.dim}" if self.name == "mat" else self.name
 
 
-RMAX = SemiringId("rmax")
-BOOL = SemiringId("bool")
-NMAX = SemiringId("nmax")
-
-# filled in after the constructors below exist
-_RMAX_BOT: "Scalar"
-_RMAX_TOP: "Scalar"
-
-
-@functools.cache
-def matrix_semiring(n: int) -> SemiringId:
-    """The n x n matrix semiring, one interned tag per n, so operands built
-    apart share the ``is`` fast path of the binary ops."""
-    return SemiringId("mat", n)
-
-
 class _Infinity:
-    """An infinite matrix entry.  There are exactly two, compared by ``is``;
-    ``str`` gives the scalar text."""
+    """An infinite matrix entry.  There are exactly two, compared by ``is``
+    (copies and pickles give the same two back); ``str`` gives the scalar
+    text."""
 
     __slots__ = ("_text",)
 
     def __init__(self, text: str) -> None:
         self._text = text
+
+    def __reduce__(self) -> str:
+        return "NEG_INF" if self is NEG_INF else "POS_INF"
 
     def __repr__(self) -> str:
         return self._text
@@ -128,7 +145,7 @@ class Scalar:
         return (
             self.kind == other.kind
             and self.value == other.value
-            and (self.semiring is other.semiring or self.semiring == other.semiring)
+            and self.semiring is other.semiring
         )
 
     def __hash__(self) -> int:
@@ -141,6 +158,17 @@ class Scalar:
         return f"<{self.semiring} {scalar_to_text(self)}>"
 
 
+_TAGS: dict[tuple[str, int], SemiringId] = {}
+RMAX = SemiringId("rmax")
+BOOL = SemiringId("bool")
+NMAX = SemiringId("nmax")
+
+
+def matrix_semiring(n: int) -> SemiringId:
+    """The n x n matrix semiring."""
+    return SemiringId("mat", n)
+
+
 def mat_rows(s: Scalar) -> list[tuple]:
     """The rows of a matrix element's raw entries."""
     n, flat = s.semiring.dim, s.value
@@ -150,80 +178,34 @@ def mat_rows(s: Scalar) -> list[tuple]:
 def _rmax_of(q) -> Scalar:
     """The RMAX scalar of one raw matrix entry."""
     if q is NEG_INF:
-        return _RMAX_BOT
+        return RMAX.bot
     if q is POS_INF:
-        return _RMAX_TOP
+        return RMAX.top
     return fin(RMAX, q)
-
-
-_BOTS: dict[tuple[str, int], Scalar] = {}
-_TOPS: dict[tuple[str, int], Scalar] = {}
-_UNITS: dict[tuple[str, int], Scalar] = {}
 
 
 def bot(sr: SemiringId) -> Scalar:
     """Zero element (neutral for the join, absorbing for the product)."""
-    key = (sr.name, sr.dim)
-    s = _BOTS.get(key)
-    if s is None:
-        if sr.name == "mat":
-            s = Scalar(sr, MAT, (NEG_INF,) * (sr.dim * sr.dim))
-        else:
-            s = Scalar(sr, BOT)
-        _BOTS[key] = s
-    return s
+    return sr.bot
 
 
 def top(sr: SemiringId) -> Scalar:
     """Greatest element."""
-    key = (sr.name, sr.dim)
-    s = _TOPS.get(key)
-    if s is None:
-        if sr.name == "mat":
-            s = Scalar(sr, MAT, (POS_INF,) * (sr.dim * sr.dim))
-        else:
-            s = Scalar(sr, TOP)
-        _TOPS[key] = s
-    return s
+    return sr.top
 
 
 def unit(sr: SemiringId) -> Scalar:
     """Unit of the product.  Coincides with top for BOOL."""
-    key = (sr.name, sr.dim)
-    s = _UNITS.get(key)
-    if s is None:
-        if sr.name == "bool":
-            s = top(sr)
-        elif sr.name == "mat":
-            r = range(sr.dim)
-            s = Scalar(sr, MAT, tuple(0 if i == j else NEG_INF for i in r for j in r))
-        else:
-            s = Scalar(sr, FIN, 0)
-        _UNITS[key] = s
-    return s
-
-
-_FINS_RMAX: dict[int, Scalar] = {}
-_FINS_NMAX: dict[int, Scalar] = {}
+    return sr.unit
 
 
 def fin(sr: SemiringId, q: Rational) -> Scalar:
     """Finite element.  NMAX only admits naturals."""
     if type(q) is int:
-        nm = sr.name
-        if nm == "rmax":
-            if -64 <= q <= 64:
-                s = _FINS_RMAX.get(q)
-                if s is None:
-                    s = _FINS_RMAX[q] = Scalar(sr, FIN, q)
-                return s
-            return Scalar(sr, FIN, q)
-        if nm == "nmax" and q >= 0:
-            if q <= 64:
-                s = _FINS_NMAX.get(q)
-                if s is None:
-                    s = _FINS_NMAX[q] = Scalar(sr, FIN, q)
-                return s
+        s = sr.fins.get(q)
+        if s is not None:
+            return s
+        if sr.name == "rmax" or sr.name == "nmax" and q >= 0:
             return Scalar(sr, FIN, q)
     if sr.name == "bool":
         raise DomainError("the Boolean semiring has no finite elements besides eps/e")
@@ -246,17 +228,17 @@ def mat_of(rows: list[list[Scalar]] | tuple) -> Scalar:
     flat = []
     for r in rows:
         for s in r:
-            if s.semiring is not RMAX and s.semiring != RMAX:
+            if s.semiring is not RMAX:
                 raise MismatchError("matrix entries must be RMAX scalars")
             k = s.kind
             flat.append(NEG_INF if k == BOT else POS_INF if k == TOP else s.value)
-    return Scalar(matrix_semiring(n), MAT, tuple(flat))
+    return Scalar(SemiringId("mat", n), MAT, tuple(flat))
 
 
 def scal(sr: SemiringId, v) -> Scalar:
     """Coerce ints, Fractions, strings or Scalars into ``sr``."""
     if isinstance(v, Scalar):
-        if v.semiring != sr:
+        if v.semiring is not sr:
             raise MismatchError(f"scalar of {v.semiring} used in {sr}")
         return v
     if isinstance(v, str):
@@ -269,7 +251,7 @@ def scal(sr: SemiringId, v) -> Scalar:
 
 
 def _need_same(a: Scalar, b: Scalar) -> None:
-    if a.semiring is not b.semiring and a.semiring != b.semiring:
+    if a.semiring is not b.semiring:
         raise MismatchError(f"mixed semirings {a.semiring} and {b.semiring}")
 
 
@@ -506,13 +488,12 @@ class Phi:
     """Distinguished pairing element used by conjugations and reflexivity."""
 
     value: Scalar
-    invertible: bool
 
 
 def make_phi(value: Scalar) -> Phi:
     if value.semiring.name == "bool" and value.kind != BOT:
         raise DomainError("over the Boolean semiring phi must be eps")
-    return Phi(value, is_invertible(value))
+    return Phi(value)
 
 
 def default_phi(sr: SemiringId) -> Phi:
@@ -530,23 +511,19 @@ def phi_nn(n: int, diag: Scalar) -> Scalar:
     return mat_of([[diag if i == j else t for j in range(n)] for i in range(n)])
 
 
-_RMAX_BOT = bot(RMAX)
-_RMAX_TOP = top(RMAX)
-
-
 def sort_key(s: Scalar):
     """Total key for deterministic enumeration output, natural-order compatible
     on each chain."""
     if s.kind == MAT:
         return tuple(
-            (0, 0) if q is NEG_INF else (2, 0) if q is POS_INF else (1, Fraction(q))
+            (0, 0) if q is NEG_INF else (2, 0) if q is POS_INF else (1, q)
             for q in s.value
         )
     if s.kind == BOT:
         return (0, 0)
     if s.kind == TOP:
         return (2, 0)
-    return (1, Fraction(s.value))
+    return (1, s.value)
 
 
 def scalar_to_text(s: Scalar) -> str:
@@ -593,7 +570,7 @@ def scalar_from_text(sr: SemiringId, text: str) -> Scalar:
         raise SchemaError(f"Boolean scalars are 'eps' or 'e', got {text!r}")
     if text == "-inf":
         return bot(sr)
-    if text in ("+inf", "inf"):
+    if text == "+inf":
         return top(sr)
     try:
         return fin(sr, rational_from_text(text))

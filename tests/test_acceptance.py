@@ -116,7 +116,7 @@ def test_criterion_6_duality_bulk():
     with criterion("C6", "duality suites: brackets, reflexivity, Riesz, extension"):
         phi = make_phi(fin(RMAX, 0))
         lams = [fin(RMAX, -5), fin(RMAX, 0), fin(RMAX, 3), bot(RMAX), top(RMAX)]
-        assert is_reflexive(RMAX, phi, lams)
+        assert is_reflexive(phi, lams)
         rep = run_suite("duality", seed=SEED, trials=300)
         assert rep.ok, rep.failures
         rep = run_suite("nmax-reflexive", seed=SEED)

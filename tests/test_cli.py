@@ -192,8 +192,9 @@ def test_hull_sweeps_f_once_and_the_hull_once(tmp_path, capsys, monkeypatch):
 
 
 def test_rational_text_is_strict(tmp_path, capsys):
-    """Grid points, slopes and scalars take only [+-]digits[/digits] in ASCII."""
-    for bad in ("1e2000000", "1.5", "1_000", " 2 ", "2\n", "٣", "1/-2", "1/0"):
+    """Grid points, slopes and scalars take only [+-]digits[/digits] in ASCII
+    (scalars also "-inf" and "+inf", but not a bare "inf")."""
+    for bad in ("1e2000000", "1.5", "1_000", " 2 ", "2\n", "٣", "1/-2", "1/0", "inf"):
         for obj in (
             dict(HULL_FILE, slopes=[bad]),
             dict(HULL_FILE, grid={"points": [bad, "9"], "values": ["0", "0"]}),

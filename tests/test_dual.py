@@ -125,17 +125,17 @@ def test_nmax_conjugation_cannot_separate():
 
 
 def test_reflexivity():
-    assert is_reflexive(RMAX, PHI0, [fin(RMAX, -5), fin(RMAX, 0), fin(RMAX, 3), bot(RMAX), top(RMAX)])
-    assert is_reflexive(BOOL, default_phi(BOOL), [bot(BOOL), top(BOOL)])
-    assert not is_reflexive(NMAX, default_phi(NMAX), [fin(NMAX, 2)])
-    assert is_reflexive(NMAX, default_phi(NMAX), [bot(NMAX), unit(NMAX), top(NMAX)])
+    assert is_reflexive(PHI0, [fin(RMAX, -5), fin(RMAX, 0), fin(RMAX, 3), bot(RMAX), top(RMAX)])
+    assert is_reflexive(default_phi(BOOL), [bot(BOOL), top(BOOL)])
+    assert not is_reflexive(default_phi(NMAX), [fin(NMAX, 2)])
+    assert is_reflexive(default_phi(NMAX), [bot(NMAX), unit(NMAX), top(NMAX)])
 
 
 def test_matrix_transfer_reflexivity_by_hand():
     phi = default_phi(MAT2)
     assert phi.value == phi_nn(2, fin(RMAX, 0))
     lam = matrix_scalar([[1, 2], [3, 4]])
-    assert is_reflexive(MAT2, phi, [lam, bot(MAT2), top(MAT2), unit(MAT2)])
+    assert is_reflexive(phi, [lam, bot(MAT2), top(MAT2), unit(MAT2)])
 
 
 def matrix_scalar(rows):
@@ -147,7 +147,7 @@ def matrix_scalar(rows):
 @settings(max_examples=60)
 @given(mat2_scalars())
 def test_matrix_transfer_reflexivity(lam):
-    assert is_reflexive(MAT2, default_phi(MAT2), [lam])
+    assert is_reflexive(default_phi(MAT2), [lam])
 
 
 def test_riesz_eval():

@@ -276,6 +276,9 @@ def test_scalar_text_roundtrip():
         scalar_from_text(RMAX, "1.5")
     with pytest.raises(SchemaError):
         scalar_from_text(BOOL, "0")
+    for sr in (RMAX, NMAX, MAT2, BOOL):  # the grammar has "+inf", not "inf"
+        with pytest.raises(SchemaError):
+            scalar_from_text(sr, "inf")
 
 
 def test_scalar_text_grammar():
@@ -294,6 +297,36 @@ def test_scalar_text_grammar():
     assert scalar_from_text(NMAX, "007") == fin(NMAX, 7)
 
 
+def test_tags_built_in_racing_threads_are_one_object():
+    """Threads that build the same new tag at once all get one object."""
+    import sys
+    import threading
+
+    from idemod import SemiringId
+
+    dims = range(20, 28)  # matrix dimensions no other test builds
+    barrier = threading.Barrier(8, timeout=10)
+    got = [[] for _ in range(8)]
+
+    def build(out):
+        barrier.wait()
+        out.extend(SemiringId("mat", n) for n in dims)
+
+    threads = [threading.Thread(target=build, args=(out,)) for out in got]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == len(dims) for out in got)
+    assert all(sr is SemiringId("mat", n) for out in got for sr, n in zip(out, dims))
+
+
 def test_scal_coercion():
     assert scal(RMAX, 3) == r(3)
     assert scal(RMAX, "1/2") == r(Fraction(1, 2))
@@ -305,8 +338,6 @@ def test_scal_coercion():
 def test_phi_construction():
     from idemod import make_phi
 
-    assert make_phi(r(0)).invertible
-    assert not make_phi(top(RMAX)).invertible
     assert make_phi(bot(BOOL)).value == bot(BOOL)
     with pytest.raises(DomainError):
         make_phi(top(BOOL))  # the two-element semiring only pairs through eps
@@ -322,11 +353,39 @@ def test_semiring_id_validation():
 
 
 def test_semiring_tags_are_interned():
-    """One tag object per instance however it is reached, so binary ops on
-    operands built apart take the identity fast path."""
-    from idemod import matrix_semiring
+    """One tag object per semiring however it is reached (built again,
+    parsed, copied or unpickled), so tags compare by identity; its bottom,
+    top, unit and small finite values are one object each too."""
+    import copy
+    import pickle
+
+    from idemod import GeneratingFamily, SemiringId, Vector, act, matrix_semiring, vector
     from idemod.jsonio import parse_semiring
 
-    assert matrix_semiring(3) is matrix_semiring(3) is parse_semiring("mat3")
+    assert SemiringId("rmax") is RMAX and SemiringId("nmax", 0) is NMAX
+    assert SemiringId("mat", 3) is matrix_semiring(3) is parse_semiring("mat3")
     assert mat_of([[fin(RMAX, 0), bot(RMAX)], [top(RMAX), fin(RMAX, 1)]]).semiring is MAT2
     assert all(parse_semiring(str(sr)) is sr for sr in (RMAX, BOOL, NMAX))
+    assert repr(RMAX) == "SemiringId(name='rmax', dim=0)" and str(MAT2) == "mat2"
+    assert len({RMAX, SemiringId("rmax"), NMAX}) == 2
+    # copies and pickles keep the tag object, and a copied matrix still
+    # computes: its infinite entries are the two sentinels
+    m = mat_of([[fin(RMAX, 0), bot(RMAX)], [top(RMAX), fin(RMAX, Fraction(1, 2))]])
+    v = vector(RMAX, [1, "-inf"])
+    for obj, sr in ((RMAX, RMAX), (MAT2, MAT2), (v, RMAX), (m, MAT2)):
+        for back in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert back == obj and (back if obj is sr else back.semiring) is sr
+    assert mul(copy.deepcopy(m), pickle.loads(pickle.dumps(unit(MAT2)))) == m
+    # the tag's constants, however the tag was reached
+    for sr, again in ((RMAX, SemiringId("rmax")), (NMAX, parse_semiring("nmax")),
+                      (BOOL, copy.deepcopy(BOOL)), (MAT2, pickle.loads(pickle.dumps(MAT2)))):
+        assert again is sr
+        assert bot(again) is bot(sr) and top(again) is top(sr) and unit(again) is unit(sr)
+    assert fin(SemiringId("rmax"), -64) is fin(parse_semiring("rmax"), -64)
+    assert fin(SemiringId("nmax"), 64) is fin(NMAX, 64) and fin(NMAX, 0) is unit(NMAX)
+    assert unit(BOOL) is top(BOOL)
+    # vectors, families and the action over a tag built apart
+    rmax = SemiringId("rmax")
+    w = Vector(rmax, (fin(RMAX, 1), bot(RMAX)))
+    assert w == v and act(w, fin(rmax, 1)) == vector(RMAX, [2, "-inf"])
+    assert GeneratingFamily(rmax, 2, (w,)) == GeneratingFamily(RMAX, 2, (v,))
