@@ -154,6 +154,23 @@ def test_mat_lres():
     assert mat_lres(a2, vector(RMAX, [0, 0])).entries[1] == top(RMAX)
 
 
+def test_equal_semiring_tags_need_not_be_identical():
+    """A tag built apart from RMAX works wherever RMAX does: interning makes
+    it the same object, so the identity checks of vectors, matrices,
+    families and the action accept it."""
+    from idemod import SemiringId
+
+    rmax = SemiringId("rmax")
+    assert rmax is RMAX and rmax == RMAX
+    v = Vector(rmax, (fin(RMAX, 1), bot(RMAX)))
+    assert v == vector(RMAX, [1, "-inf"])
+    a = Matrix(rmax, ((fin(RMAX, 0), fin(RMAX, 2)),))
+    assert mat_vec(a, vector(RMAX, [1, 0])) == vector(RMAX, [2])
+    assert act(v, fin(rmax, 1)) == vector(RMAX, [2, "-inf"])
+    w = GeneratingFamily(rmax, 2, (v,))
+    assert w == GeneratingFamily(RMAX, 2, (v,))
+
+
 def test_family_is_its_generator_matrix():
     """Generator g is column g of the family's matrix, so the matrix kernels
     apply to the family itself."""

@@ -359,7 +359,7 @@ def test_semiring_tags_are_interned():
     import copy
     import pickle
 
-    from idemod import GeneratingFamily, SemiringId, Vector, act, matrix_semiring, vector
+    from idemod import SemiringId, matrix_semiring, vector
     from idemod.jsonio import parse_semiring
 
     assert SemiringId("rmax") is RMAX and SemiringId("nmax", 0) is NMAX
@@ -384,8 +384,3 @@ def test_semiring_tags_are_interned():
     assert fin(SemiringId("rmax"), -64) is fin(parse_semiring("rmax"), -64)
     assert fin(SemiringId("nmax"), 64) is fin(NMAX, 64) and fin(NMAX, 0) is unit(NMAX)
     assert unit(BOOL) is top(BOOL)
-    # vectors, families and the action over a tag built apart
-    rmax = SemiringId("rmax")
-    w = Vector(rmax, (fin(RMAX, 1), bot(RMAX)))
-    assert w == v and act(w, fin(rmax, 1)) == vector(RMAX, [2, "-inf"])
-    assert GeneratingFamily(rmax, 2, (w,)) == GeneratingFamily(RMAX, 2, (v,))
