@@ -31,9 +31,10 @@ from .jsonio import (
     scalar_json,
     vector_json,
 )
-from .metric import hilbert_distance, projection_maximizes_distance
-from .project import _checked_member, is_member, project
+from .metric import hilbert_distance
+from .project import _checked_member, _dual_coefficients, is_member, project
 from .render import render_scene, scene_from_json
+from .semiring import leq, mul
 from .separate import separate_from_convex
 
 EXIT_OK = 0
@@ -126,10 +127,15 @@ def cmd_hilbert(args) -> dict:
         out["distance"] = scalar_json(hilbert_distance(x, p.point2))
     if p.generators is not None:
         res = project(p.generators, x)
+        bound = hilbert_distance(x, res.projection)
         out["projection"] = vector_json(res.projection)
-        out["distance_to_projection"] = scalar_json(hilbert_distance(x, res.projection))
-        out["projection_maximizes"] = projection_maximizes_distance(
-            x, res.projection, list(p.generators)
+        out["distance_to_projection"] = scalar_json(bound)
+        # d(x, g) = (x\g)(g\x) for every generator g, as in
+        # projection_maximizes_distance, from residuals already at hand:
+        # g\x is g's projection coefficient, x\g its dual coefficient
+        out["projection_maximizes"] = all(
+            leq(mul(xg, gx), bound)
+            for xg, gx in zip(_dual_coefficients(p.generators, x), res.coefficients)
         )
     if not out:
         raise SchemaError('hilbert needs "point2" or "generators"')

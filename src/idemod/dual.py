@@ -69,6 +69,8 @@ def bracket_eval(cfg: DualPairConfig, y, x: Vector) -> Scalar:
         return vec_lres(x, y)
     if cfg.bracket == MATRIX:
         x = mat_vec(cfg.matrix, x)
+    if y.semiring is not x.semiring:
+        raise MismatchError("bracket sides in different semirings")
     if len(y.entries) != len(x.entries):
         raise MismatchError("bracket sides of unequal dimension")
     return _bracket(y.entries, x.entries)

@@ -55,12 +55,12 @@ def parse_semiring(tag) -> SemiringId:
 
 
 def scalar_from_json(sr: SemiringId, obj) -> Scalar:
+    if type(obj) is str:
+        return scalar_from_text(sr, obj)
     if isinstance(obj, bool):
         raise SchemaError(f"not a scalar: {obj!r}")
-    if isinstance(obj, int):
-        obj = str(obj)
-    if isinstance(obj, str):
-        return scalar_from_text(sr, obj)
+    if isinstance(obj, (int, str)):
+        return scalar_from_text(sr, str(obj))
     if sr.name == "mat" and isinstance(obj, list):
         if len(obj) != sr.dim or any(not isinstance(r, list) or len(r) != sr.dim for r in obj):
             raise MismatchError(f"matrix scalar must be {sr.dim}x{sr.dim}")

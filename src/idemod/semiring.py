@@ -16,7 +16,9 @@ Four instances are supported:
 Each instance is one ``SemiringId`` object: building a tag for the same
 (name, dim) again returns it, so "the same semiring" is ``is`` everywhere,
 and the tag holds the instance's bottom, top and unit and its interned
-small ints, which ``bot``, ``top``, ``unit`` and ``fin`` return.
+small ints, which ``bot``, ``top``, ``unit`` and ``fin`` return, and its
+text table: the canonical text of each of those scalars, which
+``scalar_from_text`` looks up before it parses.
 
 Everything is exact: finite values are ints or ``fractions.Fraction``
 (an integral Fraction is always normalised to int), infinities are
@@ -49,9 +51,11 @@ class SemiringId:
     """Tag selecting one of the four concrete instances, one object per
     (name, dim): equality and hash are identity.  ``fins`` maps the ints
     -64..64 of RMAX and 0..64 of NMAX to their scalars (empty for BOOL and
-    matrices).  Immutable by convention, like Scalar."""
+    matrices).  ``texts`` maps the canonical text of each of those, and
+    "-inf"/"+inf" ("eps"/"e" for BOOL), to its scalar.  Immutable by
+    convention, like Scalar."""
 
-    __slots__ = ("name", "dim", "bot", "top", "unit", "fins")
+    __slots__ = ("name", "dim", "bot", "top", "unit", "fins", "texts")
 
     def __new__(cls, name: str, dim: int = 0) -> "SemiringId":
         try:
@@ -76,6 +80,11 @@ class SemiringId:
         else:
             sr.bot, sr.top = Scalar(sr, BOT), Scalar(sr, TOP)
             sr.unit = sr.top if name == "bool" else sr.fins[0]
+        sr.texts = {str(q): s for q, s in sr.fins.items()}
+        if name == "bool":
+            sr.texts.update(eps=sr.bot, e=sr.top)
+        else:
+            sr.texts.update({"-inf": sr.bot, "+inf": sr.top})
         return _TAGS.setdefault((name, dim), sr)  # one winner if two threads race
 
     def __reduce__(self):
@@ -113,13 +122,13 @@ class Scalar:
     """One element of a complete idempotent semiring.
 
     ``kind`` is one of BOT/FIN/TOP for the scalar instances, with the finite
-    value in ``value``.  Matrix-semiring elements use kind MAT, and ``value``
-    holds their n*n entries as one flat row-major tuple: an int or a
-    Fraction (never an integral one) for a finite entry, ``NEG_INF`` or
-    ``POS_INF`` for an infinite one.  ``entries`` reads a matrix as an n x n
-    grid of RMAX scalars, built on each access.  Immutable by convention:
-    nothing in the library writes to a Scalar after construction, and small
-    values are interned.
+    value in ``value`` (None for BOT and TOP).  Matrix-semiring elements use
+    kind MAT, and ``value`` holds their n*n entries as one flat row-major
+    tuple: an int or a Fraction (never an integral one) for a finite entry,
+    ``NEG_INF`` or ``POS_INF`` for an infinite one.  ``entries`` reads a
+    matrix as an n x n grid of RMAX scalars, built on each access.
+    Immutable by convention: nothing in the library writes to a Scalar after
+    construction, and small values are interned.
     """
 
     __slots__ = ("semiring", "kind", "value")
@@ -201,6 +210,8 @@ def unit(sr: SemiringId) -> Scalar:
 
 def fin(sr: SemiringId, q: Rational) -> Scalar:
     """Finite element.  NMAX only admits naturals."""
+    if type(q) is not int and isinstance(q, Fraction) and q.denominator == 1:
+        q = int(q)  # an integral Fraction is its int, interned like it
     if type(q) is int:
         s = sr.fins.get(q)
         if s is not None:
@@ -211,8 +222,6 @@ def fin(sr: SemiringId, q: Rational) -> Scalar:
         raise DomainError("the Boolean semiring has no finite elements besides eps/e")
     if sr.name == "mat":
         raise DomainError("matrix elements are built with mat_of, not fin")
-    if isinstance(q, Fraction) and q.denominator == 1:
-        q = int(q)
     if sr.name == "nmax" and not (isinstance(q, int) and q >= 0):
         raise DomainError(f"{q!r} is not in the natural carrier")
     if not isinstance(q, (int, Fraction)):
@@ -562,16 +571,11 @@ def rational_from_text(text: str) -> Rational:
 def scalar_from_text(sr: SemiringId, text: str) -> Scalar:
     if not isinstance(text, str):
         raise SchemaError(f"scalar text expected, got {text!r}")
-    if sr.name == "bool":
-        if text == "eps":
-            return bot(sr)
-        if text == "e":
-            return top(sr)
+    s = sr.texts.get(text)
+    if s is not None:
+        return s
+    if sr is BOOL:
         raise SchemaError(f"Boolean scalars are 'eps' or 'e', got {text!r}")
-    if text == "-inf":
-        return bot(sr)
-    if text == "+inf":
-        return top(sr)
     try:
         return fin(sr, rational_from_text(text))
     except DomainError as exc:

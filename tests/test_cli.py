@@ -9,12 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from idemod import NMAX, RMAX, hilbert_distance, project, projection_maximizes_distance
 from idemod.cli import main
 from idemod.dual import ROWCOL_CAP
 from idemod.errors import TheoremViolation
-from idemod.jsonio import MAX_MAT_DIM, canonical_dumps
+from idemod.jsonio import MAX_MAT_DIM, canonical_dumps, scalar_json, vector_json
 from idemod.render import MAX_SAMPLES, MAX_SCENE_ITEMS, scene_from_json
 from idemod.semiring import scalar_to_text
+from conftest import families, vectors
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +157,25 @@ def test_hilbert_projects_once(tmp_path, capsys, monkeypatch):
     assert code == 0 and data["projection"] == ["-1", "0", "-1"]
     assert data["projection_maximizes"] is True
     assert len(folds) == 1
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.tuples(st.sampled_from([RMAX, NMAX]), st.integers(1, 4)).flatmap(
+    lambda sd: st.tuples(families(*sd, max_size=5), vectors(*sd))))
+def test_hilbert_compares_every_generator_as_the_metric_does(tmp_path, capsys, wx):
+    """The CLI takes each generator's distance from the residuals project and
+    its dual already hold; its verdict and bound are those of
+    projection_maximizes_distance(x, P(x), generators)."""
+    w, x = wx
+    obj = {"semiring": str(w.semiring), "point": vector_json(x),
+           "generators": [vector_json(g) for g in w]}
+    code, out, _ = run_cli(capsys, "hilbert", write(tmp_path, "h.json", obj))
+    p = project(w, x).projection
+    assert code == 0 and json.loads(out) == {
+        "projection": vector_json(p),
+        "distance_to_projection": scalar_json(hilbert_distance(x, p)),
+        "projection_maximizes": projection_maximizes_distance(x, p, list(w)),
+    }
 
 
 def test_separate_separates_once(tmp_path, capsys, monkeypatch):

@@ -256,7 +256,8 @@ def test_meet_of_closed_is_closed_matrix_bracket(y1, y2):
 
 def test_bracket_sides_must_match_for_every_bracket():
     """The covector needs one entry per entry of x, or per row of A when the
-    matrix bracket pairs it with A x; neither side is truncated."""
+    matrix bracket pairs it with A x; neither side is truncated.  Both sides
+    live in one semiring: an NMAX covector against an RMAX vector raises."""
     a = matrix(RMAX, [[0, -1], [1, "-inf"], [2, 0]])
     cfg = DualPairConfig(MATRIX, PHI0, a)
     x = vector(RMAX, [0, 1])
@@ -267,6 +268,9 @@ def test_bracket_sides_must_match_for_every_bracket():
     for n in (1, 3):
         with pytest.raises(MismatchError):
             bracket_eval(CFG, covector(RMAX, [0] * n), x)
+    for c, n in ((CFG, 2), (cfg, 3)):
+        with pytest.raises(MismatchError):
+            bracket_eval(c, covector(NMAX, [1] * n), x)
 
 
 @given(vectors(dim=2), vectors(dim=2), scalars())

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from idemod import Vector
 
 from idemod import (
+    NMAX,
     RMAX,
     CoVector,
     Matrix,
@@ -36,7 +37,7 @@ from idemod import (
     vjoin,
     vmeet,
 )
-from idemod.freemod import GeneratingFamily, identity_matrix
+from idemod.freemod import GeneratingFamily, _bracket, _residual, identity_matrix
 from conftest import families, scalars, vectors
 
 
@@ -280,3 +281,40 @@ def test_matrix_kernels_over_matrix_semiring(data):
     back = mat_lres(a, y)
     assert vec_leq(mat_vec(a, back), y) and vec_leq(z, mat_lres(a, mat_vec(a, z)))
     assert vec_leq(mat_vec(a, z), y) == vec_leq(z, back)
+
+
+# -- the RMAX and NMAX folds against the scalar-op oracle ----------------------
+
+
+def _fold_entries(sr):
+    """Entry strategies by kind, so rows can be finite only (no term absorbs),
+    infinite only, all top or all bottom (every term absorbs or is neutral)."""
+    if sr is NMAX:
+        ints = st.one_of(st.integers(0, 9), st.integers(10**14, 10**15 - 1))
+        finite = ints.map(lambda n: fin(NMAX, n))
+    else:
+        finite = st.one_of(
+            st.integers(-9, 9),
+            st.integers(-(10**15) + 1, 10**15 - 1),  # 15-digit ints
+            st.fractions(-6, 6, max_denominator=12),
+            st.fractions(-(10**15), 10**15, max_denominator=10**6),
+        ).map(lambda q: fin(RMAX, q))
+    inf = st.sampled_from([bot(sr), top(sr)])
+    return st.sampled_from([finite, inf, st.just(bot(sr)), st.just(top(sr)),
+                            st.one_of(finite, inf, finite)])
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([RMAX, NMAX]), st.integers(1, 6), st.data())
+def test_raw_folds_match_the_scalar_op_oracle(sr, n, data):
+    """_bracket is reduce(add, map(mul, ...)) and _residual is
+    reduce(meet, map(lres, ...)) over RMAX and NMAX: same value, same type
+    of value, and the same object for an interned result."""
+    kinds = _fold_entries(sr)
+    us, vs = (tuple(data.draw(st.lists(data.draw(kinds), min_size=n, max_size=n)))
+              for _ in range(2))
+    for got, want in ((_bracket(us, vs), reduce(add, map(mul, us, vs))),
+                      (_residual(us, vs), reduce(meet, map(lres, us, vs)))):
+        assert got == want and type(got.value) is type(want.value)
+        if want.kind != "fin" or want.value in sr.fins:
+            assert got is want

@@ -384,3 +384,57 @@ def test_semiring_tags_are_interned():
     assert fin(SemiringId("rmax"), -64) is fin(parse_semiring("rmax"), -64)
     assert fin(SemiringId("nmax"), 64) is fin(NMAX, 64) and fin(NMAX, 0) is unit(NMAX)
     assert unit(BOOL) is top(BOOL)
+
+
+def test_integral_fractions_are_interned_like_their_ints():
+    """An integral Fraction is normalised to its int before the lookup of the
+    interned small values, whichever op produced it."""
+    half, three_halves = fin(RMAX, Fraction(1, 2)), fin(RMAX, Fraction(3, 2))
+    assert fin(RMAX, Fraction(4, 2)) is fin(RMAX, 2)
+    assert mul(half, three_halves) is fin(RMAX, 2)
+    assert lres(half, fin(RMAX, Fraction(5, 2))) is fin(RMAX, 2)
+    assert fin(RMAX, Fraction(-128, 2)) is fin(RMAX, -64)
+    assert fin(NMAX, Fraction(6, 3)) is fin(NMAX, 2)
+    assert fin(NMAX, Fraction(0, 5)) is unit(NMAX)
+    big = fin(RMAX, Fraction(2**70, 2))
+    assert type(big.value) is int and big == fin(RMAX, 2**69)
+    with pytest.raises(DomainError):
+        fin(NMAX, Fraction(-4, 2))
+
+
+def _slow_scalar_from_text(sr, text):
+    """Text to scalar without the tag's text table."""
+    from idemod.semiring import rational_from_text
+
+    if sr is BOOL:
+        return {"eps": bot(sr), "e": top(sr)}[text]
+    if text in ("-inf", "+inf"):
+        return bot(sr) if text == "-inf" else top(sr)
+    return fin(sr, rational_from_text(text))
+
+
+def test_text_table_is_the_slow_path():
+    """Each entry of a tag's text table is the scalar the grammar gives its
+    text, as the same object; other spellings still parse through the grammar,
+    and everything outside it is still refused."""
+    for sr in (RMAX, NMAX, BOOL, MAT2):
+        want = {"eps", "e"} if sr is BOOL else {"-inf", "+inf"} | set(map(str, sr.fins))
+        assert set(sr.texts) == want
+        for text, s in sr.texts.items():
+            assert scalar_from_text(sr, text) is s
+            assert s == _slow_scalar_from_text(sr, text) and s is _slow_scalar_from_text(sr, text)
+            assert sr is MAT2 or scalar_to_text(s) == text
+    for sr in (RMAX, NMAX):
+        assert scalar_from_text(sr, "+5") is fin(sr, 5)
+        assert scalar_from_text(sr, "-0") is unit(sr)
+        assert scalar_from_text(sr, "007") is fin(sr, 7)
+        assert scalar_from_text(sr, "65") == fin(sr, 65)
+    assert scalar_from_text(RMAX, "-65") == fin(RMAX, -65)
+    assert scalar_from_text(RMAX, "8/4") is fin(RMAX, 2)
+    for sr in (RMAX, NMAX, BOOL, MAT2):
+        for bad in ("1_000", " 5", "5 ", "inf", "-inf ", "٥", "５", "E", "Eps"):
+            with pytest.raises(SchemaError):
+                scalar_from_text(sr, bad)
+    for sr, bad in ((NMAX, "-1"), (BOOL, "0"), (BOOL, "-inf"), (BOOL, "+inf"), (MAT2, "0")):
+        with pytest.raises(SchemaError):
+            scalar_from_text(sr, bad)
