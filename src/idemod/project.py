@@ -9,6 +9,7 @@ return their coefficients and whether x is fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 
 from .errors import DomainError, MismatchError, TheoremViolation
@@ -21,7 +22,7 @@ from .freemod import (
     vec_leq,
     vec_lres,
 )
-from .semiring import BOT, TOP, Scalar, add, bot, fin, leq, meet, mul, rres, top
+from .semiring import BOT, TOP, Scalar, bot, fin, leq, meet, mul, rres, top
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,6 +101,9 @@ def project_dual(w: GeneratingFamily, x: Vector) -> ProjectionResult:
 #     q_i = max_k min_{j covers k} _box_floor(A_ij, cover(A_kj, x_k)),
 #
 # with an empty min being top (no choice exists) and an empty max bottom.
+# _dominating_entry folds this on the raw values of A and the bounds, as
+# freemod's folds do, and builds one scalar per entry; _box_floor is one term
+# of it written on scalars, the form the tests enumerate choices with.
 
 _ALL = 0
 _CLOSED = 1
@@ -130,6 +134,35 @@ def _box_floor(a: Scalar, constraint: tuple) -> Scalar:
     return top(sr) if a.kind == TOP else bot(sr)
 
 
+def _dominating_entry(sr, row: tuple, covers: list) -> Scalar:
+    """max over covers of the min over their columns j of
+    _box_floor(row[j], bound), on raw values: a min leaves at its first
+    bottom term and the max at its first top min; each term row[j] + bound
+    is an unreduced pair num/den, compared by cross-multiplication."""
+    best_n = best_d = None  # the greatest min so far; None while every min is bottom
+    for cover in covers:
+        n = d = None  # the least term so far; None while every term is top
+        for j, (kind, bound) in cover:
+            a = row[j]
+            if a.kind == BOT or (kind == _OPEN and a.kind != TOP):
+                break  # a bottom term
+            if kind == _OPEN or a.kind == TOP or bound.kind == TOP:
+                continue  # a top term
+            x, y = a.value, bound.value
+            tn = x.numerator * y.denominator + y.numerator * x.denominator
+            td = x.denominator * y.denominator
+            if n is None or tn * d < n * td:
+                n, d = tn, td
+        else:
+            if n is None:
+                return sr.top
+            if best_n is None or n * best_d > best_n * d:
+                best_n, best_d = n, d
+    if best_n is None:
+        return sr.bot
+    return fin(sr, best_n if best_d == 1 else Fraction(best_n, best_d))
+
+
 def inf_dominating(w: GeneratingFamily, x: Vector) -> tuple[Vector, bool]:
     """Entrywise meet of the span elements dominating x, and whether that
     meet itself belongs to the span (it need not).  RMAX only."""
@@ -142,11 +175,7 @@ def inf_dominating(w: GeneratingFamily, x: Vector) -> tuple[Vector, bool]:
         if xk.kind != BOT:
             bounds = [(j, _cover_constraint(a, xk)) for j, a in enumerate(w.entries[k])]
             covers.append([(j, c) for j, c in bounds if c[0] != _EMPTY])
-    q = Vector(sr, tuple(
-        reduce(add, (reduce(meet, (_box_floor(row[j], c) for j, c in cover), top(sr))
-                     for cover in covers), bot(sr))
-        for row in w.entries
-    ))
+    q = Vector(sr, tuple(_dominating_entry(sr, row, covers) for row in w.entries))
     if not vec_leq(x, q):
         raise TheoremViolation("dominating meet fell below the point")
     return q, is_member(w, q)

@@ -11,10 +11,12 @@ with multiplication by k > 0, so no comparison changes.  Labelled points are
 classified on the unscaled scene.  Each row of a hull or a half-space is one
 closed interval in u (every axis-parallel slice of a tropical polytope is a
 segment) with exact bounds in closed form.  A line's sign along a row is
-constant between at most two exact breakpoints: it is computed once per open
-interval between them and once per sample on one.  So only the picture is
-approximate, never the algebra.  Output bytes are a pure function of the
-scene and the library version.
+constant on each open interval between at most two exact breakpoints and on
+each breakpoint, and which sign that is depends only on the slot and on the
+row's type, the sign of b + v - c: each line classifies each (type, slot)
+once, at most 13 times whatever the sample count, and a row costs only its
+bisects.  So only the picture is approximate, never the algebra.  Output
+bytes are a pure function of the scene and the library version.
 """
 from __future__ import annotations
 
@@ -22,9 +24,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
 from math import lcm
-from operator import itemgetter
 
 from . import __version__
 from .errors import SchemaError
@@ -186,51 +186,69 @@ def _halfspace_rows(h: HalfSpace):
     return row
 
 
-def _line_breaks(spec: LineSpec, v) -> list:
-    # where a + u meets the constants b + v and c along the row at height v
+def _line_rows(spec: LineSpec, us: list, vs: list) -> list[list[tuple[int, int]]]:
+    """For each v in vs, (stop, sign) of each maximal run of equal values in
+    [_line_side(spec, u, v) for u in us], for ascending samples us.
+
+    Along the row at height v, a + u meets the constants b + v and c at no
+    more than two breakpoints.  The row's slots are the open intervals
+    between them and the breakpoints themselves, and on each slot the order
+    of the three terms is fixed by the slot and the row's type: the sign of
+    b + v - c when b and c are finite, a single type otherwise.  So each
+    (type, slot) is classified once, on the first sample found in it: at
+    most 5 + 3 + 5 calls of _line_side per line, whatever the sample count."""
     a, b, c = spec.a[1], spec.b[1], spec.c[1]
-    if a.kind != FIN:
-        return []
-    ks = ([b.value + v] if b.kind == FIN else []) + ([c.value] if c.kind == FIN else [])
-    return [k - a.value for k in ks]
-
-
-def _row_classes(us: list, breaks: list, classify) -> list[tuple[int, object]]:
-    """(stop, value) of each maximal run of equal values in
-    [classify(u) for u in us], for ascending samples us and a classify that
-    is constant on each open interval between the breaks: one call per such
-    interval that holds samples, one per sample that lies on a break."""
     n = len(us)
-    out: list = []
-    start = 0
-    for b in sorted(set(breaks)):
-        k = bisect_left(us, b, start)
-        if k > start:
-            out.append((k, classify(us[start])))
-            start = k
-        if k < n and us[k] == b:
-            out.append((k + 1, classify(us[k])))
-            start = k + 1
-    if start < n:
-        out.append((n, classify(us[start])))
-    # adjacent intervals of one class make one run
-    return [(list(run)[-1][0], value) for value, run in groupby(out, key=itemgetter(1))]
+    signs: dict = {}
+    rows = []
+
+    def extend(stop: int, slot: int, i: int) -> None:
+        # the run of slot up to stop, classified on its first sample us[i]
+        key = (row_type, slot)
+        sign = signs.get(key)
+        if sign is None:
+            sign = signs[key] = _line_side(spec, us[i], v)
+        if row and row[-1][1] == sign:
+            row[-1] = (stop, sign)  # adjacent slots of one sign make one run
+        else:
+            row.append((stop, sign))
+
+    for v in vs:
+        ks = ([b.value + v] if b.kind == FIN else []) + ([c.value] if c.kind == FIN else [])
+        row_type = (ks[0] > ks[1]) - (ks[0] < ks[1]) if len(ks) == 2 else 0
+        breaks = sorted({k - a.value for k in ks}) if a.kind == FIN else ()
+        row: list = []
+        start = slot = 0
+        for p in breaks:
+            k = bisect_left(us, p, start)
+            if k > start:
+                extend(k, slot, start)
+                start = k
+            if k < n and us[k] == p:
+                extend(k + 1, slot + 1, k)
+                start = k + 1
+            slot += 2
+        if start < n:
+            extend(n, slot, start)
+        rows.append(row)
+    return rows
 
 
 def _crossings(runs: list, runs_below: list):
-    """Ascending i with row[i] == 0, row[i] != row[i + 1] or row[i] != below[i]
-    for the sign rows with these runs (as ``_row_classes`` gives them): the
-    cells of a line's sign row that the line crosses.  Walks the segments on
-    which both rows are constant, so the cost is in runs, not cells."""
+    """Ascending, disjoint ranges (start, stop) that together hold the i with
+    row[i] == 0, row[i] != row[i + 1] or row[i] != below[i] for the sign rows
+    with these runs (as ``_line_rows`` gives them): the cells of a line's
+    sign row that the line crosses.  Walks the segments on which both rows
+    are constant, so the cost is in runs, not cells."""
     n = runs[-1][0]
     start = a = b = 0
     while start < n:
         (stop_a, s), (stop_b, t) = runs[a], runs_below[b]
         stop = min(stop_a, stop_b)
         if s == 0 or s != t:
-            yield from range(start, stop)
+            yield start, stop
         elif stop == stop_a < n:
-            yield stop - 1  # row changes sign between stop - 1 and stop
+            yield stop - 1, stop  # row changes sign between stop - 1 and stop
         a += stop == stop_a
         b += stop == stop_b
         start = stop
@@ -344,14 +362,13 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
             f'width="{step:.2f}" height="{step:.2f}" '
             f'fill="{_LINE_COLORS[li % len(_LINE_COLORS)]}"/>'
         )
-        runs = [
-            _row_classes(us, _line_breaks(spec, v), lambda u, v=v: _line_side(spec, u, v))
-            for v in vs
-        ]
+        runs = _line_rows(spec, us, vs)
         for j in range(n):
             below = runs[j + 1] if j + 1 < n else runs[j]
             row_tail = y_attrs[j] + tail
-            parts += [x_attrs[i] + row_tail for i in _crossings(runs[j], below)]
+            # the rects of cells start..stop - 1, joined as "\n".join(parts) would
+            sep = row_tail + "\n"
+            parts += [sep.join(x_attrs[lo:hi]) + row_tail for lo, hi in _crossings(runs[j], below)]
 
     # axes through the origin when visible
     if xmin <= 0 <= xmax:
@@ -388,7 +405,7 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
     )
     def finite_xy(p: Vector) -> tuple[float, float] | None:
         a, b = p.entries
-        if a.kind != "fin" or b.kind != "fin":
+        if a.kind != FIN or b.kind != FIN:
             return None  # points at infinity are classified but not drawn
         try:
             return px(Fraction(a.value)), py(Fraction(b.value))

@@ -1,8 +1,8 @@
-"""Closed-form region rows and interval classification of line rows against
+"""Closed-form region rows and memoised classification of line rows against
 per-sample classification, and the byte gate on the README figure."""
 import hashlib
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 from unittest import mock
 
 import pytest
@@ -34,10 +34,9 @@ from idemod.render import (
     _crossings,
     _halfspace_rows,
     _hull_rows,
-    _line_breaks,
+    _line_rows,
     _line_side,
     _pixels,
-    _row_classes,
     render_scene,
     scene_from_json,
 )
@@ -78,9 +77,10 @@ def runs(row):
     return out
 
 
-def per_sample(us, breaks, classify):
-    """The oracle: every sample classified on its own, then cut into runs."""
-    return runs([classify(u) for u in us])
+def rows_per_sample(spec, us, vs, side=_line_side):
+    """The oracle: every sample of every row classified on its own, then
+    each row cut into runs."""
+    return [runs([side(spec, u, v) for u in us]) for v in vs]
 
 
 points2 = vectors(RMAX, dim=2)
@@ -122,13 +122,10 @@ def test_halfspace_row_matches_per_sample(h, grid_row):
 
 
 @settings(max_examples=300)
-@given(lines, grid_rows)
-def test_line_row_matches_per_sample(spec, grid_row):
-    (viewport, n), j = grid_row
-    us, vs = samples(viewport, n)
-    v = vs[j]
-    classify = lambda u: _line_side(spec, u, v)  # noqa: E731
-    assert _row_classes(us, _line_breaks(spec, v), classify) == per_sample(us, None, classify)
+@given(lines, st.sampled_from(GRIDS))
+def test_line_row_matches_per_sample(spec, grid):
+    us, vs = samples(*grid)
+    assert _line_rows(spec, us, vs) == rows_per_sample(spec, us, vs)
 
 
 def line_side_oracle(spec, u, v):
@@ -149,13 +146,47 @@ lines_with_infinities = st.builds(LineSpec, *[st.one_of(coefs, infinite_coefs)] 
 
 
 @settings(max_examples=300)
-@given(lines_with_infinities, grid_rows)
-def test_line_row_matches_maxplus_oracle(spec, grid_row):
-    (viewport, n), j = grid_row
-    us, vs = samples(viewport, n)
-    v = vs[j]
-    row = _row_classes(us, _line_breaks(spec, v), lambda u: _line_side(spec, u, v))
-    assert row == runs([line_side_oracle(spec, u, v) for u in us])
+@given(lines_with_infinities, st.sampled_from(GRIDS))
+def test_line_row_matches_maxplus_oracle(spec, grid):
+    us, vs = samples(*grid)
+    assert _line_rows(spec, us, vs) == rows_per_sample(spec, us, vs, line_side_oracle)
+
+
+def pinned_to_grid(spec, grid, i, j):
+    """spec with c moved so that b + v = c on row j and, when a is finite, a
+    moved so that a + u = c at column i: every breakpoint and row type met
+    on the grid.  Infinite coefficients stay as they are."""
+    us, vs = samples(*grid)
+    (ta, a), (tb, b), (tc, c) = spec.a, spec.b, spec.c
+    if b.kind == "fin" and c.kind == "fin":
+        c = fin(RMAX, b.value + vs[j])
+    if a.kind == "fin" and c.kind == "fin":
+        a = fin(RMAX, c.value - us[i])
+    return LineSpec((ta, a), (tb, b), (tc, c))
+
+
+lines_on_grids = st.sampled_from(GRIDS).flatmap(
+    lambda g: st.tuples(
+        st.builds(
+            pinned_to_grid,
+            lines_with_infinities,
+            st.just(g),
+            st.integers(min_value=0, max_value=g[1] - 1),
+            st.integers(min_value=0, max_value=g[1] - 1),
+        ),
+        st.just(g),
+    )
+)
+
+
+@settings(max_examples=300)
+@given(lines_on_grids)
+def test_line_rows_match_maxplus_oracle_where_b_plus_v_meets_c(spec_grid):
+    """Every row of a grid with a row on v = c - b, so all three row types
+    occur, and a sample on a + u = c, against the max-plus sign oracle."""
+    spec, grid = spec_grid
+    us, vs = samples(*grid)
+    assert _line_rows(spec, us, vs) == rows_per_sample(spec, us, vs, line_side_oracle)
 
 
 @pytest.mark.parametrize("tag, cells", [("+", 0), ("-", 0), (".", 16 * 16)])
@@ -171,13 +202,57 @@ def test_top_line_coefficient(tag, cells):
     assert svg.count('fill="#1f4e9c"') == cells
 
 
-def test_row_classes_calls_once_per_interval_and_break():
-    us = [Fraction(i, 2) for i in range(-8, 9)]  # -4, -7/2, ..., 4
+def counting_line_side():
+    """A stand-in for _line_side that records the (u, v) of each call."""
     calls = []
-    flags = _row_classes(us, [Fraction(1, 3), 1, 1, 9], lambda u: calls.append(u) or u > 1)
-    assert flags == runs([u > 1 for u in us]) == [(11, False), (17, True)]
-    # (-inf, 1/3), (1/3, 1), the sample on 1, (1, 9); 9 lies past the grid
-    assert calls == [-4, Fraction(1, 2), 1, Fraction(3, 2)]
+
+    def side(spec, u, v):
+        calls.append((u, v))
+        return _line_side(spec, u, v)
+
+    return side, calls
+
+
+def test_line_rows_classify_once_per_type_and_slot():
+    # max(u) = max(v, 1): along row v, a + u meets b + v at u = v and c at u = 1
+    spec = LineSpec(("+", fin(RMAX, 0)), ("-", fin(RMAX, 0)), ("-", fin(RMAX, 1)))
+    us = [Fraction(i, 2) for i in range(-8, 9)]  # -4, -7/2, ..., 4
+    vs = [Fraction(1, 3), 0, 1, 2, 3]
+    side, calls = counting_line_side()
+    with mock.patch("idemod.render._line_side", side):
+        rows = _line_rows(spec, us, vs)
+    assert rows == rows_per_sample(spec, us, vs)
+    assert rows[0] == [(10, -1), (11, 0), (17, 1)]  # u < 1, u = 1, u > 1
+    half = Fraction(1, 2)
+    assert calls == [
+        # v = 1/3, type b + v < c: (-inf, 1/3), (1/3, 1), the sample on 1, (1, inf)
+        (-4, Fraction(1, 3)), (half, Fraction(1, 3)), (1, Fraction(1, 3)), (1 + half, Fraction(1, 3)),
+        # v = 0, the same type: only the sample on b + v, which v = 1/3 had none of
+        (0, 0),
+        # v = 1, type b + v = c: (-inf, 1), the sample on 1, (1, inf)
+        (-4, 1), (1, 1), (1 + half, 1),
+        # v = 2, type b + v > c: (-inf, 1), 1, (1, 2), 2, (2, inf); v = 3 is of the same type
+        (-4, 2), (1, 2), (1 + half, 2), (2, 2), (2 + half, 2),
+    ]
+
+
+@pytest.mark.parametrize("n", [16, 400])
+def test_line_side_calls_per_line_are_bounded(n):
+    """One render makes at most 5 + 3 + 5 sign classifications per line,
+    whatever the sample count: one per (row type, slot)."""
+    tags = [t for t in product("+-.", repeat=3) if "+" in t and "-" in t]
+    values = [fin(RMAX, 0), fin(RMAX, 0), fin(RMAX, 1)]
+    specs = [LineSpec(*zip(t, values)) for t in tags]
+    # and lines with an infinite coefficient in each place
+    specs += [
+        LineSpec(*((t, inf if k == m else x) for k, (t, x) in enumerate(zip("+-+", values))))
+        for m in range(3) for inf in (bot(RMAX), top(RMAX))
+    ]
+    for spec in specs:
+        side, calls = counting_line_side()
+        with mock.patch("idemod.render._line_side", side):
+            render_scene(Scene((-4, 4, -4, 4), n, lines=[spec]))
+        assert 0 < len(calls) <= 13, spec
 
 
 def crossings_per_cell(row, below):
@@ -201,7 +276,8 @@ sign_rows = st.integers(min_value=1, max_value=24).flatmap(
 def test_crossings_match_per_cell(rows):
     for row in rows:
         for below in rows:
-            assert list(_crossings(runs(row), runs(below))) == crossings_per_cell(row, below)
+            cells = [i for lo, hi in _crossings(runs(row), runs(below)) for i in range(lo, hi)]
+            assert cells == crossings_per_cell(row, below)
 
 
 def pixels_per_sample(viewport, n):
@@ -291,12 +367,12 @@ def region_rects_per_sample(scene):
 )
 def test_svg_bytes_match_per_sample_render(grid, gens, hs, ls):
     """Regions shaded per sample and line rows classified per sample give the
-    same bytes as the closed-form rows and the interval classification."""
+    same bytes as the closed-form rows and the memoised line classification."""
     viewport, n = grid
     scene = Scene(viewport, n, gens, [], hs, ls)
     svg, _ = render_scene(scene)
     no_region = lambda _: lambda v: (_TOP, _BOT)  # noqa: E731
-    with mock.patch("idemod.render._row_classes", per_sample), mock.patch(
+    with mock.patch("idemod.render._line_rows", rows_per_sample), mock.patch(
         "idemod.render._hull_rows", no_region
     ), mock.patch("idemod.render._halfspace_rows", no_region):
         rest, _ = render_scene(scene)
