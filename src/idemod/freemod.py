@@ -12,6 +12,7 @@ from functools import reduce
 
 from .errors import MismatchError
 from .semiring import (
+    BOOL,
     BOT,
     NMAX,
     RMAX,
@@ -23,6 +24,8 @@ from .semiring import (
     fin,
     leq,
     lres,
+    mat_bracket,
+    mat_residual,
     meet,
     mul,
     rres,
@@ -169,16 +172,20 @@ def _need_like(x: Vector, y: Vector) -> None:
 # whose value is None.  An int-int term stays an int;
 # any other term is an unreduced pair num/den (den > 0) compared by
 # cross-multiplication, so a result builds at most one Fraction and makes one
-# ``fin`` call.  Over BOOL and matrices they fold the scalar ops, looked up
+# ``fin`` call.  Over matrices the k terms are one max-plus product of the
+# block row (y_1 .. y_k) by the block column (x_1; ..; x_k), and the residual
+# its min-minus dual, folded on raw entries by ``semiring.mat_bracket`` and
+# ``mat_residual`` the same way.  Only BOOL folds the scalar ops, looked up
 # when called, so a rebinding of ``add``/``mul``/``meet``/``lres`` in this
-# module reaches those kernels only; the RMAX and NMAX folds call none of them.
+# module reaches the BOOL folds only: no RMAX, NMAX or matrix fold calls them,
+# and a tracer that counts scalar-op calls sees none of those folds' terms.
 
 
 def _bracket(ys, xs) -> Scalar:
     """<y, x> = (+)_i y_i * x_i over equal-length entry sequences."""
     sr = ys[0].semiring
     if sr is not RMAX and sr is not NMAX:
-        return reduce(add, map(mul, ys, xs))
+        return reduce(add, map(mul, ys, xs)) if sr is BOOL else mat_bracket(ys, xs)
     n = d = None  # the greatest term so far is n/d; None while every term is bottom
     for y, x in zip(ys, xs):
         a, b = y.value, x.value
@@ -202,7 +209,7 @@ def _residual(xs, ys) -> Scalar:
     r"""x\y = (^)_i x_i\y_i over equal-length entry sequences."""
     sr = xs[0].semiring
     if sr is not RMAX and sr is not NMAX:
-        return reduce(meet, map(lres, xs, ys))
+        return reduce(meet, map(lres, xs, ys)) if sr is BOOL else mat_residual(xs, ys)
     n = d = None  # the least term so far is n/d; None while every term is top
     for x, y in zip(xs, ys):
         a, b = x.value, y.value

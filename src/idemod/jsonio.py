@@ -18,14 +18,16 @@ from .fenchel import GridFunction, SlopeSet
 from .freemod import GeneratingFamily, Matrix, Vector
 from .semiring import (
     BOOL,
+    MAT,
+    NEG_INF,
     NMAX,
+    POS_INF,
     RMAX,
     Phi,
     Scalar,
     SemiringId,
     default_phi,
     make_phi,
-    mat_of,
     mat_rows,
     matrix_semiring,
     rational_from_text,
@@ -64,8 +66,21 @@ def scalar_from_json(sr: SemiringId, obj) -> Scalar:
     if sr.name == "mat" and isinstance(obj, list):
         if len(obj) != sr.dim or any(not isinstance(r, list) or len(r) != sr.dim for r in obj):
             raise MismatchError(f"matrix scalar must be {sr.dim}x{sr.dim}")
-        return mat_of([[scalar_from_json(RMAX, e) for e in r] for r in obj])
+        return Scalar(sr, MAT, tuple(_raw_entry(e) for r in obj for e in r))
     raise SchemaError(f"not a scalar: {obj!r}")
+
+
+def _raw_entry(obj):
+    """One matrix entry, parsed as an RMAX scalar is, to its raw value:
+    an int, a non-integral Fraction, ``NEG_INF`` or ``POS_INF``."""
+    if type(obj) is not str:
+        if isinstance(obj, bool) or not isinstance(obj, (int, str)):
+            raise SchemaError(f"not a scalar: {obj!r}")
+        obj = str(obj)
+    s = RMAX.texts.get(obj)
+    if s is None:
+        return rational_from_text(obj)
+    return NEG_INF if s is RMAX.bot else POS_INF if s is RMAX.top else s.value
 
 
 def scalar_json(s: Scalar):

@@ -264,6 +264,12 @@ def _need_same(a: Scalar, b: Scalar) -> None:
         raise MismatchError(f"mixed semirings {a.semiring} and {b.semiring}")
 
 
+def _le(x: Rational, y: Rational) -> bool:
+    """x <= y for two finite raw matrix entries, by cross-multiplication
+    (the caller compares two ints itself)."""
+    return x.numerator * y.denominator <= y.numerator * x.denominator
+
+
 def leq(a: Scalar, b: Scalar) -> bool:
     """Natural order a <= b.  Total for the scalars, entrywise for matrices."""
     if a.semiring is not b.semiring:
@@ -273,7 +279,9 @@ def leq(a: Scalar, b: Scalar) -> bool:
         for x, y in zip(a.value, b.value):
             if x is NEG_INF or y is POS_INF:
                 continue
-            if x is POS_INF or y is NEG_INF or x > y:
+            if x is POS_INF or y is NEG_INF:
+                return False
+            if not (x <= y if type(x) is int and type(y) is int else _le(x, y)):
                 return False
         return True
     if ka == BOT or kb == TOP:
@@ -291,7 +299,8 @@ def add(a: Scalar, b: Scalar) -> Scalar:
     if ka == MAT:
         return Scalar(a.semiring, MAT, tuple(
             y if x is NEG_INF or y is POS_INF
-            else x if y is NEG_INF or x is POS_INF or x >= y
+            else x if y is NEG_INF or x is POS_INF
+            or (x >= y if type(x) is int and type(y) is int else _le(y, x))
             else y
             for x, y in zip(a.value, b.value)
         ))
@@ -312,7 +321,8 @@ def meet(a: Scalar, b: Scalar) -> Scalar:
     if ka == MAT:
         return Scalar(a.semiring, MAT, tuple(
             y if x is POS_INF or y is NEG_INF
-            else x if y is POS_INF or x is NEG_INF or x <= y
+            else x if y is POS_INF or x is NEG_INF
+            or (x <= y if type(x) is int and type(y) is int else _le(x, y))
             else y
             for x, y in zip(a.value, b.value)
         ))
@@ -368,11 +378,24 @@ def rres(b: Scalar, a: Scalar) -> Scalar:
 
 
 # The matrix kernels loop over the flat row-major tuples of raw entries.
-# Each result entry folds the terms of one line (row or column) of each
-# operand and stops at the first term that absorbs the fold: top for the
-# product's join, bottom for the residuals' meet.  A cached plan lists, per
-# result entry in row-major order, the (index into a, index into b) pairs of
-# its terms.  An integral Fraction result is normalised to int.
+# ``add``, ``meet`` and ``leq`` compare entry by entry; the product and both
+# residuals are two folds, each over k >= 1 pairs of operands, so that one
+# call also folds a module bracket or residual of k terms (Butkovic,
+# *Max-linear Systems*, 2010, 1.2; Cohen-Gaubert-Quadrat, LAA 379, 2004):
+#
+#   _maxplus:  (+)_i a_i b_i   entry [r,c] = max over (i, j) of a_i[r,j] + b_i[j,c]
+#   _minminus: (^)_i a_i \ b_i entry [j,k] = min over (i, r) of b_i[r,k] - a_i[r,j]
+#
+# A cached plan lists, per result entry in row-major order, the (index into
+# a_i, index into b_i) pairs of its line: ``_mul_plan`` for the product,
+# ``_lres_plan`` for a\b (columns of a against columns of b) and
+# ``_rres_plan`` for b/a (rows of a against rows of b).  Each result entry
+# leaves at the first term that absorbs it: top for the max (bottom absorbs
+# a term first, even against top), bottom for the min.  An int-int term
+# stays an int; any other term is an unreduced pair num/den (den > 0)
+# compared by cross-multiplication, so each result entry builds at most one
+# Fraction, and an integral one is normalised to int.  Finite entries of
+# add/meet/leq compare the same way.
 
 
 @functools.cache
@@ -396,57 +419,111 @@ def _rres_plan(n: int) -> tuple:
     return tuple(tuple((j * n + k, i * n + k) for k in r) for i in r for j in r)
 
 
-def _mat_mul(a: Scalar, b: Scalar) -> Scalar:
-    af, bf = a.value, b.value
-    out = []
-    for line in _mul_plan(a.semiring.dim):
-        acc = NEG_INF
-        for ix, iy in line:
-            x = af[ix]
-            y = bf[iy]
-            if x is NEG_INF or y is NEG_INF:
-                continue  # bottom absorbs the term, even against top
-            if x is POS_INF or y is POS_INF:
-                acc = POS_INF
-                break
-            s = x + y
-            if acc is NEG_INF or s > acc:
-                acc = s
-        else:
-            if type(acc) is Fraction and acc.denominator == 1:
-                acc = acc.numerator
-        out.append(acc)
-    return Scalar(a.semiring, MAT, tuple(out))
+def _ratio(n: int, d: int):
+    q = Fraction(n, d)
+    return q.numerator if q.denominator == 1 else q
 
 
-def _mat_res(sr: SemiringId, af: tuple, bf: tuple, plan: tuple) -> Scalar:
+def _maxplus(sr: SemiringId, pairs, plan: tuple) -> Scalar:
     out = []
     for line in plan:
-        acc = POS_INF
-        for ix, iy in line:
-            x = af[ix]
-            y = bf[iy]
-            if x is NEG_INF or y is POS_INF:
-                continue  # the term x\y is top
-            if x is POS_INF or y is NEG_INF:
-                acc = NEG_INF
-                break
-            d = y - x
-            if acc is POS_INF or d < acc:
-                acc = d
-        else:
-            if type(acc) is Fraction and acc.denominator == 1:
-                acc = acc.numerator
-        out.append(acc)
+        n, d = None, 1  # the greatest term so far is n/d; None while every term is bottom
+        for af, bf in pairs:
+            for ix, iy in line:
+                x = af[ix]
+                y = bf[iy]
+                if x is NEG_INF or y is NEG_INF:
+                    continue  # bottom absorbs the term, even against top
+                if x is POS_INF or y is POS_INF:
+                    n = POS_INF
+                    break
+                if type(x) is int and type(y) is int:
+                    if d == 1:
+                        s = x + y
+                        if n is None or s > n:
+                            n = s
+                        continue
+                    tn, td = x + y, 1
+                else:
+                    xd = x.denominator
+                    yd = y.denominator
+                    tn, td = x.numerator * yd + y.numerator * xd, xd * yd
+                if n is None or tn * d > n * td:
+                    n, d = tn, td
+            else:
+                continue
+            break  # an absorbing term decided the entry
+        out.append(NEG_INF if n is None else n if d == 1 or n is POS_INF else _ratio(n, d))
     return Scalar(sr, MAT, tuple(out))
 
 
+def _minminus(sr: SemiringId, pairs, plan: tuple) -> Scalar:
+    out = []
+    for line in plan:
+        n, d = None, 1  # the least term so far is n/d; None while every term is top
+        for af, bf in pairs:
+            for ix, iy in line:
+                x = af[ix]
+                y = bf[iy]
+                if x is NEG_INF or y is POS_INF:
+                    continue  # the term x\y is top
+                if x is POS_INF or y is NEG_INF:
+                    n = NEG_INF
+                    break
+                if type(x) is int and type(y) is int:
+                    if d == 1:
+                        s = y - x
+                        if n is None or s < n:
+                            n = s
+                        continue
+                    tn, td = y - x, 1
+                else:
+                    xd = x.denominator
+                    yd = y.denominator
+                    tn, td = y.numerator * xd - x.numerator * yd, xd * yd
+                if n is None or tn * d < n * td:
+                    n, d = tn, td
+            else:
+                continue
+            break  # an absorbing term decided the entry
+        out.append(POS_INF if n is None else n if d == 1 or n is NEG_INF else _ratio(n, d))
+    return Scalar(sr, MAT, tuple(out))
+
+
+def _mat_mul(a: Scalar, b: Scalar) -> Scalar:
+    return _maxplus(a.semiring, ((a.value, b.value),), _mul_plan(a.semiring.dim))
+
+
 def _mat_lres(a: Scalar, b: Scalar) -> Scalar:
-    return _mat_res(a.semiring, a.value, b.value, _lres_plan(a.semiring.dim))
+    return _minminus(a.semiring, ((a.value, b.value),), _lres_plan(a.semiring.dim))
 
 
 def _mat_rres(b: Scalar, a: Scalar) -> Scalar:
-    return _mat_res(a.semiring, a.value, b.value, _rres_plan(a.semiring.dim))
+    return _minminus(a.semiring, ((a.value, b.value),), _rres_plan(a.semiring.dim))
+
+
+def _mat_pairs(us, vs) -> tuple[SemiringId, list]:
+    sr = us[0].semiring
+    pairs = []
+    for u, v in zip(us, vs):
+        if u.semiring is not sr or v.semiring is not sr:
+            raise MismatchError(f"mixed semirings {u.semiring} and {v.semiring} in {sr}")
+        pairs.append((u.value, v.value))
+    return sr, pairs
+
+
+def mat_bracket(ys, xs) -> Scalar:
+    """(+)_i y_i * x_i over equal-length sequences of one matrix semiring's
+    elements, as one max-plus product of the block row by the block column."""
+    sr, pairs = _mat_pairs(ys, xs)
+    return _maxplus(sr, pairs, _mul_plan(sr.dim))
+
+
+def mat_residual(xs, ys) -> Scalar:
+    r"""(^)_i x_i\y_i over equal-length sequences of one matrix semiring's
+    elements."""
+    sr, pairs = _mat_pairs(xs, ys)
+    return _minminus(sr, pairs, _lres_plan(sr.dim))
 
 
 def is_invertible(s: Scalar) -> bool:

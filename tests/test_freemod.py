@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from idemod import Vector
 
 from idemod import (
+    BOOL,
     NMAX,
     RMAX,
     CoVector,
@@ -24,12 +25,15 @@ from idemod import (
     leq,
     lres,
     mat_lres,
+    mat_of,
     mat_vec,
     matrix,
+    matrix_semiring,
     meet,
     mul,
     top,
     top_vector,
+    unit,
     vec_leq,
     vec_lres,
     vec_rres,
@@ -38,6 +42,7 @@ from idemod import (
     vmeet,
 )
 from idemod.freemod import GeneratingFamily, _bracket, _residual, identity_matrix
+from idemod.semiring import NEG_INF, POS_INF
 from conftest import families, scalars, vectors
 
 
@@ -318,3 +323,88 @@ def test_raw_folds_match_the_scalar_op_oracle(sr, n, data):
         assert got == want and type(got.value) is type(want.value)
         if want.kind != "fin" or want.value in sr.fins:
             assert got is want
+
+
+# -- the matrix folds against two oracles --------------------------------------
+
+
+def _mat_entries():
+    """RMAX entry strategies by kind, as for the raw folds above."""
+    finite = st.one_of(
+        st.integers(-9, 9),
+        st.integers(-(10**15) + 1, 10**15 - 1),  # 15-digit ints
+        st.fractions(-6, 6, max_denominator=12),
+        st.fractions(-(10**15), 10**15, max_denominator=10**6),
+    ).map(lambda q: fin(RMAX, q))
+    inf = st.sampled_from([bot(RMAX), top(RMAX)])
+    return st.sampled_from([finite, inf, st.just(bot(RMAX)), st.just(top(RMAX)),
+                            st.one_of(finite, inf, finite)])
+
+
+def _block_fold(us, vs, join, term, line):
+    """Entry [r, c] of a fold, as the join over i and m of
+    term(u_i[p, q], v_i[s, t]) on the blocks' RMAX scalars, where
+    line(r, c, m) gives ((p, q), (s, t))."""
+    n = us[0].semiring.dim
+    out = []
+    for r in range(n):
+        for c in range(n):
+            terms = []
+            for u, v in zip(us, vs):
+                for m in range(n):
+                    (p, q), (s, t) = line(r, c, m)
+                    terms.append(term(u.entries[p][q], v.entries[s][t]))
+            out.append(_raw(reduce(join, terms)))
+    return tuple(out)
+
+
+def _raw(s):
+    return NEG_INF if s.kind == "bot" else POS_INF if s.kind == "top" else s.value
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 3), st.integers(1, 5), st.data())
+def test_matrix_folds_match_the_scalar_op_oracle(n, k, data):
+    """Over matN, _bracket is reduce(add, map(mul, ...)) and _residual is
+    reduce(meet, map(lres, ...)), and both equal the fold of the blocks' RMAX
+    scalars entry by entry: (+)_i y_i x_i at [r, c] joins y_i[r, j] x_i[j, c]
+    over (i, j), and (^)_i x_i\\y_i at [j, c] meets x_i[r, j]\\y_i[r, c] over
+    (i, r).  Same raw entries, same types of entries; mixed tags raise."""
+    sr = matrix_semiring(n)
+
+    def block():
+        kinds = data.draw(_mat_entries())  # one kind per block: all-top, all-finite, ...
+        return mat_of(data.draw(st.lists(st.lists(kinds, min_size=n, max_size=n),
+                                         min_size=n, max_size=n)))
+
+    # a top term against a bottom partner: the product absorbs through bottom,
+    # and the residual of two tops or two bottoms is top
+    assert _bracket((sr.top, sr.bot), (sr.bot, sr.top)).value == sr.bot.value
+    assert _residual((sr.top, sr.bot), (sr.top, sr.bot)).value == sr.top.value
+
+    us, vs = (tuple(block() for _ in range(k)) for _ in range(2))
+    got = _bracket(us, vs)
+    assert got.semiring is sr
+    for want in (reduce(add, map(mul, us, vs)).value,
+                 _block_fold(us, vs, add, mul, lambda r, c, j: ((r, j), (j, c)))):
+        assert got.value == want and [type(q) for q in got.value] == [type(q) for q in want]
+    got = _residual(us, vs)
+    assert got.semiring is sr
+    for want in (reduce(meet, map(lres, us, vs)).value,
+                 _block_fold(us, vs, meet, lres, lambda j, c, r: ((r, j), (r, c)))):
+        assert got.value == want and [type(q) for q in got.value] == [type(q) for q in want]
+
+    # one term of another tag, anywhere but first (the first term's tag is the fold's)
+    other = data.draw(st.sampled_from([fin(RMAX, 1), bot(BOOL), unit(matrix_semiring(n % 3 + 1))]))
+    ys, xs = list(us), list(vs)
+    i = data.draw(st.integers(0, 2 * k - 2))
+    if i < k:
+        xs[i] = other
+    else:
+        ys[i - k + 1] = other
+    for fold, oracle in ((_bracket, lambda: reduce(add, map(mul, ys, xs))),
+                         (_residual, lambda: reduce(meet, map(lres, ys, xs)))):
+        with pytest.raises(MismatchError):
+            oracle()
+        with pytest.raises(MismatchError):
+            fold(ys, xs)

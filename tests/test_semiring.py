@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idemod import (
     BOOL,
@@ -19,6 +19,7 @@ from idemod import (
     leq,
     lres,
     mat_of,
+    matrix_semiring,
     meet,
     mul,
     rres,
@@ -28,7 +29,7 @@ from idemod import (
     top,
     unit,
 )
-from idemod.jsonio import scalar_json
+from idemod.jsonio import scalar_from_json, scalar_json
 from idemod.semiring import NEG_INF, POS_INF
 from conftest import MAT2, mat2_scalars, scalars
 
@@ -264,6 +265,50 @@ def test_matrix_kernels_match_entrywise_oracle(ab):
         assert repr(x) == f"<{x.semiring} [{'; '.join(' '.join(row) for row in texts)}]>"
 
 
+# 15-digit ints and Fractions with denominators up to 10^6; each entry of b is
+# drawn alike or is m - q or m + q for an entry q of a and an int m, so that
+# sums a_ij + b_jk and differences b_ik - a_ij of two Fractions come out
+# integral often enough to be seen
+_INT15 = st.integers(min_value=-(10**15) + 1, max_value=10**15 - 1)
+_BIG = st.one_of(_INT15, st.fractions(-(10**15), 10**15, max_denominator=10**6))
+
+
+@st.composite
+def _big_operands(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    a = [draw(_BIG) for _ in range(n * n)]
+    b = []
+    for _ in range(n * n):
+        q, m, how = draw(st.sampled_from(a)), draw(_INT15), draw(st.integers(0, 2))
+        b.append(draw(_BIG) if how == 0 else m - q if how == 1 else m + q)
+    return tuple(mat_of([[r(q) for q in flat[i:i + n]] for i in range(0, n * n, n)])
+                 for flat in (a, b))
+
+
+_P = Fraction(1, 999_983)  # a prime denominator
+
+
+@settings(max_examples=300)
+@example(ab=(mat_of([[r(_P)]]), mat_of([[r(10**15 - 1 - _P)]])))  # the product is an int
+@example(ab=(mat_of([[r(-_P)]]), mat_of([[r(-(10**15) + 1 - _P)]])))  # both residuals are
+@given(_big_operands())
+def test_matrix_kernels_on_large_entries_give_integral_results_as_ints(ab):
+    """mul, lres, rres, add, meet and leq on 15-digit ints and large-denominator
+    Fractions agree with the entrywise oracle, and every integral entry of a
+    result is an int, never a Fraction."""
+    a, b = ab
+    oracle = _oracle(a, b)
+    for got, want in ((mul(a, b), oracle["mul"]), (lres(a, b), oracle["lres"]),
+                      (rres(b, a), oracle["rres"]), (add(a, b), oracle["add"]),
+                      (meet(a, b), oracle["meet"])):
+        _assert_same_raw(got, want)
+        assert all(type(q) is int or q.denominator > 1 for q in got.value)
+    pairs = list(zip(sum(a.entries, ()), sum(b.entries, ())))
+    assert leq(a, b) == all(leq(x, y) for x, y in pairs)
+    assert leq(b, a) == all(leq(y, x) for x, y in pairs)
+    assert leq(a, a) and leq(meet(a, b), add(a, b))
+
+
 def test_scalar_text_roundtrip():
     for s in (bot(RMAX), top(RMAX), r(5), r(-3), r(Fraction(7, 2))):
         assert scalar_from_text(RMAX, scalar_to_text(s)) == s
@@ -295,6 +340,36 @@ def test_scalar_text_grammar():
     assert scalar_from_text(RMAX, "-0") == r(0)
     assert scalar_from_text(RMAX, "06/4") == r(Fraction(3, 2))
     assert scalar_from_text(NMAX, "007") == fin(NMAX, 7)
+
+
+# JSON values a matrix entry may hold: canonical and non-canonical texts,
+# interned and large ints, Fractions, and values the grammar refuses
+_ENTRY_JSON = st.one_of(
+    st.sampled_from(["-inf", "+inf", "inf", "0", "64", "65", "-65", "4/2", "-6/4", "00",
+                     "+5", "3/0", "1_0", "1.5", "eps", "e", True, None, 1.5, [1], {}]),
+    st.integers(-(10**15), 10**15),
+    st.integers(-(10**15), 10**15).map(str),
+    st.fractions(-(10**15), 10**15, max_denominator=10**6).map(str),
+)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3), st.data())
+def test_matrix_scalars_parse_like_their_rmax_entries(n, data):
+    """scalar_from_json over matN builds the raw entries that mat_of builds
+    from the RMAX parse of each entry, with the same entry types, or raises
+    the same error."""
+    obj = data.draw(st.lists(st.lists(_ENTRY_JSON, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    try:
+        want = mat_of([[scalar_from_json(RMAX, e) for e in row] for row in obj])
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            scalar_from_json(matrix_semiring(n), obj)
+        assert str(got.value) == str(exc)
+        return
+    got = scalar_from_json(matrix_semiring(n), obj)
+    assert got == want and [type(q) for q in got.value] == [type(q) for q in want.value]
 
 
 def test_tags_built_in_racing_threads_are_one_object():
