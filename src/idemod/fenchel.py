@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MismatchError
+from .errors import DomainError, MismatchError
 from .semiring import BOT, FIN, RMAX, Rational, Scalar, bot, fin, scal, top
 
 
@@ -78,8 +78,10 @@ def slope_set(slopes) -> SlopeSet:
 
 
 def _rat(x) -> Rational:
-    if isinstance(x, int):
+    if type(x) is int:
         return x
+    if isinstance(x, bool):
+        raise DomainError(f"grid points and slopes must be exact rationals, got {x!r}")
     q = Fraction(x)
     return int(q) if q.denominator == 1 else q
 

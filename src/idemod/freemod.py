@@ -7,25 +7,14 @@ fold, so completeness never needs an actual infinite join.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
 
 from .errors import MismatchError
 from .semiring import (
-    BOOL,
-    BOT,
-    NMAX,
-    RMAX,
-    TOP,
     Scalar,
     SemiringId,
     add,
     bot,
-    fin,
     leq,
-    lres,
-    mat_bracket,
-    mat_residual,
     meet,
     mul,
     rres,
@@ -33,6 +22,7 @@ from .semiring import (
     top,
     unit,
 )
+from .semiring import bracket as _bracket, residual as _residual
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,72 +153,9 @@ def _need_like(x: Vector, y: Vector) -> None:
         raise MismatchError(f"dimension mismatch {x.dim} vs {y.dim}")
 
 
-# The two pairings of entry sequences, which vec_lres, bracket_eval and the
-# matrix kernels fold.  Over RMAX and NMAX they fold the entries' raw values
-# in closed form (Butkovic, *Max-linear Systems*, 2010, 1.2): the bracket is
-# max_i (y_i + x_i) and the residual min_i (y_i - x_i), each leaving at the
-# first absorbing term (top for the bracket, bottom for the residual), with
-# NMAX's clamp applied once, to the minimum.  An infinite entry is the one
-# whose value is None.  An int-int term stays an int;
-# any other term is an unreduced pair num/den (den > 0) compared by
-# cross-multiplication, so a result builds at most one Fraction and makes one
-# ``fin`` call.  Over matrices the k terms are one max-plus product of the
-# block row (y_1 .. y_k) by the block column (x_1; ..; x_k), and the residual
-# its min-minus dual, folded on raw entries by ``semiring.mat_bracket`` and
-# ``mat_residual`` the same way.  Only BOOL folds the scalar ops, looked up
-# when called, so a rebinding of ``add``/``mul``/``meet``/``lres`` in this
-# module reaches the BOOL folds only: no RMAX, NMAX or matrix fold calls them,
-# and a tracer that counts scalar-op calls sees none of those folds' terms.
-
-
-def _bracket(ys, xs) -> Scalar:
-    """<y, x> = (+)_i y_i * x_i over equal-length entry sequences."""
-    sr = ys[0].semiring
-    if sr is not RMAX and sr is not NMAX:
-        return reduce(add, map(mul, ys, xs)) if sr is BOOL else mat_bracket(ys, xs)
-    n = d = None  # the greatest term so far is n/d; None while every term is bottom
-    for y, x in zip(ys, xs):
-        a, b = y.value, x.value
-        if a is None or b is None:  # an infinite entry
-            if y.kind == BOT or x.kind == BOT:
-                continue  # bottom absorbs the term, even against top
-            return sr.top
-        if type(a) is int and type(b) is int:
-            tn, td = a + b, 1
-        else:
-            tn = a.numerator * b.denominator + b.numerator * a.denominator
-            td = a.denominator * b.denominator
-        if n is None or tn * d > n * td:
-            n, d = tn, td
-    if n is None:
-        return sr.bot
-    return fin(sr, n if d == 1 else Fraction(n, d))
-
-
-def _residual(xs, ys) -> Scalar:
-    r"""x\y = (^)_i x_i\y_i over equal-length entry sequences."""
-    sr = xs[0].semiring
-    if sr is not RMAX and sr is not NMAX:
-        return reduce(meet, map(lres, xs, ys)) if sr is BOOL else mat_residual(xs, ys)
-    n = d = None  # the least term so far is n/d; None while every term is top
-    for x, y in zip(xs, ys):
-        a, b = x.value, y.value
-        if a is None or b is None:  # an infinite entry
-            if x.kind == BOT or y.kind == TOP:
-                continue  # the term x\y is top
-            return sr.bot
-        if type(a) is int and type(b) is int:
-            tn, td = b - a, 1
-        else:
-            tn = b.numerator * a.denominator - a.numerator * b.denominator
-            td = a.denominator * b.denominator
-        if n is None or tn * d < n * td:
-            n, d = tn, td
-    if n is None:
-        return sr.top
-    if n < 0 and sr is NMAX:
-        return sr.bot  # the sup must stay inside the natural carrier
-    return fin(sr, n if d == 1 else Fraction(n, d))
+# vec_lres, bracket_eval and the matrix kernels fold entry sequences through
+# the two pairings ``_bracket`` and ``_residual``: ``semiring.bracket`` and
+# ``semiring.residual``, which fold raw values.
 
 
 def vec_leq(x: Vector, y: Vector) -> bool:

@@ -19,9 +19,7 @@ from .freemod import GeneratingFamily, Matrix, Vector
 from .semiring import (
     BOOL,
     MAT,
-    NEG_INF,
     NMAX,
-    POS_INF,
     RMAX,
     Phi,
     Scalar,
@@ -66,21 +64,8 @@ def scalar_from_json(sr: SemiringId, obj) -> Scalar:
     if sr.name == "mat" and isinstance(obj, list):
         if len(obj) != sr.dim or any(not isinstance(r, list) or len(r) != sr.dim for r in obj):
             raise MismatchError(f"matrix scalar must be {sr.dim}x{sr.dim}")
-        return Scalar(sr, MAT, tuple(_raw_entry(e) for r in obj for e in r))
+        return Scalar(sr, MAT, tuple(scalar_from_json(RMAX, e).value for r in obj for e in r))
     raise SchemaError(f"not a scalar: {obj!r}")
-
-
-def _raw_entry(obj):
-    """One matrix entry, parsed as an RMAX scalar is, to its raw value:
-    an int, a non-integral Fraction, ``NEG_INF`` or ``POS_INF``."""
-    if type(obj) is not str:
-        if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-            raise SchemaError(f"not a scalar: {obj!r}")
-        obj = str(obj)
-    s = RMAX.texts.get(obj)
-    if s is None:
-        return rational_from_text(obj)
-    return NEG_INF if s is RMAX.bot else POS_INF if s is RMAX.top else s.value
 
 
 def scalar_json(s: Scalar):

@@ -67,6 +67,7 @@ from .semiring import (
     matrix_semiring,
     meet,
     mul,
+    of_raw,
     rres,
     top,
     unit,
@@ -127,12 +128,7 @@ def rand_scalar(rng: random.Random, sr: SemiringId, finite_only: bool = False) -
         return top(sr) if rng.random() < 0.5 else bot(sr)
     if sr.name == "mat":
         return rand_matrix_scalar(rng, sr, finite_only)
-    q = _rand_raw(rng, finite_only, sr.name == "nmax")
-    if q is NEG_INF:
-        return bot(sr)
-    if q is POS_INF:
-        return top(sr)
-    return fin(sr, q)
+    return of_raw(sr, _rand_raw(rng, finite_only, sr.name == "nmax"))
 
 
 def rand_matrix_scalar(rng: random.Random, sr: SemiringId, finite_only: bool = False) -> Scalar:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from .errors import DomainError, MismatchError, TheoremViolation
 from .freemod import (
@@ -19,10 +18,11 @@ from .freemod import (
     _residual,
     combine,
     mat_lres,
+    top_vector,
     vec_leq,
     vec_lres,
 )
-from .semiring import BOT, TOP, Scalar, bot, fin, leq, meet, mul, rres, top
+from .semiring import BOT, TOP, Scalar, _rres_plan, bot, fin, leq, mul, residual, top
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,12 +76,14 @@ def _checked_member(res: ProjectionResult, x: Vector) -> bool:
 
 def project_dual(w: GeneratingFamily, x: Vector) -> ProjectionResult:
     """Projection onto the opposite-order span of w: its least element above
-    x, the meet of g/(x\\g) over generators, row by row of A.  Empty family
-    yields the all-top vector."""
+    x, the meet of g/(x\\g) over generators, each row of A folded as one
+    right residual.  Empty family yields the all-top vector."""
     _check_family(w, x)
     coeffs = _dual_coefficients(w, x)
-    t = top(x.semiring)
-    p = Vector(x.semiring, tuple(reduce(meet, map(rres, row, coeffs), t) for row in w.entries))
+    if coeffs:
+        p = Vector(x.semiring, tuple(residual(coeffs, row, _rres_plan) for row in w.entries))
+    else:
+        p = top_vector(x.semiring, x.dim)
     return ProjectionResult(p, coeffs, p == x)
 
 

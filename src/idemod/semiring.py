@@ -7,11 +7,15 @@ Four instances are supported:
 * ``NMAX``  -- naturals with both infinities, (max, +).  Complete but not
   a semifield: residuation results are clamped to the carrier.
 * ``matrix_semiring(n)`` -- n x n matrices over RMAX with the (max, +)
-  product; order, sups and infs are entrywise.  An element stores its n*n
-  entries as one flat row-major tuple of raw values (ints, Fractions and
-  the two sentinels ``NEG_INF``/``POS_INF``), and the product and both
-  residuals loop over those tuples directly (Cuninghame-Green, *Minimax
+  product; order, sups and infs are entrywise (Cuninghame-Green, *Minimax
   Algebra*, 1979, ch. 2; Butkovic, *Max-linear Systems*, 2010, 1.2).
+
+A scalar's ``value`` is its raw value in every semiring: an int or a
+Fraction when finite, the sentinel ``NEG_INF`` for the bottom and
+``POS_INF`` for the top of RMAX, NMAX and BOOL, and for a matrix the flat
+row-major tuple of its entries' raw values.  ``of_raw`` turns a raw value
+back into a scalar, and the module folds ``bracket`` and ``residual`` loop
+over raw values directly.
 
 Each instance is one ``SemiringId`` object: building a tag for the same
 (name, dim) again returns it, so "the same semiring" is ``is`` everywhere,
@@ -78,7 +82,7 @@ class SemiringId:
             sr.top = Scalar(sr, MAT, (POS_INF,) * (dim * dim))
             sr.unit = Scalar(sr, MAT, tuple(0 if i == j else NEG_INF for i in r for j in r))
         else:
-            sr.bot, sr.top = Scalar(sr, BOT), Scalar(sr, TOP)
+            sr.bot, sr.top = Scalar(sr, BOT, NEG_INF), Scalar(sr, TOP, POS_INF)
             sr.unit = sr.top if name == "bool" else sr.fins[0]
         sr.texts = {str(q): s for q, s in sr.fins.items()}
         if name == "bool":
@@ -98,9 +102,9 @@ class SemiringId:
 
 
 class _Infinity:
-    """An infinite matrix entry.  There are exactly two, compared by ``is``
-    (copies and pickles give the same two back); ``str`` gives the scalar
-    text."""
+    """The raw value of an infinity.  There are exactly two, compared by
+    ``is`` (copies and pickles give the same two back); ``str`` gives the
+    scalar text."""
 
     __slots__ = ("_text",)
 
@@ -121,21 +125,19 @@ POS_INF = _Infinity("+inf")
 class Scalar:
     """One element of a complete idempotent semiring.
 
-    ``kind`` is one of BOT/FIN/TOP for the scalar instances, with the finite
-    value in ``value`` (None for BOT and TOP).  Matrix-semiring elements use
-    kind MAT, and ``value`` holds their n*n entries as one flat row-major
-    tuple: an int or a Fraction (never an integral one) for a finite entry,
-    ``NEG_INF`` or ``POS_INF`` for an infinite one.  ``entries`` reads a
-    matrix as an n x n grid of RMAX scalars, built on each access.
+    ``kind`` is one of BOT/FIN/TOP for the scalar instances and MAT for
+    matrices.  ``value`` is the raw value: an int or a Fraction (never an
+    integral one) when finite, ``NEG_INF`` for bottom and ``POS_INF`` for
+    top; a matrix holds its n*n entries' raw values as one flat row-major
+    tuple.  ``entries`` reads a matrix as an n x n grid of RMAX scalars,
+    built on each access.
     Immutable by convention: nothing in the library writes to a Scalar after
     construction, and small values are interned.
     """
 
     __slots__ = ("semiring", "kind", "value")
 
-    def __init__(
-        self, semiring: SemiringId, kind: str, value: Rational | tuple | None = None
-    ) -> None:
+    def __init__(self, semiring: SemiringId, kind: str, value) -> None:
         self.semiring = semiring
         self.kind = kind
         self.value = value
@@ -144,7 +146,7 @@ class Scalar:
     def entries(self) -> tuple[tuple["Scalar", ...], ...] | None:
         if self.kind != MAT:
             return None
-        return tuple(tuple(map(_rmax_of, row)) for row in mat_rows(self))
+        return tuple(tuple(of_raw(RMAX, q) for q in row) for row in mat_rows(self))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -184,13 +186,13 @@ def mat_rows(s: Scalar) -> list[tuple]:
     return [flat[i:i + n] for i in range(0, n * n, n)]
 
 
-def _rmax_of(q) -> Scalar:
-    """The RMAX scalar of one raw matrix entry."""
+def of_raw(sr: SemiringId, q) -> Scalar:
+    """The scalar of ``sr`` whose value is the raw value ``q``."""
     if q is NEG_INF:
-        return RMAX.bot
+        return sr.bot
     if q is POS_INF:
-        return RMAX.top
-    return fin(RMAX, q)
+        return sr.top
+    return fin(sr, q)
 
 
 def bot(sr: SemiringId) -> Scalar:
@@ -209,7 +211,7 @@ def unit(sr: SemiringId) -> Scalar:
 
 
 def fin(sr: SemiringId, q: Rational) -> Scalar:
-    """Finite element.  NMAX only admits naturals."""
+    """Finite element.  NMAX only admits naturals; a bool is no rational."""
     if type(q) is not int and isinstance(q, Fraction) and q.denominator == 1:
         q = int(q)  # an integral Fraction is its int, interned like it
     if type(q) is int:
@@ -224,7 +226,7 @@ def fin(sr: SemiringId, q: Rational) -> Scalar:
         raise DomainError("matrix elements are built with mat_of, not fin")
     if sr.name == "nmax" and not (isinstance(q, int) and q >= 0):
         raise DomainError(f"{q!r} is not in the natural carrier")
-    if not isinstance(q, (int, Fraction)):
+    if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
         raise DomainError(f"finite values must be exact rationals, got {type(q)}")
     return Scalar(sr, FIN, q)
 
@@ -234,14 +236,9 @@ def mat_of(rows: list[list[Scalar]] | tuple) -> Scalar:
     n = len(rows)
     if n < 1 or any(len(r) != n for r in rows):
         raise MismatchError("matrix-semiring elements must be square")
-    flat = []
-    for r in rows:
-        for s in r:
-            if s.semiring is not RMAX:
-                raise MismatchError("matrix entries must be RMAX scalars")
-            k = s.kind
-            flat.append(NEG_INF if k == BOT else POS_INF if k == TOP else s.value)
-    return Scalar(SemiringId("mat", n), MAT, tuple(flat))
+    if any(s.semiring is not RMAX for r in rows for s in r):
+        raise MismatchError("matrix entries must be RMAX scalars")
+    return Scalar(SemiringId("mat", n), MAT, tuple(s.value for r in rows for s in r))
 
 
 def scal(sr: SemiringId, v) -> Scalar:
@@ -377,11 +374,14 @@ def rres(b: Scalar, a: Scalar) -> Scalar:
     return lres(a, b)  # scalar instances are commutative
 
 
-# The matrix kernels loop over the flat row-major tuples of raw entries.
-# ``add``, ``meet`` and ``leq`` compare entry by entry; the product and both
-# residuals are two folds, each over k >= 1 pairs of operands, so that one
-# call also folds a module bracket or residual of k terms (Butkovic,
-# *Max-linear Systems*, 2010, 1.2; Cohen-Gaubert-Quadrat, LAA 379, 2004):
+# The raw folds.  A module bracket <y, x> = (+)_i y_i x_i and residual
+# x\y = (^)_i x_i\y_i fold the raw values of their terms in closed form
+# (Butkovic, *Max-linear Systems*, 2010, 1.2; Cohen-Gaubert-Quadrat, LAA 379,
+# 2004).  Over RMAX and NMAX, ``bracket`` is max_i (y_i + x_i) and
+# ``residual`` min_i (y_i - x_i), with NMAX's clamp applied once, to the
+# minimum.  Over matrices the product and both residuals are two folds, each
+# over k >= 1 pairs of operands, so that one call also folds a bracket or
+# residual of k terms:
 #
 #   _maxplus:  (+)_i a_i b_i   entry [r,c] = max over (i, j) of a_i[r,j] + b_i[j,c]
 #   _minminus: (^)_i a_i \ b_i entry [j,k] = min over (i, r) of b_i[r,k] - a_i[r,j]
@@ -389,13 +389,24 @@ def rres(b: Scalar, a: Scalar) -> Scalar:
 # A cached plan lists, per result entry in row-major order, the (index into
 # a_i, index into b_i) pairs of its line: ``_mul_plan`` for the product,
 # ``_lres_plan`` for a\b (columns of a against columns of b) and
-# ``_rres_plan`` for b/a (rows of a against rows of b).  Each result entry
-# leaves at the first term that absorbs it: top for the max (bottom absorbs
-# a term first, even against top), bottom for the min.  An int-int term
-# stays an int; any other term is an unreduced pair num/den (den > 0)
-# compared by cross-multiplication, so each result entry builds at most one
+# ``_rres_plan`` for b/a (rows of a against rows of b).  Every fold leaves
+# at the first term that absorbs it: top for the max (bottom absorbs a term
+# first, even against top), bottom for the min.  An int-int term stays an
+# int; any other term is an unreduced pair num/den (den > 0) compared by
+# cross-multiplication, so each result or result entry builds at most one
 # Fraction, and an integral one is normalised to int.  Finite entries of
-# add/meet/leq compare the same way.
+# add/meet/leq compare the same way.  Only BOOL folds the scalar ops, looked
+# up when called, so a tracer that counts scalar-op calls sees the BOOL
+# terms and no others.
+#
+# The scalar loops of ``bracket``/``residual`` and the matrix loops of
+# ``_maxplus``/``_minminus`` do the same arithmetic but stay apart on
+# purpose.  Three prototypes merged them into one kernel over raw pairs,
+# called per fold or per matrix line; each cost 12-30% on the projector,
+# hilbert and separation law suites and up to 30% on residuation,
+# in-process, and one of them +14% laws p50, +23% laws p96 and +5% ops-mix
+# p50 in the benchmark, because a fold of few terms pays the second call in
+# full.
 
 
 @functools.cache
@@ -502,28 +513,72 @@ def _mat_rres(b: Scalar, a: Scalar) -> Scalar:
     return _minminus(a.semiring, ((a.value, b.value),), _rres_plan(a.semiring.dim))
 
 
-def _mat_pairs(us, vs) -> tuple[SemiringId, list]:
-    sr = us[0].semiring
+def _mat_pairs(sr: SemiringId, us, vs) -> list:
     pairs = []
     for u, v in zip(us, vs):
         if u.semiring is not sr or v.semiring is not sr:
             raise MismatchError(f"mixed semirings {u.semiring} and {v.semiring} in {sr}")
         pairs.append((u.value, v.value))
-    return sr, pairs
+    return pairs
 
 
-def mat_bracket(ys, xs) -> Scalar:
-    """(+)_i y_i * x_i over equal-length sequences of one matrix semiring's
-    elements, as one max-plus product of the block row by the block column."""
-    sr, pairs = _mat_pairs(ys, xs)
-    return _maxplus(sr, pairs, _mul_plan(sr.dim))
+def bracket(ys, xs) -> Scalar:
+    """<y, x> = (+)_i y_i * x_i over equal-length nonempty sequences of one
+    semiring's scalars."""
+    sr = ys[0].semiring
+    if sr is not RMAX and sr is not NMAX:
+        if sr is BOOL:
+            return functools.reduce(add, map(mul, ys, xs))
+        return _maxplus(sr, _mat_pairs(sr, ys, xs), _mul_plan(sr.dim))
+    n = d = None  # the greatest term so far is n/d; None while every term is bottom
+    for y, x in zip(ys, xs):
+        a = y.value
+        b = x.value
+        if type(a) is int and type(b) is int:
+            tn, td = a + b, 1
+        elif a is NEG_INF or b is NEG_INF:
+            continue  # bottom absorbs the term, even against top
+        elif a is POS_INF or b is POS_INF:
+            return sr.top
+        else:
+            tn = a.numerator * b.denominator + b.numerator * a.denominator
+            td = a.denominator * b.denominator
+        if n is None or tn * d > n * td:
+            n, d = tn, td
+    if n is None:
+        return sr.bot
+    return fin(sr, n if d == 1 else Fraction(n, d))
 
 
-def mat_residual(xs, ys) -> Scalar:
-    r"""(^)_i x_i\y_i over equal-length sequences of one matrix semiring's
-    elements."""
-    sr, pairs = _mat_pairs(xs, ys)
-    return _minminus(sr, pairs, _lres_plan(sr.dim))
+def residual(xs, ys, plan=_lres_plan) -> Scalar:
+    r"""x\y = (^)_i x_i\y_i over equal-length nonempty sequences of one
+    semiring's scalars.  With ``plan=_rres_plan`` it folds (^)_i y_i/x_i
+    instead, which differs over matrices only."""
+    sr = xs[0].semiring
+    if sr is not RMAX and sr is not NMAX:
+        if sr is BOOL:
+            return functools.reduce(meet, map(lres, xs, ys))
+        return _minminus(sr, _mat_pairs(sr, xs, ys), plan(sr.dim))
+    n = d = None  # the least term so far is n/d; None while every term is top
+    for x, y in zip(xs, ys):
+        a = x.value
+        b = y.value
+        if type(a) is int and type(b) is int:
+            tn, td = b - a, 1
+        elif a is NEG_INF or b is POS_INF:
+            continue  # the term x\y is top
+        elif a is POS_INF or b is NEG_INF:
+            return sr.bot
+        else:
+            tn = b.numerator * a.denominator - a.numerator * b.denominator
+            td = a.denominator * b.denominator
+        if n is None or tn * d < n * td:
+            n, d = tn, td
+    if n is None:
+        return sr.top
+    if n < 0 and sr is NMAX:
+        return sr.bot  # the sup must stay inside the natural carrier
+    return fin(sr, n if d == 1 else Fraction(n, d))
 
 
 def is_invertible(s: Scalar) -> bool:
@@ -597,32 +652,25 @@ def phi_nn(n: int, diag: Scalar) -> Scalar:
     return mat_of([[diag if i == j else t for j in range(n)] for i in range(n)])
 
 
+def _raw_key(q):
+    return (0, 0) if q is NEG_INF else (2, 0) if q is POS_INF else (1, q)
+
+
 def sort_key(s: Scalar):
     """Total key for deterministic enumeration output, natural-order compatible
     on each chain."""
     if s.kind == MAT:
-        return tuple(
-            (0, 0) if q is NEG_INF else (2, 0) if q is POS_INF else (1, q)
-            for q in s.value
-        )
-    if s.kind == BOT:
-        return (0, 0)
-    if s.kind == TOP:
-        return (2, 0)
-    return (1, s.value)
+        return tuple(map(_raw_key, s.value))
+    return _raw_key(s.value)
 
 
 def scalar_to_text(s: Scalar) -> str:
     """Canonical text form: "-inf", "+inf", lowest-terms "p/q" (integers bare);
     Boolean uses "eps"/"e"."""
-    if s.semiring.name == "bool":
-        return "eps" if s.kind == BOT else "e"
-    if s.kind == BOT:
-        return "-inf"
-    if s.kind == TOP:
-        return "+inf"
     if s.kind == MAT:
         raise DomainError("matrix scalars encode as nested arrays, not text")
+    if s.semiring is BOOL:
+        return "eps" if s.value is NEG_INF else "e"
     return str(s.value)
 
 

@@ -1,4 +1,6 @@
-"""Shared hypothesis strategies for scalars, vectors and families."""
+"""Shared hypothesis strategies for scalars, vectors and families, and a
+loader for the benchmark's modules."""
+import importlib.util
 import os
 import pathlib
 from fractions import Fraction
@@ -11,7 +13,9 @@ settings.load_profile("exact")
 
 # pytest puts src/ on its own path (pyproject.toml); the tests that start a
 # fresh interpreter need it there too when the package is not installed
-_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_SRC = str(_ROOT / "src")
+BENCH_DIR = _ROOT / "perfbench"
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 from idemod import (
@@ -84,3 +88,11 @@ def families(sr=RMAX, dim=None, max_size=4):
             lambda vs: GeneratingFamily(sr, n, tuple(vs))
         )
     )
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

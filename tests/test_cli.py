@@ -1,4 +1,5 @@
 """CLI contract: JSON in/out, exit codes, rendering."""
+import hashlib
 import json
 import re
 import subprocess
@@ -16,7 +17,7 @@ from idemod.errors import TheoremViolation
 from idemod.jsonio import MAX_MAT_DIM, canonical_dumps, scalar_json, vector_json
 from idemod.render import MAX_SAMPLES, MAX_SCENE_ITEMS, scene_from_json
 from idemod.semiring import scalar_to_text
-from conftest import families, vectors
+from conftest import BENCH_DIR, families, perfbench_module, vectors
 
 
 def run_cli(capsys, *argv):
@@ -789,3 +790,17 @@ def test_fuzzed_files_exit_cleanly(tmp_path, capsys, command_and_doc):
     assert time.perf_counter() - start < 5, "one file took more than 5 s"
     assert code in (0, 2, 3), err
     assert "Traceback" not in err and err.count("\n") <= 1
+
+
+def test_ops_mix_pass_matches_benchmark_pin(tmp_path, monkeypatch):
+    """One pass over the benchmark's ops-mix requests at its default seed
+    prints the bytes the benchmark pins."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))  # worker.py imports inputs by name
+    run, worker = perfbench_module("run"), perfbench_module("worker")
+    workdir = tmp_path / "ops-mix"
+    run.write_inputs("ops-mix", run.inputs.DEFAULT_SEED, workdir)
+    calls = json.loads((workdir / "manifest.json").read_text(encoding="utf-8"))["calls"]
+    answers = "".join(worker.ops_call(entry)[0] for entry in calls)
+    pins = json.loads((BENCH_DIR / "reference.json").read_text(encoding="utf-8"))
+    assert len(calls) == 300
+    assert hashlib.sha256(answers.encode("utf-8")).hexdigest() == pins["ops-mix"]

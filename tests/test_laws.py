@@ -33,6 +33,7 @@ from idemod.semiring import (
     rres,
     top,
 )
+from conftest import perfbench_module
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -324,25 +325,13 @@ def test_fenchel_grids_rarely_hold_minus_infinity():
     assert 5 <= sum(bot(RMAX) in f.values for f, _ in cases) <= 40
 
 
-def _perfbench(name):
-    """perfbench/<name>.py, loaded by path."""
-    import importlib.util
-    import pathlib
-
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_traced_functions_exist():
     """The traced benchmark run wraps each (module, function) it names by
     looking it up in the loaded module, so a renamed or deleted one breaks it."""
     import importlib
     import sys
 
-    tracer = _perfbench("tracer")
+    tracer = perfbench_module("tracer")
     missing = []
     for module, fn in tracer.traced_names():
         importlib.import_module(f"idemod.{module}")
@@ -360,7 +349,7 @@ def test_law_report_matches_benchmark_pin(name, capsys):
 
     from idemod.cli import main
 
-    inputs = _perfbench("inputs")
+    inputs = perfbench_module("inputs")
     pins = json.loads((inputs.BENCH_DIR / "reference.json").read_text(encoding="utf-8"))
     trials = max(1, SUITES[name][1] // inputs.LAWS_TRIALS_DIVISOR)
     assert main(["laws", name, "--seed", str(inputs.DEFAULT_SEED), "--trials", str(trials)]) == 0

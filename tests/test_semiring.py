@@ -229,12 +229,8 @@ def _oracle(a, b):
     }
 
 
-def _raw(s):
-    return NEG_INF if s.kind == "bot" else POS_INF if s.kind == "top" else s.value
-
-
 def _assert_same_raw(x, grid):
-    want = tuple(_raw(s) for row in grid for s in row)
+    want = tuple(s.value for row in grid for s in row)
     assert x.value == want
     # equal is not enough: an integral Fraction must have become an int
     assert [type(q) for q in x.value] == [type(q) for q in want]
@@ -513,3 +509,100 @@ def test_text_table_is_the_slow_path():
     for sr, bad in ((NMAX, "-1"), (BOOL, "0"), (BOOL, "-inf"), (BOOL, "+inf"), (MAT2, "0")):
         with pytest.raises(SchemaError):
             scalar_from_text(sr, bad)
+
+
+# -- one raw encoding of the infinities ----------------------------------------
+
+_MATS = tuple(matrix_semiring(n) for n in (1, 2, 3))
+
+
+def test_infinities_carry_the_sentinels():
+    """Bottom and top hold NEG_INF and POS_INF as their value in the scalar
+    semirings, and in every entry over matrices."""
+    for sr in (RMAX, NMAX, BOOL):
+        assert bot(sr).value is NEG_INF and top(sr).value is POS_INF
+    for sr in _MATS:
+        assert len(bot(sr).value) == len(top(sr).value) == sr.dim ** 2
+        assert all(q is NEG_INF for q in bot(sr).value)
+        assert all(q is POS_INF for q in top(sr).value)
+
+
+def test_of_raw_inverts_value():
+    from idemod.semiring import of_raw
+
+    for sr in (RMAX, NMAX, BOOL):
+        for s in (bot(sr), top(sr), *sr.fins.values()):
+            assert of_raw(sr, s.value) is s
+
+
+def test_copies_and_pickles_keep_the_sentinels():
+    import copy
+    import pickle
+
+    for sr in (RMAX, NMAX, BOOL, *_MATS):
+        for s in (bot(sr), top(sr)):
+            for back in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+                assert back == s and back.semiring is sr
+                if sr.name == "mat":
+                    assert all(q is p for q, p in zip(back.value, s.value))
+                else:
+                    assert back.value is s.value
+
+
+def _kind_sort_key(s):
+    """sort_key as a ladder on kinds, a matrix entry by entry."""
+    if s.kind == "mat":
+        return tuple(_kind_sort_key(e) for row in s.entries for e in row)
+    return (0, 0) if s.kind == "bot" else (2, 0) if s.kind == "top" else (1, s.value)
+
+
+def _kind_text(s):
+    """scalar_to_text as a ladder on kinds."""
+    if s.semiring.name == "bool":
+        return "eps" if s.kind == "bot" else "e"
+    if s.kind == "bot":
+        return "-inf"
+    if s.kind == "top":
+        return "+inf"
+    if s.kind == "mat":
+        raise DomainError("matrix scalars encode as nested arrays, not text")
+    return str(s.value)
+
+
+def _any_scalars():
+    def matrices(n):
+        row = st.lists(scalars(RMAX), min_size=n, max_size=n)
+        return st.lists(row, min_size=n, max_size=n).map(mat_of)
+
+    return st.one_of(*(scalars(sr) for sr in (RMAX, NMAX, BOOL)), *map(matrices, (1, 2, 3)))
+
+
+@settings(max_examples=300)
+@given(_any_scalars())
+def test_sort_key_and_text_match_the_kind_ladders(s):
+    from idemod.semiring import sort_key
+
+    assert sort_key(s) == _kind_sort_key(s)
+    if s.kind == "mat":
+        with pytest.raises(DomainError):
+            _kind_text(s)
+        with pytest.raises(DomainError):
+            scalar_to_text(s)
+    else:
+        assert scalar_to_text(s) == _kind_text(s)
+
+
+def test_a_bool_is_not_a_rational():
+    """True and False are ints to Python, not finite scalars: every way in
+    refuses them, as JSON true and false are refused."""
+    from idemod import grid_function, slope_set, vector
+
+    for build in (lambda: fin(RMAX, True), lambda: fin(NMAX, True), lambda: fin(RMAX, False),
+                  lambda: scal(RMAX, True), lambda: scal(NMAX, False),
+                  lambda: vector(RMAX, [True, 2]),
+                  lambda: grid_function([True, 2], [0, 1]),
+                  lambda: grid_function([0, 2], [False, 1]),
+                  lambda: slope_set([False, 1])):
+        with pytest.raises(DomainError):
+            build()
+    assert fin(RMAX, 1) is fin(RMAX, Fraction(1)) and slope_set([0, 1]).slopes == (0, 1)
