@@ -27,10 +27,9 @@ gives that same envelope back, and idempotence follows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, MismatchError
-from .semiring import BOT, FIN, RMAX, Rational, Scalar, bot, fin, scal, top
+from .semiring import NEG_INF, POS_INF, RMAX, Rational, Scalar, bot, fin, scal, top
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,20 +77,19 @@ def slope_set(slopes) -> SlopeSet:
 
 
 def _rat(x) -> Rational:
-    if type(x) is int:
-        return x
-    if isinstance(x, bool):
-        raise DomainError(f"grid points and slopes must be exact rationals, got {x!r}")
-    q = Fraction(x)
-    return int(q) if q.denominator == 1 else q
+    """A grid point or slope: what ``scal`` accepts over RMAX, bar the infinities."""
+    q = scal(RMAX, x).value
+    if q is NEG_INF or q is POS_INF:
+        raise DomainError(f"grid points and slopes must be finite, got {x!r}")
+    return q
 
 
 def _neg(s: Scalar) -> Scalar:
-    if s.kind == BOT:
+    if s.value is NEG_INF:
         return top(RMAX)
-    if s.kind == FIN:
-        return fin(RMAX, -s.value)
-    return bot(RMAX)
+    if s.value is POS_INF:
+        return bot(RMAX)
+    return fin(RMAX, -s.value)
 
 
 def _lower_hull(xs, ys) -> tuple[list, list]:
@@ -130,9 +128,9 @@ def _brackets(f: GridFunction, slopes) -> tuple[Scalar, ...]:
     """The brackets s\\f = min_u (f(u) - s*u) for the increasing slopes."""
     xs, ys = [], []
     for u, v in zip(f.points, f.values):
-        if v.kind == BOT:
+        if v.value is NEG_INF:
             return (bot(RMAX),) * len(slopes)
-        if v.kind == FIN:
+        if v.value is not POS_INF:
             xs.append(u)
             ys.append(v.value)
     if not xs:
@@ -143,7 +141,8 @@ def _brackets(f: GridFunction, slopes) -> tuple[Scalar, ...]:
 def _envelope(points, slopes, brackets) -> tuple[Scalar, ...]:
     """max_s (s*u + c_s) at each of the increasing points u, where c_s are
     the brackets of the increasing slopes s."""
-    if brackets[0].kind != FIN:  # every bracket is this same infinity
+    c = brackets[0].value
+    if c is NEG_INF or c is POS_INF:  # every bracket is this same infinity
         return (brackets[0],) * len(points)
     # max_s (s*u + c_s) = -min_s (-c_s - u*s): the bracket sweep with the
     # roles of points and slopes exchanged

@@ -18,7 +18,6 @@ from .fenchel import GridFunction, SlopeSet
 from .freemod import GeneratingFamily, Matrix, Vector
 from .semiring import (
     BOOL,
-    MAT,
     NMAX,
     RMAX,
     Phi,
@@ -64,12 +63,12 @@ def scalar_from_json(sr: SemiringId, obj) -> Scalar:
     if sr.name == "mat" and isinstance(obj, list):
         if len(obj) != sr.dim or any(not isinstance(r, list) or len(r) != sr.dim for r in obj):
             raise MismatchError(f"matrix scalar must be {sr.dim}x{sr.dim}")
-        return Scalar(sr, MAT, tuple(scalar_from_json(RMAX, e).value for r in obj for e in r))
+        return Scalar(sr, tuple(scalar_from_json(RMAX, e).value for r in obj for e in r))
     raise SchemaError(f"not a scalar: {obj!r}")
 
 
 def scalar_json(s: Scalar):
-    if s.kind == "mat":
+    if s.semiring.dim:
         # raw entries print as their text: "-inf", "+inf" or str(q)
         return [[str(q) for q in row] for row in mat_rows(s)]
     return scalar_to_text(s)

@@ -46,14 +46,10 @@ from .freemod import (
 )
 from .semiring import (
     BOOL,
-    BOT,
-    FIN,
-    MAT,
     NEG_INF,
     NMAX,
     POS_INF,
     RMAX,
-    TOP,
     Scalar,
     SemiringId,
     add,
@@ -133,7 +129,7 @@ def rand_scalar(rng: random.Random, sr: SemiringId, finite_only: bool = False) -
 
 def rand_matrix_scalar(rng: random.Random, sr: SemiringId, finite_only: bool = False) -> Scalar:
     """Entries drawn row by row from the RMAX distribution of rand_scalar."""
-    return Scalar(sr, MAT, tuple(_rand_raw(rng, finite_only) for _ in range(sr.dim * sr.dim)))
+    return Scalar(sr, tuple(_rand_raw(rng, finite_only) for _ in range(sr.dim * sr.dim)))
 
 
 def rand_vector(rng: random.Random, sr: SemiringId, dim: int, finite_only: bool = False) -> Vector:
@@ -186,11 +182,12 @@ def _simpler_scalar(s: Scalar):
             if q is not NEG_INF and q is not POS_INF and q not in (0, 1, -1):
                 cands += (_toward_zero(q),)
             for c in cands:
-                yield Scalar(sr, MAT, flat[:i] + (c,) + flat[i + 1:])
+                yield Scalar(sr, flat[:i] + (c,) + flat[i + 1:])
         return
     yield from _below(s, (bot(sr), unit(sr), top(sr)))
-    if s.kind == FIN and s.value not in (0, 1, -1):
-        yield fin(sr, _toward_zero(s.value))
+    q = s.value
+    if q is not NEG_INF and q is not POS_INF and q not in (0, 1, -1):
+        yield fin(sr, _toward_zero(q))
 
 
 def _simpler(value):
@@ -949,9 +946,9 @@ def _mat_res_maximal(c) -> bool:
     for i in range(n):
         for j in range(n):
             s = grid[i][j]
-            if s.kind == TOP:
+            if s == top(RMAX):
                 continue
-            bumped = fin(RMAX, s.value + 1) if s.kind == FIN else fin(RMAX, -100)
+            bumped = fin(RMAX, -100) if s == bot(RMAX) else fin(RMAX, s.value + 1)
             rows = [list(row) for row in grid]
             rows[i][j] = bumped
             if leq(mul(a, mat_of(rows)), b):
@@ -1027,9 +1024,9 @@ def oracle_transform(f: fe.GridFunction, slopes: fe.SlopeSet) -> list[Scalar]:
     for s in slopes.slopes:
         best = bot(RMAX)  # sup over an empty set of finite terms
         for u, v in zip(f.points, f.values):
-            if v.kind == TOP:
+            if v == top(RMAX):
                 term = bot(RMAX)
-            elif v.kind == BOT:
+            elif v == bot(RMAX):
                 term = top(RMAX)
             else:
                 term = fin(RMAX, s * u - v.value)
@@ -1044,9 +1041,9 @@ def oracle_hull(f: fe.GridFunction, slopes: fe.SlopeSet) -> list[Scalar]:
     for u in f.points:
         best = bot(RMAX)
         for s, fstar in zip(slopes.slopes, conj):
-            if fstar.kind == TOP:
+            if fstar == top(RMAX):
                 term = bot(RMAX)
-            elif fstar.kind == BOT:
+            elif fstar == bot(RMAX):
                 term = top(RMAX)
             else:
                 term = fin(RMAX, s * u - fstar.value)
@@ -1090,7 +1087,7 @@ def rand_slopes(rng: random.Random, max_slopes: int = 9) -> fe.SlopeSet:
 def _hull_monotone(c) -> bool:
     f, s = c["f"], c["S"]
     bigger = fe.GridFunction(
-        f.points, tuple(add(v, fin(RMAX, 1)) if v.kind == FIN else v for v in f.values)
+        f.points, tuple(v if v == bot(RMAX) else add(v, fin(RMAX, 1)) for v in f.values)
     )
     hf = fe.lsc_convex_hull(f, s)
     hg = fe.lsc_convex_hull(bigger, s)

@@ -22,7 +22,7 @@ from .freemod import (
     vec_leq,
     vec_lres,
 )
-from .semiring import BOT, TOP, Scalar, _rres_plan, bot, fin, leq, mul, residual, top
+from .semiring import NEG_INF, POS_INF, Scalar, _rres_plan, bot, fin, leq, mul, residual, top
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,15 +114,16 @@ _EMPTY = 3
 
 
 def _cover_constraint(a: Scalar, xi: Scalar) -> tuple[int, Scalar | None]:
-    if xi.kind == BOT:
+    x, q = xi.value, a.value
+    if x is NEG_INF:
         return (_ALL, None)
-    if a.kind == BOT:
+    if q is NEG_INF:
         return (_EMPTY, None)
-    if a.kind == TOP:
+    if q is POS_INF:
         return (_OPEN, None)
-    if xi.kind == TOP:
+    if x is POS_INF:
         return (_CLOSED, top(a.semiring))
-    return (_CLOSED, fin(a.semiring, xi.value - a.value))
+    return (_CLOSED, fin(a.semiring, x - q))
 
 
 def _box_floor(a: Scalar, constraint: tuple) -> Scalar:
@@ -133,7 +134,7 @@ def _box_floor(a: Scalar, constraint: tuple) -> Scalar:
     if kind == _CLOSED:
         return mul(a, bound)
     # open interval: the infimum of a*lambda over lambda > bottom
-    return top(sr) if a.kind == TOP else bot(sr)
+    return top(sr) if a.value is POS_INF else bot(sr)
 
 
 def _dominating_entry(sr, row: tuple, covers: list) -> Scalar:
@@ -145,12 +146,12 @@ def _dominating_entry(sr, row: tuple, covers: list) -> Scalar:
     for cover in covers:
         n = d = None  # the least term so far; None while every term is top
         for j, (kind, bound) in cover:
-            a = row[j]
-            if a.kind == BOT or (kind == _OPEN and a.kind != TOP):
+            x = row[j].value
+            if x is NEG_INF or (kind == _OPEN and x is not POS_INF):
                 break  # a bottom term
-            if kind == _OPEN or a.kind == TOP or bound.kind == TOP:
+            if kind == _OPEN or x is POS_INF or bound.value is POS_INF:
                 continue  # a top term
-            x, y = a.value, bound.value
+            y = bound.value
             tn = x.numerator * y.denominator + y.numerator * x.denominator
             td = x.denominator * y.denominator
             if n is None or tn * d < n * td:
@@ -174,7 +175,7 @@ def inf_dominating(w: GeneratingFamily, x: Vector) -> tuple[Vector, bool]:
         raise DomainError("dominating meet is implemented over RMAX only")
     covers = []  # for each row k with x_k above bottom: its covering columns j and bounds
     for k, xk in enumerate(x.entries):
-        if xk.kind != BOT:
+        if xk.value is not NEG_INF:
             bounds = [(j, _cover_constraint(a, xk)) for j, a in enumerate(w.entries[k])]
             covers.append([(j, c) for j, c in bounds if c[0] != _EMPTY])
     q = Vector(sr, tuple(_dominating_entry(sr, row, covers) for row in w.entries))

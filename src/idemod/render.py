@@ -30,7 +30,7 @@ from . import __version__
 from .errors import SchemaError
 from .freemod import GeneratingFamily, Vector
 from .jsonio import rational_from_json, scalar_from_json, vector_from_json
-from .semiring import FIN, RMAX, TOP, Scalar, fin, sort_key
+from .semiring import NEG_INF, POS_INF, RMAX, Scalar, fin, sort_key
 from .separate import HalfSpace, halfspace_contains, separate_from_convex
 
 _TAGS = ("+", "-", ".")
@@ -197,7 +197,7 @@ def _line_rows(spec: LineSpec, us: list, vs: list) -> list[list[tuple[int, int]]
     b + v - c when b and c are finite, a single type otherwise.  So each
     (type, slot) is classified once, on the first sample found in it: at
     most 5 + 3 + 5 calls of _line_side per line, whatever the sample count."""
-    a, b, c = spec.a[1], spec.b[1], spec.c[1]
+    a, b, c = spec.a[1].value, spec.b[1].value, spec.c[1].value
     n = len(us)
     signs: dict = {}
     rows = []
@@ -214,9 +214,11 @@ def _line_rows(spec: LineSpec, us: list, vs: list) -> list[list[tuple[int, int]]
             row.append((stop, sign))
 
     for v in vs:
-        ks = ([b.value + v] if b.kind == FIN else []) + ([c.value] if c.kind == FIN else [])
+        ks = [] if b is NEG_INF or b is POS_INF else [b + v]
+        if c is not NEG_INF and c is not POS_INF:
+            ks.append(c)
         row_type = (ks[0] > ks[1]) - (ks[0] < ks[1]) if len(ks) == 2 else 0
-        breaks = sorted({k - a.value for k in ks}) if a.kind == FIN else ()
+        breaks = () if a is NEG_INF or a is POS_INF else sorted({k - a for k in ks})
         row: list = []
         start = slot = 0
         for p in breaks:
@@ -258,12 +260,10 @@ def _line_side(spec: LineSpec, u, v):
     """Sign of lhs - rhs at exact coordinates: -1, 0, or 1."""
     lhs = rhs = _BOT
     for (tag, coef), term_arg in ((spec.a, u), (spec.b, v), (spec.c, None)):
-        if coef.kind == FIN:
-            term = (1, coef.value if term_arg is None else coef.value + term_arg)
-        elif coef.kind == TOP:
-            term = _TOP
-        else:
+        q = coef.value
+        if q is NEG_INF:
             continue
+        term = _TOP if q is POS_INF else (1, q if term_arg is None else q + term_arg)
         if tag != "-" and term > lhs:
             lhs = term
         if tag != "+" and term > rhs:
@@ -287,7 +287,7 @@ def _pixels(n: int) -> tuple[list[float], list[float]]:
 
 
 def _scaled(s: Scalar, k: int) -> Scalar:
-    return fin(RMAX, s.value * k) if s.kind == FIN else s
+    return s if s.value is NEG_INF or s.value is POS_INF else fin(RMAX, s.value * k)
 
 
 def _scaled_vector(p: Vector, k: int) -> Vector:
@@ -316,7 +316,8 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
     for spec in scene.lines:
         scalars += [spec.a[1], spec.b[1], spec.c[1]]
     k = lcm(*(q.denominator for q in (xmin, ymin, dx, dy)),
-            *(s.value.denominator for s in scalars if s.kind == FIN))
+            *(s.value.denominator for s in scalars
+              if s.value is not NEG_INF and s.value is not POS_INF))
     u0, v0, du, dv = (int(q * k) for q in (xmin, ymin, dx, dy))
     us = [u0 + i * du for i in range(n)]
     vs = [v0 + j * dv for j in range(n)]
@@ -404,11 +405,11 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
         '<path d="M0,0 L8,4 L0,8 z" fill="#222222"/></marker></defs>'
     )
     def finite_xy(p: Vector) -> tuple[float, float] | None:
-        a, b = p.entries
-        if a.kind != FIN or b.kind != FIN:
+        a, b = (s.value for s in p.entries)
+        if a is NEG_INF or a is POS_INF or b is NEG_INF or b is POS_INF:
             return None  # points at infinity are classified but not drawn
         try:
-            return px(Fraction(a.value)), py(Fraction(b.value))
+            return px(Fraction(a)), py(Fraction(b))
         except OverflowError:
             return None  # nor are points too far out for a float pixel
 

@@ -10,12 +10,14 @@ Four instances are supported:
   product; order, sups and infs are entrywise (Cuninghame-Green, *Minimax
   Algebra*, 1979, ch. 2; Butkovic, *Max-linear Systems*, 2010, 1.2).
 
-A scalar's ``value`` is its raw value in every semiring: an int or a
+A scalar is its semiring and its raw value, and nothing else: an int or a
 Fraction when finite, the sentinel ``NEG_INF`` for the bottom and
 ``POS_INF`` for the top of RMAX, NMAX and BOOL, and for a matrix the flat
-row-major tuple of its entries' raw values.  ``of_raw`` turns a raw value
-back into a scalar, and the module folds ``bracket`` and ``residual`` loop
-over raw values directly.
+row-major tuple of its entries' raw values.  Bottom and top are carrier
+elements like any other, told apart by testing the value for the sentinels
+by identity; a matrix is told by its tag's ``dim``.  ``of_raw`` turns a
+raw value back into a scalar, and the module folds ``bracket`` and
+``residual`` loop over raw values directly.
 
 Each instance is one ``SemiringId`` object: building a tag for the same
 (name, dim) again returns it, so "the same semiring" is ``is`` everywhere,
@@ -42,11 +44,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, MismatchError, SchemaError
-
-BOT = "bot"
-FIN = "fin"
-TOP = "top"
-MAT = "mat"
 
 Rational = int | Fraction
 
@@ -75,14 +72,14 @@ class SemiringId:
         sr = object.__new__(cls)
         sr.name, sr.dim = name, dim
         small = range(-64, 65) if name == "rmax" else range(65) if name == "nmax" else ()
-        sr.fins = {q: Scalar(sr, FIN, q) for q in small}
+        sr.fins = {q: Scalar(sr, q) for q in small}
         if name == "mat":
             r = range(dim)
-            sr.bot = Scalar(sr, MAT, (NEG_INF,) * (dim * dim))
-            sr.top = Scalar(sr, MAT, (POS_INF,) * (dim * dim))
-            sr.unit = Scalar(sr, MAT, tuple(0 if i == j else NEG_INF for i in r for j in r))
+            sr.bot = Scalar(sr, (NEG_INF,) * (dim * dim))
+            sr.top = Scalar(sr, (POS_INF,) * (dim * dim))
+            sr.unit = Scalar(sr, tuple(0 if i == j else NEG_INF for i in r for j in r))
         else:
-            sr.bot, sr.top = Scalar(sr, BOT, NEG_INF), Scalar(sr, TOP, POS_INF)
+            sr.bot, sr.top = Scalar(sr, NEG_INF), Scalar(sr, POS_INF)
             sr.unit = sr.top if name == "bool" else sr.fins[0]
         sr.texts = {str(q): s for q, s in sr.fins.items()}
         if name == "bool":
@@ -123,28 +120,27 @@ POS_INF = _Infinity("+inf")
 
 
 class Scalar:
-    """One element of a complete idempotent semiring.
+    """One element of a complete idempotent semiring: its semiring and its
+    raw value, and nothing else.
 
-    ``kind`` is one of BOT/FIN/TOP for the scalar instances and MAT for
-    matrices.  ``value`` is the raw value: an int or a Fraction (never an
-    integral one) when finite, ``NEG_INF`` for bottom and ``POS_INF`` for
-    top; a matrix holds its n*n entries' raw values as one flat row-major
-    tuple.  ``entries`` reads a matrix as an n x n grid of RMAX scalars,
-    built on each access.
+    ``value`` is an int or a Fraction (never an integral one) when finite,
+    ``NEG_INF`` for bottom and ``POS_INF`` for top; a matrix, recognised by
+    its tag's ``dim``, holds its n*n entries' raw values as one flat
+    row-major tuple.  ``entries`` reads a matrix as an n x n grid of RMAX
+    scalars, built on each access.
     Immutable by convention: nothing in the library writes to a Scalar after
     construction, and small values are interned.
     """
 
-    __slots__ = ("semiring", "kind", "value")
+    __slots__ = ("semiring", "value")
 
-    def __init__(self, semiring: SemiringId, kind: str, value) -> None:
+    def __init__(self, semiring: SemiringId, value) -> None:
         self.semiring = semiring
-        self.kind = kind
         self.value = value
 
     @property
     def entries(self) -> tuple[tuple["Scalar", ...], ...] | None:
-        if self.kind != MAT:
+        if not self.semiring.dim:
             return None
         return tuple(tuple(of_raw(RMAX, q) for q in row) for row in mat_rows(self))
 
@@ -153,17 +149,13 @@ class Scalar:
             return True
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.value == other.value
-            and self.semiring is other.semiring
-        )
+        return self.semiring is other.semiring and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.value, self.semiring))
+        return hash((self.value, self.semiring))
 
     def __repr__(self) -> str:
-        if self.kind == MAT:
+        if self.semiring.dim:
             rows = "; ".join(" ".join(map(str, row)) for row in mat_rows(self))
             return f"<{self.semiring} [{rows}]>"
         return f"<{self.semiring} {scalar_to_text(self)}>"
@@ -219,7 +211,7 @@ def fin(sr: SemiringId, q: Rational) -> Scalar:
         if s is not None:
             return s
         if sr.name == "rmax" or sr.name == "nmax" and q >= 0:
-            return Scalar(sr, FIN, q)
+            return Scalar(sr, q)
     if sr.name == "bool":
         raise DomainError("the Boolean semiring has no finite elements besides eps/e")
     if sr.name == "mat":
@@ -228,7 +220,7 @@ def fin(sr: SemiringId, q: Rational) -> Scalar:
         raise DomainError(f"{q!r} is not in the natural carrier")
     if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
         raise DomainError(f"finite values must be exact rationals, got {type(q)}")
-    return Scalar(sr, FIN, q)
+    return Scalar(sr, q)
 
 
 def mat_of(rows: list[list[Scalar]] | tuple) -> Scalar:
@@ -238,7 +230,7 @@ def mat_of(rows: list[list[Scalar]] | tuple) -> Scalar:
         raise MismatchError("matrix-semiring elements must be square")
     if any(s.semiring is not RMAX for r in rows for s in r):
         raise MismatchError("matrix entries must be RMAX scalars")
-    return Scalar(SemiringId("mat", n), MAT, tuple(s.value for r in rows for s in r))
+    return Scalar(SemiringId("mat", n), tuple(s.value for r in rows for s in r))
 
 
 def scal(sr: SemiringId, v) -> Scalar:
@@ -269,10 +261,10 @@ def _le(x: Rational, y: Rational) -> bool:
 
 def leq(a: Scalar, b: Scalar) -> bool:
     """Natural order a <= b.  Total for the scalars, entrywise for matrices."""
-    if a.semiring is not b.semiring:
+    sr = a.semiring
+    if sr is not b.semiring:
         _need_same(a, b)
-    ka, kb = a.kind, b.kind
-    if ka == MAT:
+    if sr.dim:
         for x, y in zip(a.value, b.value):
             if x is NEG_INF or y is POS_INF:
                 continue
@@ -281,95 +273,98 @@ def leq(a: Scalar, b: Scalar) -> bool:
             if not (x <= y if type(x) is int and type(y) is int else _le(x, y)):
                 return False
         return True
-    if ka == BOT or kb == TOP:
+    x, y = a.value, b.value
+    if x is NEG_INF or y is POS_INF:
         return True
-    if kb == BOT or ka == TOP:
+    if y is NEG_INF or x is POS_INF:
         return False
-    return a.value <= b.value
+    return x <= y
 
 
 def add(a: Scalar, b: Scalar) -> Scalar:
     """Join: the least upper bound of {a, b}."""
-    if a.semiring is not b.semiring:
+    sr = a.semiring
+    if sr is not b.semiring:
         _need_same(a, b)
-    ka, kb = a.kind, b.kind
-    if ka == MAT:
-        return Scalar(a.semiring, MAT, tuple(
+    if sr.dim:
+        return Scalar(sr, tuple(
             y if x is NEG_INF or y is POS_INF
             else x if y is NEG_INF or x is POS_INF
             or (x >= y if type(x) is int and type(y) is int else _le(y, x))
             else y
             for x, y in zip(a.value, b.value)
         ))
-    if ka == BOT:
+    x, y = a.value, b.value
+    if x is NEG_INF:
         return b
-    if kb == BOT:
+    if y is NEG_INF:
         return a
-    if ka == TOP or kb == TOP:
-        return top(a.semiring)
-    return a if a.value >= b.value else b
+    if x is POS_INF or y is POS_INF:
+        return sr.top
+    return a if x >= y else b
 
 
 def meet(a: Scalar, b: Scalar) -> Scalar:
     """Greatest lower bound of {a, b}."""
-    if a.semiring is not b.semiring:
+    sr = a.semiring
+    if sr is not b.semiring:
         _need_same(a, b)
-    ka, kb = a.kind, b.kind
-    if ka == MAT:
-        return Scalar(a.semiring, MAT, tuple(
+    if sr.dim:
+        return Scalar(sr, tuple(
             y if x is POS_INF or y is NEG_INF
             else x if y is POS_INF or x is NEG_INF
             or (x <= y if type(x) is int and type(y) is int else _le(x, y))
             else y
             for x, y in zip(a.value, b.value)
         ))
-    if ka == TOP:
+    x, y = a.value, b.value
+    if x is POS_INF:
         return b
-    if kb == TOP:
+    if y is POS_INF:
         return a
-    if ka == BOT or kb == BOT:
-        return bot(a.semiring)
-    return a if a.value <= b.value else b
+    if x is NEG_INF or y is NEG_INF:
+        return sr.bot
+    return a if x <= y else b
 
 
 def mul(a: Scalar, b: Scalar) -> Scalar:
     """Semiring product.  Bottom absorbs on both sides, even against top."""
-    if a.semiring is not b.semiring:
+    sr = a.semiring
+    if sr is not b.semiring:
         _need_same(a, b)
-    ka, kb = a.kind, b.kind
-    if ka == MAT:
+    if sr.dim:
         return _mat_mul(a, b)
-    if ka == BOT or kb == BOT:
-        return bot(a.semiring)
-    if ka == TOP or kb == TOP:
-        return top(a.semiring)
-    return fin(a.semiring, a.value + b.value)
+    x, y = a.value, b.value
+    if x is NEG_INF or y is NEG_INF:
+        return sr.bot
+    if x is POS_INF or y is POS_INF:
+        return sr.top
+    return fin(sr, x + y)
 
 
 def lres(a: Scalar, b: Scalar) -> Scalar:
     r"""Left residuation a\b: the greatest lambda with a*lambda <= b."""
-    if a.semiring is not b.semiring:
+    sr = a.semiring
+    if sr is not b.semiring:
         _need_same(a, b)
-    ka, kb = a.kind, b.kind
-    if ka == MAT:
+    if sr.dim:
         return _mat_lres(a, b)
-    if ka == BOT:
-        return top(a.semiring)
-    if kb == TOP:
-        return top(a.semiring)
-    if ka == TOP or kb == BOT:
-        return bot(a.semiring)
+    x, y = a.value, b.value
+    if x is NEG_INF or y is POS_INF:
+        return sr.top
+    if x is POS_INF or y is NEG_INF:
+        return sr.bot
     # both finite
-    if a.semiring.name == "nmax" and b.value < a.value:
-        return bot(a.semiring)  # the sup must stay inside the natural carrier
-    return fin(a.semiring, b.value - a.value)
+    if sr is NMAX and y < x:
+        return sr.bot  # the sup must stay inside the natural carrier
+    return fin(sr, y - x)
 
 
 def rres(b: Scalar, a: Scalar) -> Scalar:
     """Right residuation b/a: the greatest mu with mu*a <= b."""
     if a.semiring is not b.semiring:
         _need_same(a, b)
-    if b.kind == MAT:
+    if b.semiring.dim:
         return _mat_rres(b, a)
     return lres(a, b)  # scalar instances are commutative
 
@@ -465,7 +460,7 @@ def _maxplus(sr: SemiringId, pairs, plan: tuple) -> Scalar:
                 continue
             break  # an absorbing term decided the entry
         out.append(NEG_INF if n is None else n if d == 1 or n is POS_INF else _ratio(n, d))
-    return Scalar(sr, MAT, tuple(out))
+    return Scalar(sr, tuple(out))
 
 
 def _minminus(sr: SemiringId, pairs, plan: tuple) -> Scalar:
@@ -498,7 +493,7 @@ def _minminus(sr: SemiringId, pairs, plan: tuple) -> Scalar:
                 continue
             break  # an absorbing term decided the entry
         out.append(POS_INF if n is None else n if d == 1 or n is NEG_INF else _ratio(n, d))
-    return Scalar(sr, MAT, tuple(out))
+    return Scalar(sr, tuple(out))
 
 
 def _mat_mul(a: Scalar, b: Scalar) -> Scalar:
@@ -585,11 +580,11 @@ def is_invertible(s: Scalar) -> bool:
     """True when some t satisfies s*t = t*s = e."""
     sr = s.semiring
     if sr.name == "rmax":
-        return s.kind == FIN
+        return s.value is not NEG_INF and s.value is not POS_INF
     if sr.name == "bool":
-        return s.kind == TOP
+        return s.value is POS_INF
     if sr.name == "nmax":
-        return s.kind == FIN and s.value == 0
+        return s.value == 0
     # matrices: exactly one finite entry per row and per column, rest bottom
     n = sr.dim
     col_seen = [0] * n
@@ -621,7 +616,7 @@ def inverse(s: Scalar) -> Scalar:
         if x is not NEG_INF:
             i, j = divmod(idx, n)
             flat[j * n + i] = -x
-    return Scalar(sr, MAT, tuple(flat))
+    return Scalar(sr, tuple(flat))
 
 
 @dataclass(frozen=True, slots=True)
@@ -632,7 +627,7 @@ class Phi:
 
 
 def make_phi(value: Scalar) -> Phi:
-    if value.semiring.name == "bool" and value.kind != BOT:
+    if value.semiring is BOOL and value.value is not NEG_INF:
         raise DomainError("over the Boolean semiring phi must be eps")
     return Phi(value)
 
@@ -659,7 +654,7 @@ def _raw_key(q):
 def sort_key(s: Scalar):
     """Total key for deterministic enumeration output, natural-order compatible
     on each chain."""
-    if s.kind == MAT:
+    if s.semiring.dim:
         return tuple(map(_raw_key, s.value))
     return _raw_key(s.value)
 
@@ -667,7 +662,7 @@ def sort_key(s: Scalar):
 def scalar_to_text(s: Scalar) -> str:
     """Canonical text form: "-inf", "+inf", lowest-terms "p/q" (integers bare);
     Boolean uses "eps"/"e"."""
-    if s.kind == MAT:
+    if s.semiring.dim:
         raise DomainError("matrix scalars encode as nested arrays, not text")
     if s.semiring is BOOL:
         return "eps" if s.value is NEG_INF else "e"

@@ -171,7 +171,7 @@ def test_criterion_8_fenchel_bulk():
             assert list(hull.values) == oracle_hull(f, s)
             bumped = type(f)(
                 f.points,
-                tuple(add(v, fin(RMAX, 2)) if v.kind == "fin" else v for v in f.values),
+                tuple(v if v == bot(RMAX) else add(v, fin(RMAX, 2)) for v in f.values),
             )
             gh = lsc_convex_hull(bumped, s)
             assert all(leq(a, b) for a, b in zip(hull.values, gh.values))

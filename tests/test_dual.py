@@ -296,7 +296,7 @@ def test_rowcol_identity():
     assert rep.bijective and rep.order_reversing
     # the map complements entries for the identity matrix
     for z, img in rep.iso_pairs:
-        flipped = [top(BOOL) if s.kind == "bot" else bot(BOOL) for s in z.entries]
+        flipped = [top(BOOL) if s == bot(BOOL) else bot(BOOL) for s in z.entries]
         assert list(img.entries) == flipped
 
 

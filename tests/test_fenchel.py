@@ -1,4 +1,5 @@
 """Discrete Fenchel conjugation and the greatest convex minorant."""
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 
@@ -7,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from idemod import (
     RMAX,
+    DomainError,
     MismatchError,
+    SchemaError,
     biconjugate_is_fixed,
     bot,
     fenchel_transform,
@@ -98,6 +101,24 @@ def test_grid_validation():
         slope_set([1, 1])
 
 
+def test_points_and_slopes_take_the_scalar_grammar():
+    """Grid points and slopes are what scal(RMAX, .) accepts, bar the
+    infinities: a DomainError for what is no finite rational, a SchemaError
+    for text outside the exact-rational grammar."""
+    for bad in (0.1, 0.5, Decimal("0.5"), None, "+inf", "-inf", bot(RMAX), top(RMAX)):
+        for build in (lambda: grid_function([bad, 1], [0, 1]), lambda: slope_set([bad]),
+                      lambda: slope_bracket(bad, ABS)):
+            with pytest.raises(DomainError):
+                build()
+    for bad in ("1_000", "1.5", "1e3", " 1/2 ", "inf", "nan", "abc", "1/0"):
+        with pytest.raises(SchemaError):
+            slope_set([bad])
+        with pytest.raises(SchemaError):
+            grid_function([0, bad], [0, 1])
+    assert slope_set(["-1/2", 0, 1]).slopes == (Fraction(-1, 2), 0, 1)
+    assert slope_set([fin(RMAX, 2), "5/2"]).slopes == (2, Fraction(5, 2))
+
+
 def test_fractional_grid():
     f = grid_function(["-1/2", 0, "1/2"], ["1/2", 0, "1/2"])
     s = slope_set([-1, 0, 1])
@@ -163,7 +184,7 @@ def sweep_cases(draw):
 
 
 def _typed(values):
-    return [(v.kind, v.value, type(v.value)) for v in values]
+    return [(v.value, type(v.value)) for v in values]
 
 
 def _negated(s):

@@ -15,7 +15,6 @@ from idemod.freemod import Vector
 from idemod.laws import SUITES, Failure, run_suite, _shrink
 from idemod.semiring import (
     BOOL,
-    MAT,
     NEG_INF,
     NMAX,
     POS_INF,
@@ -213,7 +212,7 @@ def test_matrix_failures_are_shrunk(monkeypatch):
 
     def lres_one_too_high(a, b):
         r = real(a, b)
-        return Scalar(r.semiring, MAT, tuple(
+        return Scalar(r.semiring, tuple(
             q if q is NEG_INF or q is POS_INF else q + 1 for q in r.value
         ))
 

@@ -158,9 +158,10 @@ def pinned_to_grid(spec, grid, i, j):
     on the grid.  Infinite coefficients stay as they are."""
     us, vs = samples(*grid)
     (ta, a), (tb, b), (tc, c) = spec.a, spec.b, spec.c
-    if b.kind == "fin" and c.kind == "fin":
+    inf = (bot(RMAX), top(RMAX))
+    if b not in inf and c not in inf:
         c = fin(RMAX, b.value + vs[j])
-    if a.kind == "fin" and c.kind == "fin":
+    if a not in inf and c not in inf:
         a = fin(RMAX, c.value - us[i])
     return LineSpec((ta, a), (tb, b), (tc, c))
 

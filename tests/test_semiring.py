@@ -58,20 +58,43 @@ def test_add_basics():
 
 
 def test_mul_infinity_table():
-    # bottom absorbs even against top
-    assert mul(bot(RMAX), top(RMAX)) == bot(RMAX)
-    assert mul(top(RMAX), bot(RMAX)) == bot(RMAX)
-    assert mul(r(2), r(3)) == r(5)
-    assert mul(top(RMAX), top(RMAX)) == top(RMAX)
+    for sr in (RMAX, NMAX):
+        # bottom absorbs even against top
+        assert mul(bot(sr), top(sr)) == bot(sr)
+        assert mul(top(sr), bot(sr)) == bot(sr)
+        assert mul(fin(sr, 2), fin(sr, 3)) == fin(sr, 5)
+        assert mul(top(sr), top(sr)) == top(sr)
+        assert mul(fin(sr, 2), top(sr)) == top(sr) == mul(top(sr), fin(sr, 2))
+        assert mul(fin(sr, 2), bot(sr)) == bot(sr) == mul(bot(sr), fin(sr, 2))
 
 
 def test_lres_infinity_table():
-    assert lres(bot(RMAX), r(5)) == top(RMAX)
-    # residuation favours top at the extremes
-    assert lres(top(RMAX), top(RMAX)) == top(RMAX)
-    assert lres(bot(RMAX), bot(RMAX)) == top(RMAX)
-    assert lres(top(RMAX), r(5)) == bot(RMAX)
-    assert lres(r(3), bot(RMAX)) == bot(RMAX)
+    for sr in (RMAX, NMAX):
+        assert lres(bot(sr), fin(sr, 5)) == top(sr)
+        # residuation favours top at the extremes
+        assert lres(top(sr), top(sr)) == top(sr)
+        assert lres(bot(sr), bot(sr)) == top(sr)
+        assert lres(top(sr), fin(sr, 5)) == bot(sr)
+        assert lres(fin(sr, 3), bot(sr)) == bot(sr)
+        assert lres(fin(sr, 3), top(sr)) == top(sr)
+
+
+# Each semiring's scalars as a chain, listed upward: position is the order.
+_LADDERS = (
+    (bot(RMAX), r(-1), r(0), r(Fraction(1, 2)), r(3), top(RMAX)),
+    (bot(NMAX), fin(NMAX, 0), fin(NMAX, 2), fin(NMAX, 7), top(NMAX)),
+    (bot(BOOL), top(BOOL)),
+)
+
+
+def test_order_join_and_meet_follow_each_ladder():
+    """leq, add and meet on every ordered pair of a ladder, against the
+    two scalars' positions in it."""
+    for ladder in _LADDERS:
+        for (i, a), (j, b) in itertools.product(enumerate(ladder), repeat=2):
+            assert leq(a, b) == (i <= j)
+            assert add(a, b) == ladder[max(i, j)]
+            assert meet(a, b) == ladder[min(i, j)]
 
 
 def test_lres_matches_scan_oracle():
@@ -170,10 +193,10 @@ def _assert_maximal(x, violates):
     for i in range(2):
         for j in range(2):
             s = x.entries[i][j]
-            if s.kind == "top":
+            if s == top(RMAX):
                 continue
             for delta in (1, 100):
-                bumped = fin(RMAX, s.value + delta) if s.kind == "fin" else fin(RMAX, -100 + delta)
+                bumped = fin(RMAX, -100 + delta) if s == bot(RMAX) else fin(RMAX, s.value + delta)
                 rows = [list(row) for row in x.entries]
                 rows[i][j] = bumped
                 assert violates(mat_of(rows))
@@ -535,6 +558,16 @@ def test_of_raw_inverts_value():
             assert of_raw(sr, s.value) is s
 
 
+def test_a_scalar_is_its_semiring_and_its_raw_value():
+    """No second field restates which infinity or kind a scalar is."""
+    from idemod import semiring
+    from idemod.semiring import Scalar
+
+    assert Scalar.__slots__ == ("semiring", "value")
+    assert not any(hasattr(semiring, name) for name in ("BOT", "FIN", "TOP", "MAT"))
+    assert not any(hasattr(s, "kind") for s in (bot(RMAX), r(3), top(BOOL), unit(MAT2)))
+
+
 def test_copies_and_pickles_keep_the_sentinels():
     import copy
     import pickle
@@ -550,22 +583,25 @@ def test_copies_and_pickles_keep_the_sentinels():
 
 
 def _kind_sort_key(s):
-    """sort_key as a ladder on kinds, a matrix entry by entry."""
-    if s.kind == "mat":
+    """sort_key as a ladder on the kinds bottom, top and finite, found by
+    comparing with bot and top; a matrix entry by entry."""
+    sr = s.semiring
+    if sr.name == "mat":
         return tuple(_kind_sort_key(e) for row in s.entries for e in row)
-    return (0, 0) if s.kind == "bot" else (2, 0) if s.kind == "top" else (1, s.value)
+    return (0, 0) if s == bot(sr) else (2, 0) if s == top(sr) else (1, s.value)
 
 
 def _kind_text(s):
-    """scalar_to_text as a ladder on kinds."""
-    if s.semiring.name == "bool":
-        return "eps" if s.kind == "bot" else "e"
-    if s.kind == "bot":
-        return "-inf"
-    if s.kind == "top":
-        return "+inf"
-    if s.kind == "mat":
+    """scalar_to_text as a ladder on the same kinds."""
+    sr = s.semiring
+    if sr.name == "bool":
+        return "eps" if s == bot(sr) else "e"
+    if sr.name == "mat":
         raise DomainError("matrix scalars encode as nested arrays, not text")
+    if s == bot(sr):
+        return "-inf"
+    if s == top(sr):
+        return "+inf"
     return str(s.value)
 
 
@@ -583,7 +619,7 @@ def test_sort_key_and_text_match_the_kind_ladders(s):
     from idemod.semiring import sort_key
 
     assert sort_key(s) == _kind_sort_key(s)
-    if s.kind == "mat":
+    if s.semiring.name == "mat":
         with pytest.raises(DomainError):
             _kind_text(s)
         with pytest.raises(DomainError):
