@@ -17,8 +17,12 @@ slopes exchanged: the upper envelope of the lines s*u + c_s, read as u
 grows.  The infinities split into three regimes: one value -inf makes
 every bracket -inf, all values +inf make every bracket +inf, and otherwise
 the brackets come from the finite points only.  An infinite bracket makes
-the envelope that same constant.  Comparisons are multiplied out, values
-stay ints and Fractions, and every result is built through ``fin``.
+the envelope that same constant.  Inside a sweep every grid point, value
+and slope is a pair (num, den) with den > 0, and each difference an
+unreduced pair, so each hull test and pointer step is one comparison of
+cross-multiplied ints and no Fraction is built; each output value is built
+once, through ``semiring._ratio`` and ``fin``.  Operands stay the size of a
+few entries: there is no common denominator of the whole grid.
 
 The biconjugate check needs only one more sweep: the hull is the envelope
 of f's brackets, so once the hull's brackets equal f's, hulling the hull
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, MismatchError
-from .semiring import NEG_INF, POS_INF, RMAX, Rational, Scalar, bot, fin, scal, top
+from .semiring import NEG_INF, POS_INF, RMAX, Rational, Scalar, _ratio, bot, fin, scal, top
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,36 +96,49 @@ def _neg(s: Scalar) -> Scalar:
     return fin(RMAX, -s.value)
 
 
-def _lower_hull(xs, ys) -> tuple[list, list]:
-    """Vertices of the lower convex hull of the points (xs[i], ys[i]), with
-    xs strictly increasing.  Points on a hull edge are dropped."""
-    hx: list = []
-    hy: list = []
-    for x, y in zip(xs, ys):
-        # pop the last vertex while it lies on or above the segment from the
-        # vertex before it to (x, y): slope(a, b) >= slope(a, p), multiplied out
-        while len(hx) >= 2 and (
-            (hy[-1] - hy[-2]) * (x - hx[-2]) >= (y - hy[-2]) * (hx[-1] - hx[-2])
-        ):
-            hx.pop()
-            hy.pop()
-        hx.append(x)
-        hy.append(y)
-    return hx, hy
+def _lower_hull(xs, ys) -> list[tuple]:
+    """Vertices (xn, xd, yn, yd) of the lower convex hull of the points
+    (xs[i], ys[i]), each coordinate a pair (num, den) with den > 0 and xs
+    strictly increasing.  Points on a hull edge are dropped."""
+    h: list = []
+    for (pxn, pxd), (pyn, pyd) in zip(xs, ys):
+        while len(h) >= 2:
+            axn, axd, ayn, ayd = h[-2]
+            bxn, bxd, byn, byd = h[-1]
+            # pop b while it lies on or above the segment from a to p:
+            # slope(a, b) >= slope(a, p), each difference an unreduced pair,
+            # multiplied out over the positive denominators
+            if ((byn * ayd - ayn * byd) * (pxn * axd - axn * pxd) * pyd * bxd
+                    < (pyn * ayd - ayn * pyd) * (bxn * axd - axn * bxd) * byd * pxd):
+                break
+            h.pop()
+        h.append((pxn, pxd, pyn, pyd))
+    return h
 
 
-def _sweep_min(xs, ys, ts) -> list[Rational]:
-    """min_i (ys[i] - t*xs[i]) for each t of the strictly increasing ts."""
-    hx, hy = _lower_hull(xs, ys)
-    j, last = 0, len(hx) - 1
+def _sweep_min(xs, ys, ts) -> list[tuple[int, int]]:
+    """min_i (ys[i] - t*xs[i]) for each t of the strictly increasing ts, all
+    given as (num, den) pairs with den > 0; each minimum is an unreduced
+    pair."""
+    h = _lower_hull(xs, ys)
+    j, last = 0, len(h) - 1
+    xn, xd, yn, yd = h[0]
     out = []
-    for t in ts:
+    for tn, td in ts:
         # the minimiser moves right along the hull as t grows: step over
-        # every edge that is no steeper than t
-        while j < last and hy[j + 1] - hy[j] <= t * (hx[j + 1] - hx[j]):
+        # every edge that is no steeper than t, (yb - y)/(xb - x) <= t
+        while j < last:
+            bxn, bxd, byn, byd = h[j + 1]
+            if (byn * yd - yn * byd) * td * bxd * xd > tn * (bxn * xd - xn * bxd) * byd * yd:
+                break
             j += 1
-        out.append(hy[j] - t * hx[j])
+            xn, xd, yn, yd = bxn, bxd, byn, byd
+        out.append((yn * td * xd - tn * xn * yd, yd * td * xd))
     return out
+
+
+def _pairs(qs) -> list[tuple[int, int]]:
+    return [q.as_integer_ratio() for q in qs]
 
 
 def _brackets(f: GridFunction, slopes) -> tuple[Scalar, ...]:
@@ -131,11 +148,12 @@ def _brackets(f: GridFunction, slopes) -> tuple[Scalar, ...]:
         if v.value is NEG_INF:
             return (bot(RMAX),) * len(slopes)
         if v.value is not POS_INF:
-            xs.append(u)
-            ys.append(v.value)
+            xs.append(u.as_integer_ratio())
+            ys.append(v.value.as_integer_ratio())
     if not xs:
         return (top(RMAX),) * len(slopes)
-    return tuple(fin(RMAX, c) for c in _sweep_min(xs, ys, slopes))
+    lows = _sweep_min(xs, ys, _pairs(slopes))
+    return tuple(fin(RMAX, _ratio(n, d)) for n, d in lows)
 
 
 def _envelope(points, slopes, brackets) -> tuple[Scalar, ...]:
@@ -146,8 +164,9 @@ def _envelope(points, slopes, brackets) -> tuple[Scalar, ...]:
         return (brackets[0],) * len(points)
     # max_s (s*u + c_s) = -min_s (-c_s - u*s): the bracket sweep with the
     # roles of points and slopes exchanged
-    lows = _sweep_min(slopes, [-c.value for c in brackets], points)
-    return tuple(fin(RMAX, -m) for m in lows)
+    negs = [(-n, d) for n, d in _pairs(b.value for b in brackets)]
+    lows = _sweep_min(_pairs(slopes), negs, _pairs(points))
+    return tuple(fin(RMAX, _ratio(-n, d)) for n, d in lows)
 
 
 def slope_bracket(slope: Rational, f: GridFunction) -> Scalar:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import MismatchError, SchemaError
 from .fenchel import GridFunction, SlopeSet
-from .freemod import GeneratingFamily, Matrix, Vector
+from .freemod import GeneratingFamily, Matrix, Vector, _family_of_rows
 from .semiring import (
     BOOL,
     NMAX,
@@ -27,6 +27,7 @@ from .semiring import (
     make_phi,
     mat_rows,
     matrix_semiring,
+    plain_rational,
     rational_from_text,
     scalar_from_text,
     scalar_to_text,
@@ -63,8 +64,37 @@ def scalar_from_json(sr: SemiringId, obj) -> Scalar:
     if sr.name == "mat" and isinstance(obj, list):
         if len(obj) != sr.dim or any(not isinstance(r, list) or len(r) != sr.dim for r in obj):
             raise MismatchError(f"matrix scalar must be {sr.dim}x{sr.dim}")
-        return Scalar(sr, tuple(scalar_from_json(RMAX, e).value for r in obj for e in r))
+        return Scalar(sr, tuple(s.value for s in _scalars(RMAX, [e for r in obj for e in r])))
     raise SchemaError(f"not a scalar: {obj!r}")
+
+
+def _scalars(sr: SemiringId, objs) -> tuple[Scalar, ...]:
+    """``scalar_from_json`` of each of ``objs`` over ``sr``, in one loop.  A
+    text is looked up in the tag's text table first; over RMAX and NMAX a
+    plain integer or p/q then goes through ``plain_rational``, and its
+    scalar is built here, the small ints interned.  Every other value, and
+    every text those refuse, goes to ``scalar_from_json``, which raises the
+    error of the first bad entry."""
+    texts, fins = sr.texts, sr.fins
+    nmax = sr is NMAX
+    plain = nmax or sr is RMAX
+    out = []
+    for obj in objs:
+        if type(obj) is str:
+            s = texts.get(obj)
+            if s is None and plain:
+                q = plain_rational(obj)
+                if type(q) is int:
+                    s = fins.get(q)
+                    if s is None and (q >= 0 or not nmax):  # NMAX holds naturals only
+                        s = Scalar(sr, q)
+                elif q is not None and not nmax:
+                    s = Scalar(sr, q)
+            if s is not None:
+                out.append(s)
+                continue
+        out.append(scalar_from_json(sr, obj))
+    return tuple(out)
 
 
 def scalar_json(s: Scalar):
@@ -74,10 +104,14 @@ def scalar_json(s: Scalar):
     return scalar_to_text(s)
 
 
-def vector_from_json(sr: SemiringId, obj, dim: int | None = None) -> Vector:
+def _vector_entries(sr: SemiringId, obj) -> tuple[Scalar, ...]:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"vector must be a nonempty array, got {obj!r}")
-    v = Vector(sr, tuple(scalar_from_json(sr, e) for e in obj))
+    return _scalars(sr, obj)
+
+
+def vector_from_json(sr: SemiringId, obj, dim: int | None = None) -> Vector:
+    v = Vector(sr, _vector_entries(sr, obj))
     if dim is not None and v.dim != dim:
         raise MismatchError(f"expected dimension {dim}, got {v.dim}")
     return v
@@ -93,16 +127,17 @@ def matrix_from_json(sr: SemiringId, obj) -> Matrix:
     width = len(obj[0])
     if any(len(r) != width for r in obj):
         raise MismatchError("ragged matrix rows")
-    return Matrix(sr, tuple(tuple(scalar_from_json(sr, e) for e in row) for row in obj))
+    return Matrix(sr, tuple(_scalars(sr, row) for row in obj))
 
 
 def family_from_json(sr: SemiringId, obj, point_dim: int | None = None) -> GeneratingFamily:
     if not isinstance(obj, list):
         raise SchemaError(f"generating family must be an array, got {obj!r}")
-    vecs = tuple(vector_from_json(sr, g) for g in obj)
-    if vecs:
-        dim = vecs[0].dim
-        if any(v.dim != dim for v in vecs):
+    # each generator is a column of A: parse the columns, then zip them into rows
+    cols = [_vector_entries(sr, g) for g in obj]
+    if cols:
+        dim = len(cols[0])
+        if any(len(c) != dim for c in cols):
             raise MismatchError("generators of unequal dimension")
     elif point_dim is not None:
         dim = point_dim
@@ -110,16 +145,17 @@ def family_from_json(sr: SemiringId, obj, point_dim: int | None = None) -> Gener
         raise SchemaError("empty family needs a point to fix the dimension")
     if point_dim is not None and dim != point_dim:
         raise MismatchError(f"generators of dim {dim} against point of dim {point_dim}")
-    return GeneratingFamily(sr, dim, vecs)
+    return _family_of_rows(sr, tuple(zip(*cols)) or ((),) * dim)
 
 
 def rational_from_json(obj) -> Fraction | int:
+    if isinstance(obj, str):
+        q = plain_rational(obj)
+        return rational_from_text(obj) if q is None else q
     if isinstance(obj, bool):
         raise SchemaError(f"not a rational: {obj!r}")
     if isinstance(obj, int):
         return obj
-    if isinstance(obj, str):
-        return rational_from_text(obj)
     raise SchemaError(f"not a rational: {obj!r}")
 
 
@@ -134,7 +170,7 @@ def grid_from_json(obj) -> GridFunction:
         raise MismatchError("grid points and values of different lengths")
     return GridFunction(
         tuple(rational_from_json(p) for p in pts),
-        tuple(scalar_from_json(RMAX, v) for v in vals),
+        _scalars(RMAX, vals),
     )
 
 

@@ -426,6 +426,9 @@ def _rres_plan(n: int) -> tuple:
 
 
 def _ratio(n: int, d: int):
+    """n/d, an int when integral."""
+    if d == 1:
+        return n
     q = Fraction(n, d)
     return q.numerator if q.denominator == 1 else q
 
@@ -686,6 +689,23 @@ def rational_from_text(text: str) -> Rational:
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"not an exact rational: {text!r}") from exc
     return int(q) if q.denominator == 1 else q
+
+
+def plain_rational(text: str) -> Rational | None:
+    """What ``rational_from_text`` gives a text of ASCII digits with an
+    optional sign, alone or over "/" and ASCII digits, found by string tests
+    instead of the regex (``str.isdigit`` is exact on ASCII).  None for any
+    other text, and for one that ``int()`` or the division refuses, so the
+    grammar decides it and words the error."""
+    if not text.isascii():
+        return None
+    num, slash, den = text.partition("/")
+    if not (num[1:] if num[:1] in ("+", "-") else num).isdigit() or slash and not den.isdigit():
+        return None
+    try:  # int() refuses more than 4300 digits, the division a zero q
+        return _ratio(int(num), int(den)) if slash else int(num)
+    except (ValueError, ZeroDivisionError):
+        return None
 
 
 def scalar_from_text(sr: SemiringId, text: str) -> Scalar:

@@ -148,7 +148,9 @@ RATS = st.one_of(
     st.integers(min_value=-20, max_value=20),
     st.fractions(min_value=-20, max_value=20, max_denominator=6),
 )
-REGIMES = ("finite", "some-top", "all-top", "one-bot", "collinear")
+REGIMES = ("finite", "some-top", "all-top", "one-bot", "collinear", "large")
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+          73, 79, 83, 89, 97)
 
 
 @st.composite
@@ -167,6 +169,13 @@ def sweep_cases(draw):
         a1, b1, a2, b2 = (draw(st.integers(min_value=-6, max_value=6)) for _ in range(4))
         op = draw(st.sampled_from((max, min)))
         values = [op(a1 * u + b1, a2 * u + b2) for u in points]
+    elif regime == "large":
+        # sized like the benchmark's hull values: ints up to 10^15, and
+        # fractions over pairwise coprime denominators up to 97
+        nums = draw(st.lists(st.integers(-(10**15), 10**15), min_size=m, max_size=m))
+        whole = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        dens = draw(st.permutations(PRIMES))
+        values = [n if w else Fraction(n, d) for n, w, d in zip(nums, whole, dens)]
     else:
         values = draw(st.lists(RATS, min_size=m, max_size=m))
     if regime == "all-top":

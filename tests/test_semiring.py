@@ -11,6 +11,7 @@ from idemod import (
     NMAX,
     RMAX,
     DomainError,
+    IdemodError,
     MismatchError,
     SchemaError,
     add,
@@ -29,8 +30,16 @@ from idemod import (
     top,
     unit,
 )
-from idemod.jsonio import scalar_from_json, scalar_json
-from idemod.semiring import NEG_INF, POS_INF
+from idemod.jsonio import (
+    family_from_json,
+    grid_from_json,
+    matrix_from_json,
+    rational_from_json,
+    scalar_from_json,
+    scalar_json,
+    vector_from_json,
+)
+from idemod.semiring import NEG_INF, POS_INF, rational_from_text
 from conftest import MAT2, mat2_scalars, scalars
 
 
@@ -389,6 +398,80 @@ def test_matrix_scalars_parse_like_their_rmax_entries(n, data):
         return
     got = scalar_from_json(matrix_semiring(n), obj)
     assert got == want and [type(q) for q in got.value] == [type(q) for q in want.value]
+
+
+# Texts for the parsing loops of jsonio: signed ints with leading zeros,
+# ints at and past int()'s 4300 digits, p/q not in lowest terms or over 0,
+# the infinities and the spellings the grammar refuses; and a few non-texts.
+_DIGITS = "9" * 4300
+_TEXT = st.one_of(
+    st.sampled_from(["-inf", "+inf", "inf", "eps", "e", "E", "Eps", "1_000", "٣", "５", "²",
+                     " 2", "2 ", "\t-1", "2\n", "1e3", "1.5", "1/2/3", "1/-2", "+1/2", "1/",
+                     "/2", "+", "-", "", "- 1", "0/0", _DIGITS, "-" + _DIGITS, "0" + _DIGITS,
+                     "9" + _DIGITS, "1/" + _DIGITS, "1/9" + _DIGITS, 5, -3, True, None, 1.5]),
+    st.builds(lambda sign, zeros, n: sign + "0" * zeros + str(n),
+              st.sampled_from(["", "+", "-"]), st.integers(0, 2),
+              st.one_of(st.integers(0, 70), st.integers(0, 10**20))),
+    st.builds(lambda sign, p, q, k: f"{sign}{p * k}/{q * k}",
+              st.sampled_from(["", "+", "-"]), st.integers(0, 10**6), st.integers(0, 12),
+              st.integers(1, 4)),
+)
+_MAT2_ENTRY = st.one_of(_TEXT, st.lists(st.lists(_TEXT, min_size=2, max_size=2),
+                                        min_size=2, max_size=2))
+
+
+def _parsed(fn, *args):
+    """fn's result, or the type and message of the IdemodError it raises."""
+    try:
+        return fn(*args)
+    except IdemodError as exc:
+        return type(exc), str(exc)
+
+
+def _same_scalars(got, want, sr) -> None:
+    interned = set(map(id, sr.texts.values()))
+    for g, w in zip(got, want, strict=True):
+        assert g == w and type(g.value) is type(w.value)
+        if sr.dim:
+            assert list(map(type, g.value)) == list(map(type, w.value))
+        if id(w) in interned:
+            assert g is w  # table ints and the infinities stay the tag's objects
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((RMAX, NMAX, BOOL, MAT2)), st.integers(1, 4), st.integers(1, 3), st.data())
+def test_jsonio_loops_parse_like_scalar_from_json(sr, n, p, data):
+    """Vectors, families, matrices and grid values parse entry by entry to
+    what scalar_from_json gives, or raise its error for the first bad entry;
+    grid points parse as rational_from_text does."""
+    objs = data.draw(st.lists(_MAT2_ENTRY if sr is MAT2 else _TEXT, min_size=n * p,
+                              max_size=n * p))
+    chunks = [objs[i:i + n] for i in range(0, n * p, n)]  # generators, or matrix rows
+    values = objs + ["0"]  # a grid has two points at least
+    for parse_sr, entries, fn, args in (
+        (sr, objs, vector_from_json, (sr, objs)),
+        (sr, [o for row in zip(*chunks) for o in row], family_from_json, (sr, chunks)),
+        (sr, objs, matrix_from_json, (sr, chunks)),
+        (RMAX, values, grid_from_json, ({"points": list(range(len(values))), "values": values},)),
+    ):
+        got = _parsed(fn, *args)
+        # entries parse in the order of objs: generator after generator, or
+        # row after row, so the error is that of the first bad one
+        want = [_parsed(scalar_from_json, parse_sr, o) for o in objs]
+        bad = next((w for w in want if type(w) is tuple), None)
+        if bad is not None:
+            assert got == bad, fn
+            continue
+        if fn is grid_from_json:
+            flat = got.values
+        elif fn is vector_from_json:
+            flat = got.entries
+        else:
+            flat = [s for row in got.entries for s in row]  # the rows of A, or of the matrix
+        _same_scalars(flat, [scalar_from_json(parse_sr, o) for o in entries], parse_sr)
+    for o in objs:
+        if type(o) is str:
+            assert _parsed(rational_from_json, o) == _parsed(rational_from_text, o)
 
 
 def test_tags_built_in_racing_threads_are_one_object():
