@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .errors import MismatchError, SchemaError
+from .errors import DomainError, MismatchError, SchemaError
 from .fenchel import GridFunction, SlopeSet
 from .freemod import GeneratingFamily, Matrix, Vector, _family_of_rows
 from .semiring import (
@@ -24,10 +24,10 @@ from .semiring import (
     Scalar,
     SemiringId,
     default_phi,
+    fin,
     make_phi,
     mat_rows,
     matrix_semiring,
-    plain_rational,
     rational_from_text,
     scalar_from_text,
     scalar_to_text,
@@ -70,26 +70,20 @@ def scalar_from_json(sr: SemiringId, obj) -> Scalar:
 
 def _scalars(sr: SemiringId, objs) -> tuple[Scalar, ...]:
     """``scalar_from_json`` of each of ``objs`` over ``sr``, in one loop.  A
-    text is looked up in the tag's text table first; over RMAX and NMAX a
-    plain integer or p/q then goes through ``plain_rational``, and its
-    scalar is built here, the small ints interned.  Every other value, and
-    every text those refuse, goes to ``scalar_from_json``, which raises the
-    error of the first bad entry."""
-    texts, fins = sr.texts, sr.fins
-    nmax = sr is NMAX
-    plain = nmax or sr is RMAX
+    text is looked up in the tag's text table first, then read by
+    ``rational_from_text`` and ``fin``.  Every other value, and every text
+    those refuse, goes to ``scalar_from_json``, which raises the error of
+    the first bad entry."""
+    texts = sr.texts
     out = []
     for obj in objs:
         if type(obj) is str:
             s = texts.get(obj)
-            if s is None and plain:
-                q = plain_rational(obj)
-                if type(q) is int:
-                    s = fins.get(q)
-                    if s is None and (q >= 0 or not nmax):  # NMAX holds naturals only
-                        s = Scalar(sr, q)
-                elif q is not None and not nmax:
-                    s = Scalar(sr, q)
+            if s is None:
+                try:
+                    s = fin(sr, rational_from_text(obj))
+                except (SchemaError, DomainError):
+                    pass
             if s is not None:
                 out.append(s)
                 continue
@@ -150,8 +144,7 @@ def family_from_json(sr: SemiringId, obj, point_dim: int | None = None) -> Gener
 
 def rational_from_json(obj) -> Fraction | int:
     if isinstance(obj, str):
-        q = plain_rational(obj)
-        return rational_from_text(obj) if q is None else q
+        return rational_from_text(obj)
     if isinstance(obj, bool):
         raise SchemaError(f"not a rational: {obj!r}")
     if isinstance(obj, int):

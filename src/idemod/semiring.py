@@ -39,7 +39,6 @@ unsynchronised concurrent use.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -204,14 +203,16 @@ def unit(sr: SemiringId) -> Scalar:
 
 def fin(sr: SemiringId, q: Rational) -> Scalar:
     """Finite element.  NMAX only admits naturals; a bool is no rational."""
-    if type(q) is not int and isinstance(q, Fraction) and q.denominator == 1:
-        q = int(q)  # an integral Fraction is its int, interned like it
     if type(q) is int:
         s = sr.fins.get(q)
         if s is not None:
             return s
-        if sr.name == "rmax" or sr.name == "nmax" and q >= 0:
+        if sr is RMAX or sr is NMAX and q >= 0:
             return Scalar(sr, q)
+    elif type(q) is Fraction and sr is RMAX and q.denominator != 1:
+        return Scalar(sr, q)
+    elif isinstance(q, Fraction) and q.denominator == 1:
+        return fin(sr, int(q))  # an integral Fraction is its int, interned like it
     if sr.name == "bool":
         raise DomainError("the Boolean semiring has no finite elements besides eps/e")
     if sr.name == "mat":
@@ -672,40 +673,22 @@ def scalar_to_text(s: Scalar) -> str:
     return str(s.value)
 
 
-# Finite scalar text, as the README states it: an optional sign, ASCII
-# digits and an optional "/" with ASCII digits.  No padding, "_", decimal
-# point or exponent ("1e2000000" would build a 6.6-million-bit int).
-_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-
-
 def rational_from_text(text: str) -> Rational:
-    if not _RATIONAL_TEXT.fullmatch(text):
-        raise SchemaError(f"not an exact rational: {text!r}")
-    num, _, den = text.partition("/")
-    try:  # int() refuses more than 4300 digits, Fraction a zero denominator
-        if not den:
-            return int(num)
-        q = Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"not an exact rational: {text!r}") from exc
-    return int(q) if q.denominator == 1 else q
-
-
-def plain_rational(text: str) -> Rational | None:
-    """What ``rational_from_text`` gives a text of ASCII digits with an
-    optional sign, alone or over "/" and ASCII digits, found by string tests
-    instead of the regex (``str.isdigit`` is exact on ASCII).  None for any
-    other text, and for one that ``int()`` or the division refuses, so the
-    grammar decides it and words the error."""
-    if not text.isascii():
-        return None
+    """Finite scalar text, as the README states it: an optional sign, ASCII
+    digits and an optional "/" with ASCII digits.  No padding, "_", decimal
+    point or exponent ("1e2000000" would build a 6.6-million-bit int).
+    String tests decide it (``str.isdigit`` is exact on ASCII)."""
     num, slash, den = text.partition("/")
-    if not (num[1:] if num[:1] in ("+", "-") else num).isdigit() or slash and not den.isdigit():
-        return None
-    try:  # int() refuses more than 4300 digits, the division a zero q
-        return _ratio(int(num), int(den)) if slash else int(num)
-    except (ValueError, ZeroDivisionError):
-        return None
+    if (
+        text.isascii()
+        and (num[1:] if num[:1] in ("+", "-") else num).isdigit()
+        and (not slash or den.isdigit())
+    ):
+        try:  # int() refuses more than 4300 digits, the division a zero q
+            return _ratio(int(num), int(den)) if slash else int(num)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SchemaError(f"not an exact rational: {text!r}")
 
 
 def scalar_from_text(sr: SemiringId, text: str) -> Scalar:

@@ -154,14 +154,30 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67
 
 
 @st.composite
+def over_primes(draw, n, lo, hi):
+    """n ints in [lo, hi], each whole or over its own prime up to 97."""
+    nums = draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+    whole = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    dens = draw(st.permutations(PRIMES))
+    return [k if w else Fraction(k, d) for k, w, d in zip(nums, whole, dens)]
+
+
+@st.composite
 def sweep_cases(draw):
     regime = draw(st.sampled_from(REGIMES))
     m = draw(st.integers(min_value=2, max_value=14))
-    steps = draw(st.lists(
-        st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3),
-        min_size=m - 1, max_size=m - 1,
-    ))
-    start = draw(st.fractions(min_value=-6, max_value=6, max_denominator=2))
+    if regime == "large":
+        # sized like the benchmark's hulls: values are ints up to 10^15, and
+        # the values, point steps and slopes are fractions over pairwise
+        # coprime denominators up to 97, so every cross product runs at size
+        steps = draw(over_primes(m - 1, 1, 10**6))
+        start = draw(over_primes(1, -(10**6), 10**6))[0]
+    else:
+        steps = draw(st.lists(
+            st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3),
+            min_size=m - 1, max_size=m - 1,
+        ))
+        start = draw(st.fractions(min_value=-6, max_value=6, max_denominator=2))
     points = list(accumulate(steps, initial=start))
     if regime == "collinear":
         # the max (convex) or min (concave) of two affine pieces: long runs
@@ -170,12 +186,7 @@ def sweep_cases(draw):
         op = draw(st.sampled_from((max, min)))
         values = [op(a1 * u + b1, a2 * u + b2) for u in points]
     elif regime == "large":
-        # sized like the benchmark's hull values: ints up to 10^15, and
-        # fractions over pairwise coprime denominators up to 97
-        nums = draw(st.lists(st.integers(-(10**15), 10**15), min_size=m, max_size=m))
-        whole = draw(st.lists(st.booleans(), min_size=m, max_size=m))
-        dens = draw(st.permutations(PRIMES))
-        values = [n if w else Fraction(n, d) for n, w, d in zip(nums, whole, dens)]
+        values = draw(over_primes(m, -(10**15), 10**15))
     else:
         values = draw(st.lists(RATS, min_size=m, max_size=m))
     if regime == "all-top":
@@ -185,10 +196,14 @@ def sweep_cases(draw):
         values = ["+inf" if i in tops else v for i, v in enumerate(values)]
     if regime == "one-bot":
         values[draw(st.integers(min_value=0, max_value=m - 1))] = "-inf"
-    slopes = sorted(draw(st.lists(RATS, min_size=1, max_size=9, unique=True)))
+    if regime == "large":
+        slopes = sorted(set(draw(over_primes(draw(st.integers(1, 9)), -(10**6), 10**6))))
+    else:
+        slopes = sorted(draw(st.lists(RATS, min_size=1, max_size=9, unique=True)))
     if draw(st.booleans()):
         # steeper than every hull edge: the sweep stays at an end vertex
-        slopes = [-1000] + slopes + [1000]
+        steep = 10**7 if regime == "large" else 1000
+        slopes = [-steep] + slopes + [steep]
     return grid_function(points, values), slope_set(slopes)
 
 

@@ -1,6 +1,7 @@
 """Scalar core: infinity tables, residuation, the Galois connection, and the
 matrix instance."""
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,7 @@ from idemod.jsonio import (
     scalar_json,
     vector_from_json,
 )
-from idemod.semiring import NEG_INF, POS_INF, rational_from_text
+from idemod.semiring import NEG_INF, POS_INF
 from conftest import MAT2, mat2_scalars, scalars
 
 
@@ -370,6 +371,19 @@ def test_scalar_text_grammar():
     assert scalar_from_text(NMAX, "007") == fin(NMAX, 7)
 
 
+def _readme_rational(text: str):
+    """The README's finite-text grammar, written as a regex ([0-9] is ASCII
+    in re): the reference that rational_from_text's string tests follow."""
+    if re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+)?", text) is None:
+        return SchemaError, f"not an exact rational: {text!r}"
+    num, _, den = text.partition("/")
+    try:
+        q = Fraction(int(num), int(den or "1"))
+    except (ValueError, ZeroDivisionError):  # past 4300 digits, or over 0
+        return SchemaError, f"not an exact rational: {text!r}"
+    return q.numerator if q.denominator == 1 else q
+
+
 # JSON values a matrix entry may hold: canonical and non-canonical texts,
 # interned and large ints, Fractions, and values the grammar refuses
 _ENTRY_JSON = st.one_of(
@@ -407,7 +421,8 @@ _DIGITS = "9" * 4300
 _TEXT = st.one_of(
     st.sampled_from(["-inf", "+inf", "inf", "eps", "e", "E", "Eps", "1_000", "٣", "５", "²",
                      " 2", "2 ", "\t-1", "2\n", "1e3", "1.5", "1/2/3", "1/-2", "+1/2", "1/",
-                     "/2", "+", "-", "", "- 1", "0/0", _DIGITS, "-" + _DIGITS, "0" + _DIGITS,
+                     "/2", "+", "-", "", "- 1", "0/0", "1/ 2", "1/+2", "1/2_0", "+-1", "--1",
+                     _DIGITS, "-" + _DIGITS, "0" + _DIGITS,
                      "9" + _DIGITS, "1/" + _DIGITS, "1/9" + _DIGITS, 5, -3, True, None, 1.5]),
     st.builds(lambda sign, zeros, n: sign + "0" * zeros + str(n),
               st.sampled_from(["", "+", "-"]), st.integers(0, 2),
@@ -443,7 +458,7 @@ def _same_scalars(got, want, sr) -> None:
 def test_jsonio_loops_parse_like_scalar_from_json(sr, n, p, data):
     """Vectors, families, matrices and grid values parse entry by entry to
     what scalar_from_json gives, or raise its error for the first bad entry;
-    grid points parse as rational_from_text does."""
+    grid points parse as the README grammar reads them."""
     objs = data.draw(st.lists(_MAT2_ENTRY if sr is MAT2 else _TEXT, min_size=n * p,
                               max_size=n * p))
     chunks = [objs[i:i + n] for i in range(0, n * p, n)]  # generators, or matrix rows
@@ -471,7 +486,8 @@ def test_jsonio_loops_parse_like_scalar_from_json(sr, n, p, data):
         _same_scalars(flat, [scalar_from_json(parse_sr, o) for o in entries], parse_sr)
     for o in objs:
         if type(o) is str:
-            assert _parsed(rational_from_json, o) == _parsed(rational_from_text, o)
+            got, want = _parsed(rational_from_json, o), _readme_rational(o)
+            assert got == want and type(got) is type(want)
 
 
 def test_tags_built_in_racing_threads_are_one_object():
