@@ -6,8 +6,11 @@ through ``idemod.cli.main`` in this process, and one sha256 is taken over
 (kind, stdout, stderr, exit code) of all of them.  The ``dominating``
 requests have no CLI command; they run through ``inf_dominating`` and
 contribute its canonical JSON answer (or the exception) in the same way.
-The script prints one line per seed and one overall digest, so two trees
-behave the same on these requests when they print the same digests:
+The script prints one line per seed, one line per request kind (a sha256
+over that kind's requests of every seed, in order) and one overall digest,
+so two trees behave the same on these requests when they print the same
+digests, and a change to one operator can be shown to leave its own
+requests' answers byte-identical by that kind's line:
 
     PYTHONPATH=src python3 scripts/ops_mix_digest.py --seeds 1-20
 """
@@ -52,13 +55,20 @@ def answer(kind: str) -> tuple[str, str, int]:
     return out.getvalue(), err.getvalue(), code
 
 
-def seed_digest(seed: int) -> tuple[str, int]:
+def seed_digest(seed: int, kinds: dict) -> tuple[str, int]:
+    """The seed's digest and request count; each request's record is also
+    added to ``kinds[kind]``, a [sha256, count] pair."""
     h = hashlib.sha256()
     reqs = inputs.ops_mix(seed)
     for req in reqs:
+        kind = req["kind"]
         pathlib.Path(REQUEST).write_text(json.dumps(req["problem"]), encoding="utf-8")
-        stdout, stderr, code = answer(req["kind"])
-        h.update(json.dumps([req["kind"], stdout, stderr, code]).encode("utf-8") + b"\n")
+        stdout, stderr, code = answer(kind)
+        record = json.dumps([kind, stdout, stderr, code]).encode("utf-8") + b"\n"
+        h.update(record)
+        entry = kinds.setdefault(kind, [hashlib.sha256(), 0])
+        entry[0].update(record)
+        entry[1] += 1
     return h.hexdigest(), len(reqs)
 
 
@@ -73,13 +83,16 @@ def main() -> int:
     args = ap.parse_args()
     overall = hashlib.sha256()
     total = 0
+    kinds: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for seed in parse_seeds(args.seeds):
-            digest, count = seed_digest(seed)
+            digest, count = seed_digest(seed, kinds)
             total += count
             overall.update(digest.encode("ascii"))
             print(f"seed {seed}: {count} requests {digest}")
+    for kind, (h, count) in sorted(kinds.items()):
+        print(f"kind {kind}: {count} requests {h.hexdigest()}")
     print(f"all: {total} requests {overall.hexdigest()}")
     return 0
 

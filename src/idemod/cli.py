@@ -105,7 +105,7 @@ def cmd_separate(args) -> dict:
 def cmd_dual(args) -> dict:
     p = _load_problem(args)
     x = _require(p, "point")
-    if p.bracket == "matrix":
+    if p.bracket == du.MATRIX:
         mat = _require(p, "matrix")
         cfg = du.DualPairConfig(du.MATRIX, p.phi, mat)
     else:

@@ -34,7 +34,6 @@ from .semiring import (
     Phi,
     Scalar,
     bot,
-    leq,
     lres,
     rres,
     sort_key,
@@ -185,7 +184,7 @@ def lattice_meet(elements: Sequence[Vector], a: Vector, b: Vector) -> Vector:
 def rowcol_report(a: Matrix, phi: Phi) -> LatticeReport:
     """Row space, column space, and the residuation map between them, all by
     exhaustive enumeration.  Boolean matrices only."""
-    if a.semiring.name != "bool":
+    if a.semiring is not BOOL:
         raise DomainError("exhaustive row/column duality is Boolean-only")
     if a.rows > ROWCOL_CAP or a.cols > ROWCOL_CAP:
         raise DomainError(f"matrix exceeds the enumeration cap {ROWCOL_CAP}")
@@ -205,15 +204,9 @@ def rowcol_report(a: Matrix, phi: Phi) -> LatticeReport:
     cfg = DualPairConfig(CANONICAL, phi)
     pairs = [(z, mat_vec(a, conj_right(cfg, z))) for z in row_space]
 
-    images = [img for _, img in pairs]
-    bijective = (
-        len({vec_key(v) for v in images}) == len(row_space)
-        and {vec_key(v) for v in images} == set(cols)
+    images = {vec_key(img) for _, img in pairs}
+    bijective = len(images) == len(row_space) and images == set(cols)
+    order_reversing = all(
+        vec_leq(vj, vi) for zi, vi in pairs for zj, vj in pairs if vec_leq(zi, zj)
     )
-    order_reversing = True
-    for zi, vi in pairs:
-        for zj, vj in pairs:
-            if all(leq(x, y) for x, y in zip(zi.entries, zj.entries)):
-                if not vec_leq(vj, vi):
-                    order_reversing = False
     return LatticeReport(row_space, col_space, tuple(pairs), order_reversing, bijective)

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
+from .dual import CANONICAL, MATRIX, OPPOSITE
 from .errors import DomainError, MismatchError, SchemaError
 from .fenchel import GridFunction, SlopeSet
 from .freemod import GeneratingFamily, Matrix, Vector, _family_of_rows
@@ -61,7 +62,7 @@ def scalar_from_json(sr: SemiringId, obj) -> Scalar:
         raise SchemaError(f"not a scalar: {obj!r}")
     if isinstance(obj, (int, str)):
         return scalar_from_text(sr, str(obj))
-    if sr.name == "mat" and isinstance(obj, list):
+    if sr.dim and isinstance(obj, list):
         if len(obj) != sr.dim or any(not isinstance(r, list) or len(r) != sr.dim for r in obj):
             raise MismatchError(f"matrix scalar must be {sr.dim}x{sr.dim}")
         return Scalar(sr, tuple(s.value for s in _scalars(RMAX, [e for r in obj for e in r])))
@@ -189,7 +190,7 @@ class Problem:
     point: Vector | None = None
     point2: Vector | None = None
     matrix: Matrix | None = None
-    bracket: str = "canonical"
+    bracket: str = CANONICAL
     grid: GridFunction | None = None
     slopes: SlopeSet | None = None
 
@@ -220,8 +221,8 @@ def problem_from_json(obj, semiring_override: str | None = None, phi_override: s
     )
     convex = family_from_json(sr, obj["convex"], pdim) if "convex" in obj else None
     mat = matrix_from_json(sr, obj["matrix"]) if "matrix" in obj else None
-    bracket = obj.get("bracket", "canonical")
-    if bracket not in ("canonical", "matrix", "opposite"):
+    bracket = obj.get("bracket", CANONICAL)
+    if bracket not in (CANONICAL, MATRIX, OPPOSITE):
         raise SchemaError(f"unknown bracket {bracket!r}")
     grid = grid_from_json(obj["grid"]) if "grid" in obj else None
     slopes = slopes_from_json(obj["slopes"]) if "slopes" in obj else None

@@ -120,11 +120,11 @@ def _rand_raw(rng: random.Random, finite_only: bool, natural: bool = False):
 
 
 def rand_scalar(rng: random.Random, sr: SemiringId, finite_only: bool = False) -> Scalar:
-    if sr.name == "bool":
+    if sr is BOOL:
         return top(sr) if rng.random() < 0.5 else bot(sr)
-    if sr.name == "mat":
+    if sr.dim:
         return rand_matrix_scalar(rng, sr, finite_only)
-    return of_raw(sr, _rand_raw(rng, finite_only, sr.name == "nmax"))
+    return of_raw(sr, _rand_raw(rng, finite_only, sr is NMAX))
 
 
 def rand_matrix_scalar(rng: random.Random, sr: SemiringId, finite_only: bool = False) -> Scalar:
@@ -174,7 +174,7 @@ def _simpler_scalar(s: Scalar):
     """Candidates of strictly lower rank, so that shrinking ends: bottom <
     unit < top < any other finite value, and those move toward 0."""
     sr = s.semiring
-    if sr.name == "mat":
+    if sr.dim:
         # one entry at a time, ranked -inf < 0 < +inf < any other finite value
         flat = s.value
         for i, q in enumerate(flat):

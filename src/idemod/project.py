@@ -22,7 +22,7 @@ from .freemod import (
     vec_leq,
     vec_lres,
 )
-from .semiring import NEG_INF, POS_INF, Scalar, _rres_plan, bot, fin, leq, mul, residual, top
+from .semiring import NEG_INF, POS_INF, RMAX, Scalar, _rres_plan, bot, fin, leq, mul, residual, top
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,7 +171,7 @@ def inf_dominating(w: GeneratingFamily, x: Vector) -> tuple[Vector, bool]:
     meet itself belongs to the span (it need not).  RMAX only."""
     _check_family(w, x)
     sr = x.semiring
-    if sr.name != "rmax":
+    if sr is not RMAX:
         raise DomainError("dominating meet is implemented over RMAX only")
     covers = []  # for each row k with x_k above bottom: its covering columns j and bounds
     for k, xk in enumerate(x.entries):

@@ -15,9 +15,10 @@ Fraction when finite, the sentinel ``NEG_INF`` for the bottom and
 ``POS_INF`` for the top of RMAX, NMAX and BOOL, and for a matrix the flat
 row-major tuple of its entries' raw values.  Bottom and top are carrier
 elements like any other, told apart by testing the value for the sentinels
-by identity; a matrix is told by its tag's ``dim``.  ``of_raw`` turns a
-raw value back into a scalar, and the module folds ``bracket`` and
-``residual`` loop over raw values directly.
+by identity; a matrix is told by its tag's ``dim``, and each other
+instance by its tag's identity.  ``of_raw`` turns a raw value back into a
+scalar, and the module folds ``bracket`` and ``residual`` loop over raw
+values directly, in one loop each for RMAX, NMAX and BOOL.
 
 Each instance is one ``SemiringId`` object: building a tag for the same
 (name, dim) again returns it, so "the same semiring" is ``is`` everywhere,
@@ -213,11 +214,11 @@ def fin(sr: SemiringId, q: Rational) -> Scalar:
         return Scalar(sr, q)
     elif isinstance(q, Fraction) and q.denominator == 1:
         return fin(sr, int(q))  # an integral Fraction is its int, interned like it
-    if sr.name == "bool":
+    if sr is BOOL:
         raise DomainError("the Boolean semiring has no finite elements besides eps/e")
-    if sr.name == "mat":
+    if sr.dim:
         raise DomainError("matrix elements are built with mat_of, not fin")
-    if sr.name == "nmax" and not (isinstance(q, int) and q >= 0):
+    if sr is NMAX and not (isinstance(q, int) and q >= 0):
         raise DomainError(f"{q!r} is not in the natural carrier")
     if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
         raise DomainError(f"finite values must be exact rationals, got {type(q)}")
@@ -244,7 +245,7 @@ def scal(sr: SemiringId, v) -> Scalar:
         return scalar_from_text(sr, v)
     if isinstance(v, (int, Fraction)):
         return fin(sr, v)
-    if sr.name == "mat" and isinstance(v, (list, tuple)):
+    if sr.dim and isinstance(v, (list, tuple)):
         return mat_of([[scal(RMAX, e) for e in row] for row in v])
     raise DomainError(f"cannot coerce {v!r} into {sr}")
 
@@ -375,7 +376,9 @@ def rres(b: Scalar, a: Scalar) -> Scalar:
 # (Butkovic, *Max-linear Systems*, 2010, 1.2; Cohen-Gaubert-Quadrat, LAA 379,
 # 2004).  Over RMAX and NMAX, ``bracket`` is max_i (y_i + x_i) and
 # ``residual`` min_i (y_i - x_i), with NMAX's clamp applied once, to the
-# minimum.  Over matrices the product and both residuals are two folds, each
+# minimum.  BOOL's eps and e are the raw values -inf and +inf, so the same
+# loop folds them: each term is neutral or absorbs the fold, and the result
+# is bottom or top.  Over matrices the product and both residuals are two folds, each
 # over k >= 1 pairs of operands, so that one call also folds a bracket or
 # residual of k terms:
 #
@@ -391,9 +394,7 @@ def rres(b: Scalar, a: Scalar) -> Scalar:
 # int; any other term is an unreduced pair num/den (den > 0) compared by
 # cross-multiplication, so each result or result entry builds at most one
 # Fraction, and an integral one is normalised to int.  Finite entries of
-# add/meet/leq compare the same way.  Only BOOL folds the scalar ops, looked
-# up when called, so a tracer that counts scalar-op calls sees the BOOL
-# terms and no others.
+# add/meet/leq compare the same way.
 #
 # The scalar loops of ``bracket``/``residual`` and the matrix loops of
 # ``_maxplus``/``_minminus`` do the same arithmetic but stay apart on
@@ -525,9 +526,7 @@ def bracket(ys, xs) -> Scalar:
     """<y, x> = (+)_i y_i * x_i over equal-length nonempty sequences of one
     semiring's scalars."""
     sr = ys[0].semiring
-    if sr is not RMAX and sr is not NMAX:
-        if sr is BOOL:
-            return functools.reduce(add, map(mul, ys, xs))
+    if sr.dim:
         return _maxplus(sr, _mat_pairs(sr, ys, xs), _mul_plan(sr.dim))
     n = d = None  # the greatest term so far is n/d; None while every term is bottom
     for y, x in zip(ys, xs):
@@ -554,9 +553,7 @@ def residual(xs, ys, plan=_lres_plan) -> Scalar:
     semiring's scalars.  With ``plan=_rres_plan`` it folds (^)_i y_i/x_i
     instead, which differs over matrices only."""
     sr = xs[0].semiring
-    if sr is not RMAX and sr is not NMAX:
-        if sr is BOOL:
-            return functools.reduce(meet, map(lres, xs, ys))
+    if sr.dim:
         return _minminus(sr, _mat_pairs(sr, xs, ys), plan(sr.dim))
     n = d = None  # the least term so far is n/d; None while every term is top
     for x, y in zip(xs, ys):
@@ -583,11 +580,11 @@ def residual(xs, ys, plan=_lres_plan) -> Scalar:
 def is_invertible(s: Scalar) -> bool:
     """True when some t satisfies s*t = t*s = e."""
     sr = s.semiring
-    if sr.name == "rmax":
+    if sr is RMAX:
         return s.value is not NEG_INF and s.value is not POS_INF
-    if sr.name == "bool":
+    if sr is BOOL:
         return s.value is POS_INF
-    if sr.name == "nmax":
+    if sr is NMAX:
         return s.value == 0
     # matrices: exactly one finite entry per row and per column, rest bottom
     n = sr.dim
@@ -609,9 +606,9 @@ def inverse(s: Scalar) -> Scalar:
     if not is_invertible(s):
         raise DomainError(f"{s!r} is not invertible")
     sr = s.semiring
-    if sr.name == "rmax":
+    if sr is RMAX:
         return fin(sr, -s.value)
-    if sr.name in ("bool", "nmax"):
+    if not sr.dim:
         return s  # only the unit is invertible
     # the transpose with each finite entry negated
     n = sr.dim
@@ -638,9 +635,9 @@ def make_phi(value: Scalar) -> Phi:
 
 def default_phi(sr: SemiringId) -> Phi:
     """RMAX and NMAX use 0, BOOL uses eps, matrices use the 0/top pattern."""
-    if sr.name == "bool":
+    if sr is BOOL:
         return make_phi(bot(sr))
-    if sr.name in ("rmax", "nmax"):
+    if not sr.dim:
         return make_phi(unit(sr))
     return make_phi(phi_nn(sr.dim, unit(RMAX)))
 

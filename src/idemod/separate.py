@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import DomainError, MismatchError, TheoremViolation
 from .freemod import GeneratingFamily, Vector, _family_of_rows, act, mat_lres, vec_lres
 from .project import _check_family, _checked_member, _dual_coefficients, project, project_dual
-from .semiring import Scalar, inverse, is_invertible, leq, meet, unit
+from .semiring import BOOL, RMAX, Scalar, inverse, is_invertible, leq, meet, unit
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +87,7 @@ def _check_convex(c: GeneratingFamily, x: Vector) -> None:
     _check_family(c, x)
     if len(c) == 0:
         raise MismatchError("convex separation needs a nonempty generating family")
-    if c.semiring.name not in ("rmax", "bool"):
+    if c.semiring is not RMAX and c.semiring is not BOOL:
         raise DomainError("convex separation requires a complete semifield instance")
 
 

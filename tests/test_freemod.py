@@ -287,12 +287,16 @@ def test_matrix_kernels_over_matrix_semiring(data):
     assert vec_leq(mat_vec(a, z), y) == vec_leq(z, back)
 
 
-# -- the RMAX and NMAX folds against the scalar-op oracle ----------------------
+# -- the RMAX, NMAX and BOOL folds against the scalar-op oracle -----------------
 
 
 def _fold_entries(sr):
     """Entry strategies by kind, so rows can be finite only (no term absorbs),
-    infinite only, all top or all bottom (every term absorbs or is neutral)."""
+    infinite only, all top or all bottom (every term absorbs or is neutral).
+    BOOL has only eps and e."""
+    inf = st.sampled_from([bot(sr), top(sr)])
+    if sr is BOOL:
+        return st.sampled_from([inf, st.just(bot(sr)), st.just(top(sr))])
     if sr is NMAX:
         ints = st.one_of(st.integers(0, 9), st.integers(10**14, 10**15 - 1))
         finite = ints.map(lambda n: fin(NMAX, n))
@@ -303,17 +307,16 @@ def _fold_entries(sr):
             st.fractions(-6, 6, max_denominator=12),
             st.fractions(-(10**15), 10**15, max_denominator=10**6),
         ).map(lambda q: fin(RMAX, q))
-    inf = st.sampled_from([bot(sr), top(sr)])
     return st.sampled_from([finite, inf, st.just(bot(sr)), st.just(top(sr)),
                             st.one_of(finite, inf, finite)])
 
 
 @settings(max_examples=300)
-@given(st.sampled_from([RMAX, NMAX]), st.integers(1, 6), st.data())
+@given(st.sampled_from([RMAX, NMAX, BOOL]), st.integers(1, 6), st.data())
 def test_raw_folds_match_the_scalar_op_oracle(sr, n, data):
     """_bracket is reduce(add, map(mul, ...)) and _residual is
-    reduce(meet, map(lres, ...)) over RMAX and NMAX: same value, same type
-    of value, and the same object for an interned result."""
+    reduce(meet, map(lres, ...)) over RMAX, NMAX and BOOL: same value, same
+    type of value, and the same object for an interned result."""
     kinds = _fold_entries(sr)
     us, vs = (tuple(data.draw(st.lists(data.draw(kinds), min_size=n, max_size=n)))
               for _ in range(2))
