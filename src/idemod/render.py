@@ -10,13 +10,19 @@ exact: every raster quantity is built from max, min, + and -, which commute
 with multiplication by k > 0, so no comparison changes.  Labelled points are
 classified on the unscaled scene.  Each row of a hull or a half-space is one
 closed interval in u (every axis-parallel slice of a tropical polytope is a
-segment) with exact bounds in closed form.  A line's sign along a row is
-constant on each open interval between at most two exact breakpoints and on
-each breakpoint, and which sign that is depends only on the slot and on the
-row's type, the sign of b + v - c: each line classifies each (type, slot)
-once, at most 13 times whatever the sample count, and a row costs only its
-bisects.  So only the picture is approximate, never the algebra.  Output
-bytes are a pure function of the scene and the library version.
+segment) with exact bounds in closed form.  Each bound is a constant, v plus
+a constant, or the max of the two, and its form changes only where v
+crosses a cut: a generator's g2, or a half-space's x2, y2, x2 - nu or
+y2 - nu.  So region rows are decided per row type, where v lies among the
+region's cuts: a region folds its generators or branches once per type, at
+most 33 times for a hull and 9 for a half-space, and a row costs two bisects
+and at most two additions.  A line's sign along a row is constant on each
+open interval between at most two exact breakpoints and on each breakpoint,
+and which sign that is depends only on the slot and on the row's type, the
+sign of b + v - c: each line classifies each (type, slot) once, at most 13
+times whatever the sample count, and a row costs only its bisects.  So only
+the picture is approximate, never the algebra.  Output bytes are a pure
+function of the scene and the library version.
 """
 from __future__ import annotations
 
@@ -40,6 +46,9 @@ DEFAULT_SAMPLES = 400
 MAX_SAMPLES = 2048
 # Render time grows with each list's length; bounds what one scene can ask for.
 MAX_SCENE_ITEMS = 16
+# Every raster int carries the bits of the lattice factor k (see the module
+# docstring); bounds how much one scene's arithmetic can cost.
+MAX_LATTICE_BITS = 4096
 # The characters XML 1.0 admits in text: a label holding any other cannot be drawn.
 _XML_CHARS = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]*")
 
@@ -121,7 +130,36 @@ def scene_from_json(obj) -> Scene:
         scene.lines.append(
             LineSpec(_coef_from_json(l["a"]), _coef_from_json(l["b"]), _coef_from_json(l["c"]))
         )
+    _check_lattice(scene)
     return scene
+
+
+def _raster_values(scene: Scene) -> list:
+    """The finite raw values of the generators, half-spaces and lines: with
+    the viewport, everything the raster scales by k."""
+    scalars = [s for g in scene.generators for s in g.entries]
+    for h in scene.halfspaces:
+        scalars += [*h.x_ref.entries, *h.y.entries, h.nu]
+    for spec in scene.lines:
+        scalars += [spec.a[1], spec.b[1], spec.c[1]]
+    return [s.value for s in scalars if s.value is not NEG_INF and s.value is not POS_INF]
+
+
+def _check_lattice(scene: Scene) -> None:
+    """SchemaError when the least common multiple of samples - 1 and every
+    denominator of the viewport and of ``_raster_values`` has more than
+    MAX_LATTICE_BITS bits.  The raster's k divides it, as a sample step is
+    the viewport's width over samples - 1.  The fold stops at the first
+    denominator that passes the cap, so a scene of huge coprime denominators
+    costs no more than one that just passes it."""
+    multiple = scene.samples - 1
+    for q in (*scene.viewport, *_raster_values(scene)):
+        multiple = lcm(multiple, q.denominator)
+        if multiple.bit_length() > MAX_LATTICE_BITS:
+            raise SchemaError(
+                "the least common multiple of samples_per_axis - 1 and the scene's "
+                f"denominators must have at most {MAX_LATTICE_BITS} bits"
+            )
 
 
 def _xml_text(s: str) -> str:
@@ -143,47 +181,100 @@ def _minus(a: tuple, b: tuple) -> tuple:
     return _TOP if b == _BOT else _BOT
 
 
+def _typed_rows(cuts: list, fold, region):
+    """v -> ranked (lo, hi) for a region whose row bounds change form only
+    where v crosses a cut.  A row's type is where v lies among the distinct
+    cuts: below, on or above each.  fold(region, v) gives the bounds of
+    every row of v's type as (lo, lo_off, hi, hi_off), from ``_bound``: the
+    row's lower bound is max(lo, v + lo_off), or lo when lo_off is None, and
+    so is its upper bound.  So fold runs at most 2 * len(cuts) + 1 times,
+    whatever the number of rows."""
+    cuts = sorted(set(cuts))
+    memo: dict = {}
+
+    def row(v):
+        key = bisect_left(cuts, v) + bisect_right(cuts, v)  # 2i off cut i, 2i + 1 on it
+        bounds = memo.get(key)
+        if bounds is None:
+            bounds = memo[key] = fold(region, v)
+        lo, lo_off, hi, hi_off = bounds
+        if lo_off is not None and (1, v + lo_off) > lo:
+            lo = (1, v + lo_off)
+        if hi_off is not None and (1, v + hi_off) > hi:
+            hi = (1, v + hi_off)
+        return lo, hi
+
+    return row
+
+
+def _bound(const: tuple, off: tuple) -> tuple:
+    """max(const, v + off) for ranked const and offset off, as ``_typed_rows``
+    stores it: (const, c) for off = (1, c); an infinite off is its own sum."""
+    return (const, off[1]) if off[0] == 1 else (max(const, off), None)
+
+
 def _hull_rows(gens: list[Vector]):
     """v -> ranked (lo, hi): the hull's row at height v is lo <= u <= hi.
     With lambda_g = min(u - g1, v - g2, 0), the lifted projection fixes
     (u, v, e) iff some lambda_g is e (u >= L1), some lambda_g + g2 is v
-    (u >= L3) and some lambda_g + g1 is u (u <= R)."""
+    (u >= L3) and some lambda_g + g1 is u (u <= R).  Which generator enters
+    which bound depends only on where v lies among the finite g2."""
     ranked = [tuple(map(sort_key, g.entries)) for g in gens]
     ranked = [g for g in ranked if _TOP not in g]  # lambda_g = -inf bounds nothing
+    return _typed_rows([g2[1] for _, g2 in ranked if g2[0] == 1], _hull_fold, ranked)
 
-    def row(v):
-        vr = (1, v)
-        l1 = l3 = _TOP
-        r = _BOT
-        for g1, g2 in ranked:
-            shifted = _minus(g1, _minus(g2, vr))  # g1 + v - g2
-            if g2 <= vr:
-                l1 = min(l1, g1)
-            if g2 >= vr:
-                l3 = min(l3, shifted)
-            r = max(r, min(g1, shifted))
-        return max(l1, l3), r
 
-    return row
+def _hull_fold(gens: list[tuple], v) -> tuple:
+    """The bounds of the hull rows of v's type, for ``_typed_rows``.  A
+    generator with g2 <= v gives L1 and R its g1; one with g2 >= v gives L3
+    and R g1 + v - g2, the offset g1 - g2 from v."""
+    vr = (1, v)
+    l1 = l3 = _TOP
+    r = r3 = _BOT
+    for g1, g2 in gens:
+        if g2 <= vr:
+            l1 = min(l1, g1)
+            r = max(r, g1)
+        if g2 >= vr:
+            shift = _minus(g1, g2)
+            l3 = min(l3, shift)
+            r3 = max(r3, shift)
+    return _bound(l1, l3) + _bound(r, r3)
 
 
 def _halfspace_rows(h: HalfSpace):
     """v -> ranked (lo, hi), as ``_hull_rows``.  With c1 = min(x2 - v, 0) and
     c2 = min(y2 - v, nu) the row is {u : min(x1 - u, c1) <= min(y1 - u, c2)}:
     u <= y1 - c1 unless x1 <= y1 or c1 = -inf, and u >= x1 - c2 unless
-    c1 <= c2 or x1 = -inf."""
+    c1 <= c2 or x1 = -inf.  Which branch of each min holds, and whether
+    c1 <= c2, change only where v crosses x2, y2, x2 - nu or y2 - nu."""
     (x1, x2), (y1, y2) = (tuple(map(sort_key, p.entries)) for p in (h.x_ref, h.y))
     nu = sort_key(h.nu)
+    cuts = [c[1] for c in (x2, y2, _minus(x2, nu), _minus(y2, nu)) if c[0] == 1]
+    return _typed_rows(cuts, _halfspace_fold, (x1, x2, y1, y2, nu))
 
-    def row(v):
-        vr = (1, v)
-        c1 = min(_minus(x2, vr), (1, 0))
-        c2 = min(_minus(y2, vr), nu)
-        hi = _TOP if x1 <= y1 or c1 == _BOT else _minus(y1, c1)
-        lo = _BOT if c1 <= c2 or x1 == _BOT else _minus(x1, c2)
-        return lo, hi
 
-    return row
+def _halfspace_fold(h: tuple, v) -> tuple:
+    """The bounds of the half-space rows of v's type, for ``_typed_rows``:
+    y1 - c1 with c1 = x2 - v is the offset y1 - x2 from v, and x1 - c2 with
+    c2 = y2 - v the offset x1 - y2."""
+    x1, x2, y1, y2, nu = h
+    vr = (1, v)
+    c1 = min(_minus(x2, vr), (1, 0))
+    c2 = min(_minus(y2, vr), nu)
+    if c1 <= c2 or x1 == _BOT:
+        lo = (_BOT, None)
+    elif c2 < nu:  # c2 = y2 - v
+        lo = _bound(_BOT, _minus(x1, y2))
+    else:
+        lo = (_minus(x1, c2), None)
+    if x1 <= y1 or c1 == _BOT:
+        hi = (_TOP, None)
+    elif c1 < (1, 0):  # c1 = x2 - v
+        hi = _bound(_BOT, _minus(y1, x2))
+    else:
+        hi = (y1, None)
+    return lo + hi
 
 
 def _line_rows(spec: LineSpec, us: list, vs: list) -> list[list[tuple[int, int]]]:
@@ -303,22 +394,21 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
     dx, dy = span_x / (n - 1), span_y / (n - 1)
     inner = _W - 2 * _MARGIN
 
-    def px(u: Fraction) -> float:
-        return float(_MARGIN + (u - xmin) / span_x * inner)
-
-    def py(v: Fraction) -> float:
-        return float(_W - _MARGIN - (v - ymin) / span_y * inner)
-
     # the raster runs on the scene scaled by k, on ints (see the module docstring)
-    scalars = [s for g in scene.generators for s in g.entries]
-    for h in scene.halfspaces:
-        scalars += [*h.x_ref.entries, *h.y.entries, h.nu]
-    for spec in scene.lines:
-        scalars += [spec.a[1], spec.b[1], spec.c[1]]
-    k = lcm(*(q.denominator for q in (xmin, ymin, dx, dy)),
-            *(s.value.denominator for s in scalars
-              if s.value is not NEG_INF and s.value is not POS_INF))
+    k = lcm(*(q.denominator for q in (xmin, ymin, dx, dy, *_raster_values(scene))))
     u0, v0, du, dv = (int(q * k) for q in (xmin, ymin, dx, dy))
+    sx, sy = du * (n - 1), dv * (n - 1)
+
+    # the pixel of an exact coordinate p/q, as one int / int division that
+    # rounds correctly, as float(Fraction) does (see ``_pixels``)
+    def px(u) -> float:
+        p, q = u.numerator, u.denominator
+        return (_MARGIN * q * sx + (p * k - u0 * q) * inner) / (q * sx)
+
+    def py(v) -> float:
+        p, q = v.numerator, v.denominator
+        return ((_W - _MARGIN) * q * sy - (p * k - v0 * q) * inner) / (q * sy)
+
     us = [u0 + i * du for i in range(n)]
     vs = [v0 + j * dv for j in range(n)]
     xs, ys = _pixels(n)
@@ -332,12 +422,12 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
         f'<rect x="0" y="0" width="{_W}" height="{_W}" fill="#ffffff"/>',
     ]
 
-    ranked_us = [(1, u) for u in us]
-
     def emit_region(rows, color: str, opacity: str) -> None:
         for j, v in enumerate(vs):
-            lo, hi = rows(v)
-            start, stop = bisect_left(ranked_us, lo), bisect_right(ranked_us, hi)
+            (lo_rank, lo), (hi_rank, hi) = rows(v)
+            # a bound of -inf lies before sample 0, one of +inf after sample n - 1
+            start = bisect_left(us, lo) if lo_rank == 1 else (n if lo_rank else 0)
+            stop = bisect_right(us, hi) if hi_rank == 1 else (n if hi_rank else 0)
             if start < stop:
                 x0 = xs[start] - half
                 x1 = xs[stop - 1] + half
@@ -374,13 +464,13 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
     # axes through the origin when visible
     if xmin <= 0 <= xmax:
         parts.append(
-            f'<line x1="{px(Fraction(0)):.2f}" y1="{_MARGIN}" x2="{px(Fraction(0)):.2f}" '
+            f'<line x1="{px(0):.2f}" y1="{_MARGIN}" x2="{px(0):.2f}" '
             f'y2="{_W - _MARGIN}" stroke="#888888" stroke-width="1"/>'
         )
     if ymin <= 0 <= ymax:
         parts.append(
-            f'<line x1="{_MARGIN}" y1="{py(Fraction(0)):.2f}" x2="{_W - _MARGIN}" '
-            f'y2="{py(Fraction(0)):.2f}" stroke="#888888" stroke-width="1"/>'
+            f'<line x1="{_MARGIN}" y1="{py(0):.2f}" x2="{_W - _MARGIN}" '
+            f'y2="{py(0):.2f}" stroke="#888888" stroke-width="1"/>'
         )
 
     classification: dict[str, dict] = {}
@@ -409,7 +499,7 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
         if a is NEG_INF or a is POS_INF or b is NEG_INF or b is POS_INF:
             return None  # points at infinity are classified but not drawn
         try:
-            return px(Fraction(a)), py(Fraction(b))
+            return px(a), py(b)
         except OverflowError:
             return None  # nor are points too far out for a float pixel
 

@@ -274,19 +274,46 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
         assert run("render", str(scene), "--out", str(tmp_path / "no" / "x.svg"))[0] == 4
 
 
+def c10_scene() -> Scene:
+    """16 generators and 16 half-spaces on quarter-integer points, at 2048^2."""
+    rng = random.Random(SEED)
+
+    def quarter_point():
+        return vector(RMAX, [Fraction(rng.randrange(-24, 25), 4) for _ in range(2)])
+
+    gens = [quarter_point() for _ in range(MAX_SCENE_ITEMS)]
+    hs = [
+        HalfSpace(quarter_point(), quarter_point(), fin(RMAX, Fraction(rng.randrange(-8, 9), 4)))
+        for _ in range(MAX_SCENE_ITEMS)
+    ]
+    return Scene((-8, 8, -8, 8), MAX_SAMPLES, gens, [], hs, [])
+
+
+def c11_scene() -> Scene:
+    """16 lines, 16 half-spaces and 3 generators on quarter integers, at 400^2."""
+    rng = random.Random(SEED)
+
+    def quarter():
+        return Fraction(rng.randrange(-24, 25), 4)
+
+    def coef():
+        return (rng.choice("+-."), fin(RMAX, quarter()))
+
+    def quarter_point():
+        return vector(RMAX, [quarter(), quarter()])
+
+    lines = [LineSpec(coef(), coef(), coef()) for _ in range(MAX_SCENE_ITEMS)]
+    hs = [
+        HalfSpace(quarter_point(), quarter_point(), fin(RMAX, Fraction(rng.randrange(-8, 9), 4)))
+        for _ in range(MAX_SCENE_ITEMS)
+    ]
+    gens = [quarter_point() for _ in range(3)]
+    return Scene((-8, 8, -8, 8), 400, gens, [], hs, lines)
+
+
 def test_render_regions_at_the_sample_cap():
     with criterion("C10", "16 generators and 16 half-spaces at 2048^2 rendered, under 3 s"):
-        rng = random.Random(SEED)
-
-        def quarter_point():
-            return vector(RMAX, [Fraction(rng.randrange(-24, 25), 4) for _ in range(2)])
-
-        gens = [quarter_point() for _ in range(MAX_SCENE_ITEMS)]
-        hs = [
-            HalfSpace(quarter_point(), quarter_point(), fin(RMAX, Fraction(rng.randrange(-8, 9), 4)))
-            for _ in range(MAX_SCENE_ITEMS)
-        ]
-        scene = Scene((-8, 8, -8, 8), MAX_SAMPLES, gens, [], hs, [])
+        scene = c10_scene()
         t0 = time.monotonic()
         svg, _ = render_scene(scene)
         elapsed = time.monotonic() - t0
@@ -296,24 +323,7 @@ def test_render_regions_at_the_sample_cap():
 
 def test_render_dense_lines():
     with criterion("C11", "16 lines, 16 half-spaces and 3 generators at 400^2 rendered, under 3 s"):
-        rng = random.Random(SEED)
-
-        def quarter():
-            return Fraction(rng.randrange(-24, 25), 4)
-
-        def coef():
-            return (rng.choice("+-."), fin(RMAX, quarter()))
-
-        def quarter_point():
-            return vector(RMAX, [quarter(), quarter()])
-
-        lines = [LineSpec(coef(), coef(), coef()) for _ in range(MAX_SCENE_ITEMS)]
-        hs = [
-            HalfSpace(quarter_point(), quarter_point(), fin(RMAX, Fraction(rng.randrange(-8, 9), 4)))
-            for _ in range(MAX_SCENE_ITEMS)
-        ]
-        gens = [quarter_point() for _ in range(3)]
-        scene = Scene((-8, 8, -8, 8), 400, gens, [], hs, lines)
+        scene = c11_scene()
         t0 = time.monotonic()
         svg, _ = render_scene(scene)
         elapsed = time.monotonic() - t0

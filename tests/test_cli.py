@@ -15,7 +15,7 @@ from idemod.cli import main
 from idemod.dual import ROWCOL_CAP
 from idemod.errors import TheoremViolation
 from idemod.jsonio import MAX_MAT_DIM, canonical_dumps, scalar_json, vector_json
-from idemod.render import MAX_SAMPLES, MAX_SCENE_ITEMS, scene_from_json
+from idemod.render import MAX_LATTICE_BITS, MAX_SAMPLES, MAX_SCENE_ITEMS, scene_from_json
 from idemod.semiring import scalar_to_text
 from conftest import BENCH_DIR, families, perfbench_module, vectors
 
@@ -530,6 +530,22 @@ def test_render_scene_lists_checked(tmp_path, capsys):
             items = [dict(p, label=f"P{i}") for i, p in enumerate(items)]
         full = scene_from_json(dict(SCENE, **{key: items}))
         assert len(getattr(full, key)) == MAX_SCENE_ITEMS
+
+
+def test_render_lattice_cap(tmp_path, capsys):
+    """A scene whose denominators are pairwise coprime, the Fermat numbers
+    2^(2^i) + 1 up to F13 (2467 digits, within int()'s 4300), exits 2 at
+    once; the benchmark's render scenes are admitted."""
+    fermat = [2 ** 2 ** i + 1 for i in range(14)]
+    gens = [[f"1/{a}", f"-1/{b}"] for a, b in zip(fermat[::2], fermat[1::2])]
+    path = write(tmp_path, "coprime.json", dict(SCENE, samples_per_axis=MAX_SAMPLES, generators=gens))
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, "render", path, "--out", str(tmp_path / "x.svg"))
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2 and out == "" and str(MAX_LATTICE_BITS) in err
+    inputs = perfbench_module("inputs")
+    for item in inputs.render_scenes(inputs.DEFAULT_SEED):
+        scene_from_json(item["scene"])
 
 
 def test_render_empty_scene(tmp_path, capsys):

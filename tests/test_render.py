@@ -1,6 +1,7 @@
 """Closed-form region rows and memoised classification of line rows against
 per-sample classification, and the byte gate on the README figure."""
 import hashlib
+import re
 from fractions import Fraction
 from itertools import groupby, product
 from unittest import mock
@@ -28,11 +29,15 @@ from idemod.render import (
     _MARGIN,
     _TOP,
     _W,
+    MAX_LATTICE_BITS,
     MAX_SAMPLES,
     LineSpec,
     Scene,
+    _check_lattice,
     _crossings,
+    _halfspace_fold,
     _halfspace_rows,
+    _hull_fold,
     _hull_rows,
     _line_rows,
     _line_side,
@@ -40,9 +45,11 @@ from idemod.render import (
     render_scene,
     scene_from_json,
 )
+from idemod.semiring import NEG_INF, POS_INF
 from idemod.separate import HalfSpace, halfspace_contains
 
 from conftest import scalars, vectors
+from test_acceptance import c10_scene, c11_scene
 
 # grids whose steps (1/2, 1/4, 3/5, ...) land on the quarter-integer
 # coordinates and breakpoints that scalars() draws, plus two irregular ones,
@@ -119,6 +126,104 @@ def test_halfspace_row_matches_per_sample(h, grid_row):
     v = vs[j]
     bounds = _halfspace_rows(h)(v)
     assert [within(bounds, u) for u in us] == [halfspace_contains(h, point(u, v)) for u in us]
+
+
+def grid_scalars(grid):
+    """Scalars on the grid's samples, so that rows lie on cuts, or any
+    scalar, infinities included."""
+    us, vs = samples(*grid)
+    return st.one_of(st.sampled_from(sorted(set(us + vs))).map(lambda q: fin(RMAX, q)), scalars())
+
+
+def grid_hull(grid):
+    """Generators whose g2 come from a pool of at most three, so that they tie."""
+    entry = grid_scalars(grid)
+    return st.lists(entry, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(
+            st.tuples(entry, st.sampled_from(pool)).map(lambda g: Vector(RMAX, g)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+
+
+def grid_halfspace(grid):
+    """Half-spaces whose x2, y2, x2 - nu and y2 - nu often lie on rows: nu is
+    often a difference of two rows of the (evenly spaced) grid."""
+    _, vs = samples(*grid)
+    entry = grid_scalars(grid)
+    nus = st.one_of(
+        st.tuples(st.sampled_from(vs), st.sampled_from(vs)).map(lambda p: fin(RMAX, p[0] - p[1])),
+        scalars(),
+    )
+    pair = st.tuples(entry, entry).map(lambda e: Vector(RMAX, e))
+    return st.builds(HalfSpace, pair, pair, nus)
+
+
+def rows_ascending_then_descending(row, contains, grid):
+    """One row closure asked for every row of the grid, bottom to top and
+    then top to bottom, against the per-sample predicate."""
+    us, vs = samples(*grid)
+    oracle = {v: [contains(point(u, v)) for u in us] for v in vs}
+    for v in vs + vs[::-1]:
+        bounds = row(v)
+        assert [within(bounds, u) for u in us] == oracle[v], v
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(GRIDS).flatmap(lambda g: st.tuples(st.just(g), grid_hull(g))))
+def test_hull_rows_one_closure_over_every_row(grid_gens):
+    grid, gens = grid_gens
+    fam = GeneratingFamily(RMAX, 2, tuple(gens))
+    contains = lambda p: separate_from_convex(fam, p).member  # noqa: E731
+    rows_ascending_then_descending(_hull_rows(gens), contains, grid)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(GRIDS).flatmap(lambda g: st.tuples(st.just(g), grid_halfspace(g))))
+def test_halfspace_rows_one_closure_over_every_row(grid_h):
+    grid, h = grid_h
+    contains = lambda p: halfspace_contains(h, p)  # noqa: E731
+    rows_ascending_then_descending(_halfspace_rows(h), contains, grid)
+
+
+def counting_fold(fold):
+    """A stand-in for a region fold that records the region of each call
+    (the region itself, so that no two regions share an id)."""
+    calls = []
+
+    def counted(region, v):
+        calls.append(region)
+        return fold(region, v)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("n, viewport", [(16, (-5, 10, -5, 10)), (400, (-5, 2, -5, 2))])
+def test_region_folds_per_row_type_are_bounded(n, viewport):
+    """One render folds each hull at most 2 * (distinct finite g2) + 1 times
+    and each half-space at most 9 times, whatever the sample count: once per
+    row type.  Every integer is a row here, so rows lie on the cuts."""
+    gens = [point(0, 0), point(1, 3), point(3, 4), point(2, 3), point(-1, -1)]
+    gens += [Vector(RMAX, e) for e in [(bot(RMAX), fin(RMAX, 1)), (fin(RMAX, 1), bot(RMAX)),
+                                       (top(RMAX), fin(RMAX, 2))]]
+    g2s = {g.entries[1].value for g in gens} - {NEG_INF, POS_INF}
+    hs = [
+        HalfSpace(point(-1, 0), point(-1, 0), fin(RMAX, -1)),
+        HalfSpace(point(0, 1), point(2, -1), fin(RMAX, 1)),
+        HalfSpace(point(2, -3), point(1, 2), fin(RMAX, -2)),
+        HalfSpace(point(0, 1), Vector(RMAX, (fin(RMAX, 1), top(RMAX))), bot(RMAX)),
+    ]
+    hull_fold, hull_calls = counting_fold(_hull_fold)
+    halfspace_fold, halfspace_calls = counting_fold(_halfspace_fold)
+    with mock.patch("idemod.render._hull_fold", hull_fold), mock.patch(
+        "idemod.render._halfspace_fold", halfspace_fold
+    ):
+        render_scene(Scene(viewport, n, gens, [], hs, []))
+    assert 0 < len(hull_calls) <= 2 * len(g2s) + 1
+    regions = {id(r): r for r in halfspace_calls}
+    per_halfspace = [sum(r is q for r in halfspace_calls) for q in regions.values()]
+    assert len(per_halfspace) == len(hs) and max(per_halfspace) <= 9
 
 
 @settings(max_examples=300)
@@ -383,6 +488,49 @@ def test_svg_bytes_match_per_sample_render(grid, gens, hs, ls):
     assert svg == oracle
 
 
+wide_scalars = st.one_of(
+    scalars(), st.integers(min_value=-10**30, max_value=10**30).map(lambda q: fin(RMAX, q))
+)
+wide_points = st.tuples(wide_scalars, wide_scalars).map(lambda e: Vector(RMAX, e))
+CIRCLE = re.compile(r'<circle cx="([^"]*)" cy="([^"]*)"')
+ARROW = re.compile(r'<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)" stroke="#222222"')
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(GRIDS), st.lists(wide_points, max_size=3), st.lists(wide_points, max_size=3))
+def test_point_and_arrow_pixels_match_exact_coordinates(grid, gens, pts):
+    """Every generator, labelled point and arrow end sits at the pixel of its
+    exact coordinates; points at infinity, or too far out for a float, are
+    not drawn."""
+    viewport, n = grid
+    labelled = [(f"P{i}", p) for i, p in enumerate(pts)] + [("far", point(10**400, 0))]
+    svg, _ = render_scene(Scene(viewport, n, gens, labelled))
+    xmin, xmax, ymin, ymax = (Fraction(t) for t in viewport)
+    inner = _W - 2 * _MARGIN
+
+    def xy(p):
+        u, v = (s.value for s in p.entries)
+        if {u, v} & {NEG_INF, POS_INF}:
+            return None
+        try:
+            x = float(_MARGIN + (u - xmin) / (xmax - xmin) * inner)
+            y = float(_W - _MARGIN - (v - ymin) / (ymax - ymin) * inner)
+        except OverflowError:
+            return None
+        return f"{x:.2f}", f"{y:.2f}"
+
+    arrows = []
+    if gens:
+        fam = GeneratingFamily(RMAX, 2, tuple(gens))
+        for _, p in labelled:
+            proj = separate_from_convex(fam, p).normalized
+            if proj is not None and proj != p and xy(p) and xy(proj):
+                arrows.append(xy(p) + xy(proj))
+    circles = [xy(p) for p in gens + [p for _, p in labelled] if xy(p)]
+    assert CIRCLE.findall(svg) == circles
+    assert ARROW.findall(svg) == arrows
+
+
 README_SCENE = {
     "viewport": ["-3", "6", "-3", "6"],
     "samples_per_axis": 400,
@@ -407,3 +555,23 @@ def test_samples_per_axis_cap():
     assert scene_from_json(dict(README_SCENE, samples_per_axis=MAX_SAMPLES)).samples == MAX_SAMPLES
     with pytest.raises(SchemaError):
         scene_from_json(dict(README_SCENE, samples_per_axis=MAX_SAMPLES + 1))
+
+
+def test_lattice_cap():
+    """The least common multiple of samples - 1 and every denominator may
+    have MAX_LATTICE_BITS bits and no more; every scene the tests and the
+    benchmark render stays under it."""
+    scene = dict(README_SCENE, samples_per_axis=17)  # samples - 1 = 2**4
+    for bits, admitted in ((MAX_LATTICE_BITS, True), (MAX_LATTICE_BITS + 1, False)):
+        edge = dict(scene, generators=[["0", f"1/{2 ** (bits - 1)}"]])
+        if admitted:
+            scene_from_json(edge)
+        else:
+            with pytest.raises(SchemaError, match=str(MAX_LATTICE_BITS)):
+                scene_from_json(edge)
+    for samples in (16, 64, 400, MAX_SAMPLES):
+        scene_from_json(dict(README_SCENE, samples_per_axis=samples))
+    for viewport, n in GRIDS:
+        _check_lattice(Scene(viewport, n))
+    _check_lattice(c10_scene())
+    _check_lattice(c11_scene())
