@@ -146,18 +146,18 @@ def _raster_values(scene: Scene) -> list:
 
 
 def _check_lattice(scene: Scene) -> None:
-    """SchemaError when the least common multiple of samples - 1 and every
+    """SchemaError when samples - 1 times the least common multiple of every
     denominator of the viewport and of ``_raster_values`` has more than
-    MAX_LATTICE_BITS bits.  The raster's k divides it, as a sample step is
-    the viewport's width over samples - 1.  The fold stops at the first
-    denominator that passes the cap, so a scene of huge coprime denominators
-    costs no more than one that just passes it."""
-    multiple = scene.samples - 1
+    MAX_LATTICE_BITS bits.  The raster's k divides that product, as a sample
+    step is the viewport's width over samples - 1.  The fold stops at the
+    first denominator that takes the product past the cap, so it never
+    builds a multiple much larger than the cap."""
+    m, multiple = scene.samples - 1, 1
     for q in (*scene.viewport, *_raster_values(scene)):
         multiple = lcm(multiple, q.denominator)
-        if multiple.bit_length() > MAX_LATTICE_BITS:
+        if (m * multiple).bit_length() > MAX_LATTICE_BITS:
             raise SchemaError(
-                "the least common multiple of samples_per_axis - 1 and the scene's "
+                "samples_per_axis - 1 times the least common multiple of the scene's "
                 f"denominators must have at most {MAX_LATTICE_BITS} bits"
             )
 

@@ -1,5 +1,6 @@
-"""Closed-form region rows and memoised classification of line rows against
-per-sample classification, and the byte gate on the README figure."""
+"""Region rows decided per row type and memoised classification of line rows
+against per-sample classification, point pixels against their exact
+coordinates, the lattice cap, and the byte gate on the README figure."""
 import hashlib
 import re
 from fractions import Fraction
@@ -558,12 +559,12 @@ def test_samples_per_axis_cap():
 
 
 def test_lattice_cap():
-    """The least common multiple of samples - 1 and every denominator may
+    """samples - 1 times the least common multiple of every denominator may
     have MAX_LATTICE_BITS bits and no more; every scene the tests and the
     benchmark render stays under it."""
     scene = dict(README_SCENE, samples_per_axis=17)  # samples - 1 = 2**4
     for bits, admitted in ((MAX_LATTICE_BITS, True), (MAX_LATTICE_BITS + 1, False)):
-        edge = dict(scene, generators=[["0", f"1/{2 ** (bits - 1)}"]])
+        edge = dict(scene, generators=[["0", f"1/{2 ** (bits - 5)}"]])  # 2**4 * 2**(bits - 5)
         if admitted:
             scene_from_json(edge)
         else:
