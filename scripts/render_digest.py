@@ -7,7 +7,12 @@ classification), then one ``all:`` digest over those lines.  Two trees draw
 the same pictures when they print the same lines.  The scenes:
 
 - the README scene at 64, 400 and 2048 samples per axis;
-- the twelve generic lines of ``scripts/render_generic_lines.py`` at 400;
+- the twelve generic lines of ``scripts/render_generic_lines.py`` at 400
+  and at 401;
+- the generic line with tags +, -, + and each coefficient in turn -inf or
+  +inf, at 401.  With the twelve at 401 these are the 18 lines of the
+  call-count test in ``tests/test_render.py``: at 401 on [-4, 4], the row
+  v = c - b and every breakpoint of a line row fall on samples;
 - the C10 and C11 scenes of ``tests/test_acceptance.py``;
 - 20 seeded random scenes within every cap of ``render.scene_from_json``,
   with fraction, large-integer and infinite entries and labelled points.
@@ -73,10 +78,16 @@ def scenes():
     readme = json.loads(inputs.README_SCENE.read_text(encoding="utf-8"))
     for samples in (64, 400, 2048):
         yield "readme", scene_from_json(dict(readme, samples_per_axis=samples))
-    for idx, tags in enumerate(inputs.generic_line_patterns(), start=1):
-        safe = "".join({"+": "p", "-": "m", ".": "d"}[t] for t in tags)
-        line = dict(inputs.line_scene(tags), samples_per_axis=400)
-        yield f"line_{idx:02d}_{safe}", scene_from_json(line)
+    for samples in (400, 401):
+        for idx, tags in enumerate(inputs.generic_line_patterns(), start=1):
+            safe = "".join({"+": "p", "-": "m", ".": "d"}[t] for t in tags)
+            line = dict(inputs.line_scene(tags), samples_per_axis=samples)
+            yield f"line_{idx:02d}_{safe}", scene_from_json(line)
+    for k in "abc":
+        for inf in ("-inf", "+inf"):
+            line = dict(inputs.line_scene("+-+"), samples_per_axis=401)
+            line["lines"][0][k][1] = inf
+            yield f"line_pmp_{k}{inf}", scene_from_json(line)
     yield "c10", c10_scene()
     yield "c11", c11_scene()
     rng = random.Random(SEED)

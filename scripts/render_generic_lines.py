@@ -18,9 +18,7 @@ from idemod.render import LineSpec, Scene, render_scene
 
 def generic_patterns():
     for tags in itertools.product("+-.", repeat=3):
-        if tags.count(".") == 0 and "+" in tags and "-" in tags:
-            yield tags
-        elif tags.count(".") == 1 and "+" in tags and "-" in tags:
+        if tags.count(".") <= 1 and "+" in tags and "-" in tags:
             yield tags
 
 

@@ -16,13 +16,13 @@ crosses a cut: a generator's g2, or a half-space's x2, y2, x2 - nu or
 y2 - nu.  So region rows are decided per row type, where v lies among the
 region's cuts: a region folds its generators or branches once per type, at
 most 33 times for a hull and 9 for a half-space, and a row costs two bisects
-and at most two additions.  A line's sign along a row is constant on each
-open interval between at most two exact breakpoints and on each breakpoint,
-and which sign that is depends only on the slot and on the row's type, the
-sign of b + v - c: each line classifies each (type, slot) once, at most 13
-times whatever the sample count, and a row costs only its bisects.  So only
-the picture is approximate, never the algebra.  Output bytes are a pure
-function of the scene and the library version.
+and at most two additions.  A line's sign along a row changes only at one
+exact breakpoint, u = max(b + v, c) - a, so a row has three slots: below,
+on and above it.  Which sign a slot has depends only on the slot and on the
+row's type, the sign of b + v - c: each line classifies each (type, slot)
+once, at most 9 times whatever the sample count, and a row costs one
+bisect.  So only the picture is approximate, never the algebra.  Output
+bytes are a pure function of the scene and the library version.
 """
 from __future__ import annotations
 
@@ -281,48 +281,43 @@ def _line_rows(spec: LineSpec, us: list, vs: list) -> list[list[tuple[int, int]]
     """For each v in vs, (stop, sign) of each maximal run of equal values in
     [_line_side(spec, u, v) for u in us], for ascending samples us.
 
-    Along the row at height v, a + u meets the constants b + v and c at no
-    more than two breakpoints.  The row's slots are the open intervals
-    between them and the breakpoints themselves, and on each slot the order
-    of the three terms is fixed by the slot and the row's type: the sign of
-    b + v - c when b and c are finite, a single type otherwise.  So each
+    A sign depends only on which terms attain the maximum.  Along the row at
+    height v, b + v and c are constants, so a + u changes that set only at
+    u = m - a, with m the larger of the finite ones.  Below it the set is
+    fixed by the row's type, the sign of b + v - c; on it a + u joins the
+    set; above it a + u is alone.  (A +inf b or c is the maximum in every
+    slot, so the slots share one sign and merge into one run.)  So each
     (type, slot) is classified once, on the first sample found in it: at
-    most 5 + 3 + 5 calls of _line_side per line, whatever the sample count."""
+    most 3 + 3 + 3 calls of _line_side per line, whatever the sample count.
+    An infinite a, or an infinite b and c, leaves one slot."""
     a, b, c = spec.a[1].value, spec.b[1].value, spec.c[1].value
+    b_finite = b is not NEG_INF and b is not POS_INF
+    c_finite = c is not NEG_INF and c is not POS_INF
+    split = a is not NEG_INF and a is not POS_INF and (b_finite or c_finite)
     n = len(us)
     signs: dict = {}
     rows = []
-
-    def extend(stop: int, slot: int, i: int) -> None:
-        # the run of slot up to stop, classified on its first sample us[i]
-        key = (row_type, slot)
-        sign = signs.get(key)
-        if sign is None:
-            sign = signs[key] = _line_side(spec, us[i], v)
-        if row and row[-1][1] == sign:
-            row[-1] = (stop, sign)  # adjacent slots of one sign make one run
-        else:
-            row.append((stop, sign))
-
     for v in vs:
-        ks = [] if b is NEG_INF or b is POS_INF else [b + v]
-        if c is not NEG_INF and c is not POS_INF:
-            ks.append(c)
-        row_type = (ks[0] > ks[1]) - (ks[0] < ks[1]) if len(ks) == 2 else 0
-        breaks = () if a is NEG_INF or a is POS_INF else sorted({k - a for k in ks})
+        row_type, m = 0, b + v if b_finite else c  # m: the larger finite constant
+        if b_finite and c_finite:
+            row_type, m = (m > c) - (m < c), max(m, c)
+        stops = (n,)
+        if split:
+            u = m - a  # the row's one breakpoint
+            i = bisect_left(us, u)
+            stops = (i, i + 1 if i < n and us[i] == u else i, n)
         row: list = []
-        start = slot = 0
-        for p in breaks:
-            k = bisect_left(us, p, start)
-            if k > start:
-                extend(k, slot, start)
-                start = k
-            if k < n and us[k] == p:
-                extend(k + 1, slot + 1, k)
-                start = k + 1
-            slot += 2
-        if start < n:
-            extend(n, slot, start)
+        start = 0
+        for slot, stop in enumerate(stops):
+            if stop > start:
+                sign = signs.get((row_type, slot))
+                if sign is None:
+                    sign = signs[row_type, slot] = _line_side(spec, us[start], v)
+                if row and row[-1][1] == sign:
+                    row[-1] = (stop, sign)  # adjacent slots of one sign make one run
+                else:
+                    row.append((stop, sign))
+                start = stop
         rows.append(row)
     return rows
 

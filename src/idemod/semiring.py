@@ -219,7 +219,7 @@ def fin(sr: SemiringId, q: Rational) -> Scalar:
     if sr.dim:
         raise DomainError("matrix elements are built with mat_of, not fin")
     if sr is NMAX and not (isinstance(q, int) and q >= 0):
-        raise DomainError(f"{q!r} is not in the natural carrier")
+        raise DomainError(f"{q} is not in the natural carrier")
     if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
         raise DomainError(f"finite values must be exact rationals, got {type(q)}")
     return Scalar(sr, q)
@@ -696,6 +696,11 @@ def scalar_from_text(sr: SemiringId, text: str) -> Scalar:
         return s
     if sr is BOOL:
         raise SchemaError(f"Boolean scalars are 'eps' or 'e', got {text!r}")
+    if sr.dim:
+        raise SchemaError(
+            f"{sr} scalars are {sr.dim}x{sr.dim} arrays of rmax scalars, or '-inf' or '+inf'; "
+            f"got {text!r}"
+        )
     try:
         return fin(sr, rational_from_text(text))
     except DomainError as exc:

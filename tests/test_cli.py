@@ -357,6 +357,28 @@ def test_phi_override(tmp_path, capsys):
     assert json.loads(out)["conj_left"] == ["3", "6"]  # 5 - x entrywise
 
 
+def test_scalar_messages_name_what_was_written(tmp_path, capsys):
+    """A matN scalar given as a number or a finite text, and a fraction over
+    nmax, exit 2 with a message about the input, not about library calls."""
+    mat = {"semiring": "mat2", "point": ["-inf", "+inf"]}
+    rmax = write(tmp_path, "r.json", {"semiring": "rmax", "point": ["2", "-1"]})
+    for argv in (
+        ("dual", write(tmp_path, "m.json", dict(mat, phi=3))),
+        ("dual", write(tmp_path, "m.json", dict(mat, phi="3"))),
+        ("--semiring", "mat2", "dual", rmax, "--phi", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "mat2 scalars are 2x2 arrays" in err, argv
+        assert "mat_of" not in err
+    for phi in ("-inf", "+inf"):
+        code, _, _ = run_cli(capsys, "dual", write(tmp_path, "m.json", dict(mat, phi=phi)))
+        assert code == 0
+    nmax = write(tmp_path, "n.json", {"semiring": "nmax", "point": ["1/2", "1"]})
+    code, out, err = run_cli(capsys, "dual", nmax)
+    assert code == 2 and out == "" and "1/2 is not in the natural carrier" in err
+    assert "Fraction" not in err
+
+
 def test_hilbert_point_pair_only(tmp_path, capsys):
     obj = {"semiring": "rmax", "point": ["0", "0"], "point2": ["1", "3"]}
     code, out, _ = run_cli(capsys, "hilbert", write(tmp_path, "h.json", obj))
