@@ -2,11 +2,12 @@
 
 Functions are sampled on a finite strictly increasing grid; the span of a
 finite set of linear functions u -> s*u plays the role of the convex cone.
-The conjugate of f at slope s is the negated residuation bracket of the
-linear function against f, and projecting onto the span of the linear
-functions computes the greatest convex minorant expressible with those
-slopes.  Only the operator identities are claimed; coincidence with the
-classical geometric hull depends on slope coverage.
+The conjugate of f at slope s is the residuation bracket s\\f of the
+linear function against f, residuated against the unit: (s\\f)\\e.
+Projecting onto the span of the linear functions computes the greatest
+convex minorant expressible with those slopes.  Only the operator
+identities are claimed; coincidence with the classical geometric hull
+depends on slope coverage.
 
 The brackets are computed by the exact linear-time Legendre transform
 (Lucet, Numer. Algorithms 16, 1997), in O(P + S) for P grid points and S
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, MismatchError
-from .semiring import NEG_INF, POS_INF, RMAX, Rational, Scalar, _ratio, bot, fin, scal, top
+from .semiring import NEG_INF, POS_INF, RMAX, Rational, Scalar, _ratio, bot, fin, lres, scal, top, unit
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,14 +87,6 @@ def _rat(x) -> Rational:
     if q is NEG_INF or q is POS_INF:
         raise DomainError(f"grid points and slopes must be finite, got {x!r}")
     return q
-
-
-def _neg(s: Scalar) -> Scalar:
-    if s.value is NEG_INF:
-        return top(RMAX)
-    if s.value is POS_INF:
-        return bot(RMAX)
-    return fin(RMAX, -s.value)
 
 
 def _lower_hull(xs, ys) -> list[tuple]:
@@ -176,8 +169,8 @@ def slope_bracket(slope: Rational, f: GridFunction) -> Scalar:
 
 
 def fenchel_transform(f: GridFunction, slopes: SlopeSet) -> Transform:
-    """Conjugate values sup_u(s*u - f(u)), computed as negated brackets."""
-    return Transform(slopes, tuple(_neg(c) for c in _brackets(f, slopes.slopes)))
+    """Conjugate values sup_u(s*u - f(u)), computed as (s\\f)\\e."""
+    return Transform(slopes, tuple(lres(c, unit(RMAX)) for c in _brackets(f, slopes.slopes)))
 
 
 def lsc_convex_hull(f: GridFunction, slopes: SlopeSet) -> GridFunction:
@@ -200,7 +193,7 @@ def hull_report(f: GridFunction, slopes: SlopeSet) -> HullReport:
     brackets = _brackets(f, slopes.slopes)
     hull = GridFunction(f.points, _envelope(f.points, slopes.slopes, brackets))
     return HullReport(
-        Transform(slopes, tuple(_neg(c) for c in brackets)),
+        Transform(slopes, tuple(lres(c, unit(RMAX)) for c in brackets)),
         hull,
         _brackets(hull, slopes.slopes) == brackets,
     )

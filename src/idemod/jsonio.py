@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from .semiring import (
     Phi,
     Scalar,
     SemiringId,
+    _excerpt,
     default_phi,
     fin,
     make_phi,
@@ -59,14 +61,14 @@ def scalar_from_json(sr: SemiringId, obj) -> Scalar:
     if type(obj) is str:
         return scalar_from_text(sr, obj)
     if isinstance(obj, bool):
-        raise SchemaError(f"not a scalar: {obj!r}")
+        raise SchemaError(f"not a scalar: {_excerpt(obj)}")
     if isinstance(obj, (int, str)):
         return scalar_from_text(sr, str(obj))
     if sr.dim and isinstance(obj, list):
         if len(obj) != sr.dim or any(not isinstance(r, list) or len(r) != sr.dim for r in obj):
             raise MismatchError(f"matrix scalar must be {sr.dim}x{sr.dim}")
         return Scalar(sr, tuple(s.value for s in _scalars(RMAX, [e for r in obj for e in r])))
-    raise SchemaError(f"not a scalar: {obj!r}")
+    raise SchemaError(f"not a scalar: {_excerpt(obj)}")
 
 
 def _scalars(sr: SemiringId, objs) -> tuple[Scalar, ...]:
@@ -93,15 +95,21 @@ def _scalars(sr: SemiringId, objs) -> tuple[Scalar, ...]:
 
 
 def scalar_json(s: Scalar):
-    if s.semiring.dim:
-        # raw entries print as their text: "-inf", "+inf" or str(q)
-        return [[str(q) for q in row] for row in mat_rows(s)]
-    return scalar_to_text(s)
+    try:
+        if s.semiring.dim:
+            # raw entries print as their text: "-inf", "+inf" or str(q)
+            return [[str(q) for q in row] for row in mat_rows(s)]
+        return scalar_to_text(s)
+    except ValueError as exc:  # str() of an int past the interpreter's limit
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(
+            f"an exact result passes the {limit}-digit int text limit (PYTHONINTMAXSTRDIGITS)"
+        ) from exc
 
 
 def _vector_entries(sr: SemiringId, obj) -> tuple[Scalar, ...]:
     if not isinstance(obj, list) or not obj:
-        raise SchemaError(f"vector must be a nonempty array, got {obj!r}")
+        raise SchemaError(f"vector must be a nonempty array, got {_excerpt(obj)}")
     return _scalars(sr, obj)
 
 
@@ -118,7 +126,7 @@ def vector_json(v) -> list:
 
 def matrix_from_json(sr: SemiringId, obj) -> Matrix:
     if not isinstance(obj, list) or not obj or any(not isinstance(r, list) for r in obj):
-        raise SchemaError(f"matrix must be an array of row arrays, got {obj!r}")
+        raise SchemaError(f"matrix must be an array of row arrays, got {_excerpt(obj)}")
     width = len(obj[0])
     if any(len(r) != width for r in obj):
         raise MismatchError("ragged matrix rows")
@@ -127,7 +135,7 @@ def matrix_from_json(sr: SemiringId, obj) -> Matrix:
 
 def family_from_json(sr: SemiringId, obj, point_dim: int | None = None) -> GeneratingFamily:
     if not isinstance(obj, list):
-        raise SchemaError(f"generating family must be an array, got {obj!r}")
+        raise SchemaError(f"generating family must be an array, got {_excerpt(obj)}")
     # each generator is a column of A: parse the columns, then zip them into rows
     cols = [_vector_entries(sr, g) for g in obj]
     if cols:
@@ -147,10 +155,10 @@ def rational_from_json(obj) -> Fraction | int:
     if isinstance(obj, str):
         return rational_from_text(obj)
     if isinstance(obj, bool):
-        raise SchemaError(f"not a rational: {obj!r}")
+        raise SchemaError(f"not a rational: {_excerpt(obj)}")
     if isinstance(obj, int):
-        return obj
-    raise SchemaError(f"not a rational: {obj!r}")
+        return rational_from_text(str(obj))  # held to the text's digit limit
+    raise SchemaError(f"not a rational: {_excerpt(obj)}")
 
 
 def grid_from_json(obj) -> GridFunction:

@@ -26,7 +26,6 @@ bytes are a pure function of the scene and the library version.
 """
 from __future__ import annotations
 
-import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,7 +35,7 @@ from . import __version__
 from .errors import SchemaError
 from .freemod import GeneratingFamily, Vector
 from .jsonio import rational_from_json, scalar_from_json, vector_from_json
-from .semiring import NEG_INF, POS_INF, RMAX, Scalar, fin, sort_key
+from .semiring import NEG_INF, POS_INF, RMAX, Scalar, _excerpt, fin, sort_key
 from .separate import HalfSpace, halfspace_contains, separate_from_convex
 
 _TAGS = ("+", "-", ".")
@@ -49,8 +48,16 @@ MAX_SCENE_ITEMS = 16
 # Every raster int carries the bits of the lattice factor k (see the module
 # docstring); bounds how much one scene's arithmetic can cost.
 MAX_LATTICE_BITS = 4096
-# The characters XML 1.0 admits in text: a label holding any other cannot be drawn.
-_XML_CHARS = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]*")
+
+
+def _is_xml_text(s: str) -> bool:
+    """s holds only characters XML 1.0 admits in text (its Char production):
+    tab, LF, CR, U+0020-U+D7FF, U+E000-U+FFFD and U+10000-U+10FFFF.  A label
+    holding any other cannot be drawn.  Every printable character is one."""
+    return s.isprintable() or all(
+        " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000" or c in "\t\n\r"
+        for c in s
+    )
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,7 @@ def _coef_from_json(obj) -> tuple[str, Scalar]:
         or len(obj) != 2
         or obj[0] not in _TAGS
     ):
-        raise SchemaError(f'line coefficient must be ["+"|"-"|".", scalar], got {obj!r}')
+        raise SchemaError(f'line coefficient must be ["+"|"-"|".", scalar], got {_excerpt(obj)}')
     return obj[0], scalar_from_json(RMAX, obj[1])
 
 
@@ -107,7 +114,7 @@ def scene_from_json(obj) -> Scene:
         if not isinstance(p, dict) or "label" not in p or "coords" not in p:
             raise SchemaError('scene points need {"label": ..., "coords": [...]}')
         label = str(p["label"])
-        if not _XML_CHARS.fullmatch(label):
+        if not _is_xml_text(label):
             raise SchemaError(f"point label {label!r} has a character XML text does not allow")
         if label in labels:
             # the JSON classification is keyed by label: a repeat would hide a point

@@ -47,6 +47,11 @@ from .errors import DomainError, MismatchError, SchemaError
 
 Rational = int | Fraction
 
+# The most digits in the numerator or denominator of a scalar text: CPython's
+# default int() limit, checked first so that PYTHONINTMAXSTRDIGITS cannot raise it.
+MAX_SCALAR_DIGITS = 4300
+ECHO_CHARS = 40  # the most characters of an input an error message echoes
+
 
 class SemiringId:
     """Tag selecting one of the four concrete instances, one object per
@@ -670,36 +675,48 @@ def scalar_to_text(s: Scalar) -> str:
     return str(s.value)
 
 
+def _excerpt(obj) -> str:
+    """repr(obj), or past ECHO_CHARS characters of the text (or of another
+    object's repr) the repr of its head and its length: a short message."""
+    text = obj if type(obj) is str else repr(obj)
+    if len(text) <= ECHO_CHARS:
+        return repr(obj)
+    return f"{text[:ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
 def rational_from_text(text: str) -> Rational:
     """Finite scalar text, as the README states it: an optional sign, ASCII
-    digits and an optional "/" with ASCII digits.  No padding, "_", decimal
-    point or exponent ("1e2000000" would build a 6.6-million-bit int).
-    String tests decide it (``str.isdigit`` is exact on ASCII)."""
+    digits and an optional "/" with ASCII digits, at most MAX_SCALAR_DIGITS
+    of them in the numerator and in the denominator.  No padding, "_",
+    decimal point or exponent ("1e2000000" would build a 6.6-million-bit
+    int).  String tests decide it (``str.isdigit`` is exact on ASCII)."""
     num, slash, den = text.partition("/")
-    if (
-        text.isascii()
-        and (num[1:] if num[:1] in ("+", "-") else num).isdigit()
-        and (not slash or den.isdigit())
-    ):
-        try:  # int() refuses more than 4300 digits, the division a zero q
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if text.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+        if len(text) > MAX_SCALAR_DIGITS and max(len(digits), len(den)) > MAX_SCALAR_DIGITS:
+            raise SchemaError(
+                f"not an exact rational: {_excerpt(text)} has more than "
+                f"{MAX_SCALAR_DIGITS} digits in its numerator or denominator"
+            )
+        try:  # int() refuses past a lower PYTHONINTMAXSTRDIGITS, the division a zero q
             return _ratio(int(num), int(den)) if slash else int(num)
         except (ValueError, ZeroDivisionError):
             pass
-    raise SchemaError(f"not an exact rational: {text!r}")
+    raise SchemaError(f"not an exact rational: {_excerpt(text)}")
 
 
 def scalar_from_text(sr: SemiringId, text: str) -> Scalar:
     if not isinstance(text, str):
-        raise SchemaError(f"scalar text expected, got {text!r}")
+        raise SchemaError(f"scalar text expected, got {_excerpt(text)}")
     s = sr.texts.get(text)
     if s is not None:
         return s
     if sr is BOOL:
-        raise SchemaError(f"Boolean scalars are 'eps' or 'e', got {text!r}")
+        raise SchemaError(f"Boolean scalars are 'eps' or 'e', got {_excerpt(text)}")
     if sr.dim:
         raise SchemaError(
             f"{sr} scalars are {sr.dim}x{sr.dim} arrays of rmax scalars, or '-inf' or '+inf'; "
-            f"got {text!r}"
+            f"got {_excerpt(text)}"
         )
     try:
         return fin(sr, rational_from_text(text))

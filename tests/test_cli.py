@@ -1,6 +1,7 @@
 """CLI contract: JSON in/out, exit codes, rendering."""
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -234,6 +235,51 @@ def test_rational_text_is_strict(tmp_path, capsys):
            "slopes": ["-2/2", "+3"]}
     code, out, _ = run_cli(capsys, "hull", write(tmp_path, "g.json", obj))
     assert code == 0 and json.loads(out)["hull"]["points"] == ["-1", "0", "7/2"]
+
+
+def _run_with_int_limit(limit, *argv):
+    """The CLI in a fresh process, with PYTHONINTMAXSTRDIGITS unset (None) or set."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    if limit is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = limit
+    proc = subprocess.run([sys.executable, "-m", "idemod", *argv], capture_output=True,
+                          text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_result_past_the_int_text_limit_exits_2(tmp_path):
+    """An exact result whose text the interpreter refuses to build (here a
+    denominator of about 6 000 digits from two of 3 001) is an input the
+    CLI cannot answer: exit 2 with a message naming the limit, not exit 5."""
+    d1, d3 = "1/1" + "0" * 2999 + "1", "1/1" + "0" * 2999 + "3"
+    for cmd, obj in (
+        ("project", {"semiring": "rmax", "generators": [[d1, "0"]], "point": [d3, "5"]}),
+        ("hilbert", {"semiring": "rmax", "point": [d1, "0"], "point2": [d3, "5"]}),
+    ):
+        code, out, err = _run_with_int_limit("4300", cmd, write(tmp_path, "big.json", obj))
+        assert code == 2 and out == "" and "4300-digit" in err and err.count("\n") == 1, cmd
+
+
+def test_scalar_text_digit_limit_ignores_the_environment(tmp_path):
+    """A numerator or denominator past MAX_SCALAR_DIGITS exits 2 whatever
+    PYTHONINTMAXSTRDIGITS allows, with one short stderr line naming the limit."""
+    from idemod.semiring import MAX_SCALAR_DIGITS
+
+    digits = "7" * 5000
+    files = [write(tmp_path, f"{i}.json", {"semiring": "rmax", "generators": [["0"]],
+                                           "point": [text]})
+             for i, text in enumerate((digits, "-" + digits, "1/" + digits))]
+    big_int = tmp_path / "int.json"
+    big_int.write_text('{"grid": {"points": [0, 1], "values": ["0", "0"]}, "slopes": [%s]}'
+                       % digits, encoding="utf-8")
+    for limit in (None, "0"):
+        for path in files:
+            code, out, err = _run_with_int_limit(limit, "project", path)
+            assert code == 2 and out == "", (limit, path)
+            assert f"more than {MAX_SCALAR_DIGITS} digits" in err and len(err) < 1024
+        # a JSON integer that the environment lets json read is held to the same limit
+        code, out, err = _run_with_int_limit(limit, "hull", str(big_int))
+        assert code == 2 and out == "" and str(MAX_SCALAR_DIGITS) in err and len(err) < 1024
 
 
 def test_trials_cap(tmp_path, capsys):

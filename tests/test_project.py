@@ -37,7 +37,8 @@ from idemod import (
     vmeet,
 )
 from idemod.laws import rand_family, rand_member, rand_vector
-from idemod.project import _ALL, _EMPTY, _OPEN, _box_floor, _checked_member, _cover_constraint
+from idemod.project import _checked_member
+from idemod.semiring import NEG_INF, POS_INF, Scalar, mul, top
 from conftest import MAT2, families, mat2_scalars, scalars, vectors
 
 
@@ -186,6 +187,42 @@ def test_dominating_meet_matches_grid_oracle(gens, point):
     x = vector(RMAX, point)
     q, _ = inf_dominating(w, x)
     assert q == _dominating_by_grid(w, x)
+
+
+# The choice-enumeration oracle's cover constraints: covering row i with
+# column j bounds that column's coefficient: from below by a closed bound,
+# to the open interval above bottom (A_ij top), not at all (_ALL: x_i
+# bottom), or to nothing (_EMPTY: A_ij bottom cannot cover).  _box_floor is
+# the least value of A_ij times a coefficient in that set.
+
+_ALL = 0
+_CLOSED = 1
+_OPEN = 2  # every lambda strictly above bottom
+_EMPTY = 3
+
+
+def _cover_constraint(a: Scalar, xi: Scalar) -> tuple[int, Scalar | None]:
+    x, q = xi.value, a.value
+    if x is NEG_INF:
+        return (_ALL, None)
+    if q is NEG_INF:
+        return (_EMPTY, None)
+    if q is POS_INF:
+        return (_OPEN, None)
+    if x is POS_INF:
+        return (_CLOSED, top(a.semiring))
+    return (_CLOSED, fin(a.semiring, x - q))
+
+
+def _box_floor(a: Scalar, constraint: tuple) -> Scalar:
+    kind, bound = constraint
+    sr = a.semiring
+    if kind == _ALL:
+        return bot(sr)
+    if kind == _CLOSED:
+        return mul(a, bound)
+    # open interval: the infimum of a*lambda over lambda > bottom
+    return top(sr) if a.value is POS_INF else bot(sr)
 
 
 def _tighten(c1: tuple, c2: tuple) -> tuple:

@@ -40,6 +40,7 @@ from idemod.render import (
     _halfspace_rows,
     _hull_fold,
     _hull_rows,
+    _is_xml_text,
     _line_rows,
     _line_side,
     _pixels,
@@ -576,3 +577,13 @@ def test_lattice_cap():
         _check_lattice(Scene(viewport, n))
     _check_lattice(c10_scene())
     _check_lattice(c11_scene())
+
+
+def test_xml_text_test_matches_the_char_production():
+    """The label test agrees with a regex of XML 1.0's Char production on
+    every code point, lone surrogates included, and on strings mixing them."""
+    xml_chars = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]*")
+    bad = [c for c in map(chr, range(0x110000)) if _is_xml_text(c) != bool(xml_chars.fullmatch(c))]
+    assert bad == []
+    for s in ("", "a b", "tab\there", "\U0001f600x", "a\ud800", "\x7f\x85", "ok\ufffe", "\x00"):
+        assert _is_xml_text(s) == bool(xml_chars.fullmatch(s)), s

@@ -40,7 +40,7 @@ from idemod.jsonio import (
     scalar_json,
     vector_from_json,
 )
-from idemod.semiring import NEG_INF, POS_INF
+from idemod.semiring import ECHO_CHARS, MAX_SCALAR_DIGITS, NEG_INF, POS_INF
 from conftest import MAT2, mat2_scalars, scalars
 
 
@@ -371,16 +371,27 @@ def test_scalar_text_grammar():
     assert scalar_from_text(NMAX, "007") == fin(NMAX, 7)
 
 
+def _echoed(text: str) -> str:
+    """How an error message shows an input text: whole up to ECHO_CHARS
+    characters, else its head and its length."""
+    if len(text) <= ECHO_CHARS:
+        return repr(text)
+    return f"{text[:ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
 def _readme_rational(text: str):
     """The README's finite-text grammar, written as a regex ([0-9] is ASCII
     in re): the reference that rational_from_text's string tests follow."""
     if re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+)?", text) is None:
-        return SchemaError, f"not an exact rational: {text!r}"
+        return SchemaError, f"not an exact rational: {_echoed(text)}"
     num, _, den = text.partition("/")
+    if max(len(num.lstrip("+-")), len(den)) > MAX_SCALAR_DIGITS:
+        return SchemaError, (f"not an exact rational: {_echoed(text)} has more than "
+                             f"{MAX_SCALAR_DIGITS} digits in its numerator or denominator")
     try:
         q = Fraction(int(num), int(den or "1"))
-    except (ValueError, ZeroDivisionError):  # past 4300 digits, or over 0
-        return SchemaError, f"not an exact rational: {text!r}"
+    except (ValueError, ZeroDivisionError):  # over 0, or past a lower PYTHONINTMAXSTRDIGITS
+        return SchemaError, f"not an exact rational: {_echoed(text)}"
     return q.numerator if q.denominator == 1 else q
 
 
@@ -741,3 +752,32 @@ def test_a_bool_is_not_a_rational():
         with pytest.raises(DomainError):
             build()
     assert fin(RMAX, 1) is fin(RMAX, Fraction(1)) and slope_set([0, 1]).slopes == (0, 1)
+
+
+def test_scalar_text_digit_limit():
+    """MAX_SCALAR_DIGITS digits parse in a numerator and a denominator, one
+    more does not, and the message names the limit in a short line."""
+    digits = "9" * MAX_SCALAR_DIGITS
+    assert scalar_from_text(RMAX, "-" + digits) == fin(RMAX, -int(digits))
+    assert scalar_from_text(RMAX, f"1/{digits}") == fin(RMAX, Fraction(1, int(digits)))
+    for text in ("1" + digits, "-1" + digits, "+1" + digits, f"1/1{digits}", "0" * 200_000):
+        with pytest.raises(SchemaError, match=f"more than {MAX_SCALAR_DIGITS} digits") as exc:
+            scalar_from_text(RMAX, text)
+        assert len(str(exc.value)) < 200 and f"({len(text)} characters)" in str(exc.value)
+    for sr, text in ((RMAX, "x" * 200_000), (BOOL, "1" * 200_000), (MAT2, "1" * 200_000)):
+        with pytest.raises(SchemaError) as exc:
+            scalar_from_text(sr, text)
+        assert len(str(exc.value)) < 200 and "(200000 characters)" in str(exc.value)
+
+
+def test_raw_value_folds_stay_in_semiring():
+    """Above the scalar layer no module reads raw values: none names the
+    infinity sentinels or a rational's numerator or denominator, so every
+    raw-value fold is semiring's."""
+    import importlib
+    import pathlib
+
+    for name in ("freemod", "project", "separate", "metric", "dual", "jsonio", "cli"):
+        source = pathlib.Path(importlib.import_module(f"idemod.{name}").__file__).read_text()
+        for word in ("NEG_INF", "POS_INF", ".numerator", ".denominator"):
+            assert word not in source, (name, word)
