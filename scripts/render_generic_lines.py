@@ -9,17 +9,15 @@ dotted coefficient and the other two on opposite sides.  One SVG per
 pattern lands in --outdir.
 """
 import argparse
-import itertools
 import pathlib
+import sys
 
-from idemod import RMAX, fin
-from idemod.render import LineSpec, Scene, render_scene
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
 
+import inputs  # noqa: E402  (perfbench/inputs.py: pure Python, imports no idemod)
 
-def generic_patterns():
-    for tags in itertools.product("+-.", repeat=3):
-        if tags.count(".") <= 1 and "+" in tags and "-" in tags:
-            yield tags
+from idemod import RMAX, fin  # noqa: E402
+from idemod.render import LineSpec, Scene, render_scene  # noqa: E402
 
 
 def main() -> None:
@@ -31,7 +29,7 @@ def main() -> None:
     outdir.mkdir(parents=True, exist_ok=True)
 
     a, b, c = fin(RMAX, 0), fin(RMAX, 0), fin(RMAX, 1)
-    patterns = list(generic_patterns())
+    patterns = list(inputs.generic_line_patterns())
     assert len(patterns) == 12
     for idx, tags in enumerate(patterns, start=1):
         spec = LineSpec((tags[0], a), (tags[1], b), (tags[2], c))

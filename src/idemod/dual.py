@@ -31,7 +31,6 @@ from .freemod import (
 )
 from .semiring import (
     BOOL,
-    Phi,
     Scalar,
     bot,
     lres,
@@ -51,7 +50,7 @@ ROWCOL_CAP = 8
 @dataclass(frozen=True, slots=True)
 class DualPairConfig:
     bracket: str
-    phi: Phi
+    phi: Scalar
     matrix: Matrix | None = None
 
     def __post_init__(self) -> None:
@@ -77,7 +76,7 @@ def bracket_eval(cfg: DualPairConfig, y, x: Vector) -> Scalar:
 
 def conj_left(cfg: DualPairConfig, x: Vector):
     """Conjugate of x: the greatest y with <y, x> <= phi."""
-    phi = cfg.phi.value
+    phi = cfg.phi
     if cfg.bracket == OPPOSITE:
         return act(x, phi)  # the op-greatest y with x\y >= phi is x*phi
     if cfg.bracket == MATRIX:
@@ -87,7 +86,7 @@ def conj_left(cfg: DualPairConfig, x: Vector):
 
 def conj_right(cfg: DualPairConfig, y) -> Vector:
     """Conjugate of y: the greatest x with <y, x> <= phi."""
-    phi = cfg.phi.value
+    phi = cfg.phi
     if cfg.bracket == OPPOSITE:
         return vec_rres(y, phi)
     if cfg.bracket == MATRIX:
@@ -99,41 +98,39 @@ def is_closed(cfg: DualPairConfig, x: Vector) -> bool:
     return conj_right(cfg, conj_left(cfg, x)) == x
 
 
-def is_reflexive(phi: Phi, samples: Iterable[Scalar]) -> bool:
+def is_reflexive(phi: Scalar, samples: Iterable[Scalar]) -> bool:
     """Check phi/(lam\\phi) = lam and (phi/lam)\\phi = lam on the samples."""
-    p = phi.value
     for lam in samples:
-        if rres(p, lres(lam, p)) != lam:
+        if rres(phi, lres(lam, phi)) != lam:
             return False
-        if lres(rres(p, lam), p) != lam:
+        if lres(rres(phi, lam), phi) != lam:
             return False
     return True
 
 
-def eval_form(x: Vector, phi: Phi, y: Vector) -> Scalar:
+def eval_form(x: Vector, phi: Scalar, y: Vector) -> Scalar:
     """The linear continuous form represented by x: y -> phi/(y\\x)."""
-    return rres(phi.value, vec_lres(y, x))
+    return rres(phi, vec_lres(y, x))
 
 
-def represent_form(values_on_basis: Sequence[Scalar], phi: Phi) -> Vector:
+def represent_form(values_on_basis: Sequence[Scalar], phi: Scalar) -> Vector:
     """Representer of the form whose values on the coordinate basis are given:
     x_i = f(delta_i)\\phi."""
-    return conj_right(
-        DualPairConfig(CANONICAL, phi), CoVector(phi.value.semiring, tuple(values_on_basis))
-    )
+    cfg = DualPairConfig(CANONICAL, phi)
+    return conj_right(cfg, CoVector(phi.semiring, tuple(values_on_basis)))
 
 
 @dataclass(frozen=True, slots=True)
 class LinearForm:
     representer: Vector
-    phi: Phi
+    phi: Scalar
 
     def __call__(self, y: Vector) -> Scalar:
         return eval_form(self.representer, self.phi, y)
 
 
 def extend_form(
-    w: GeneratingFamily, values: Sequence[Scalar], phi: Phi
+    w: GeneratingFamily, values: Sequence[Scalar], phi: Scalar
 ) -> tuple[Vector, LinearForm]:
     """Extend a linear continuous form given by its generator values to the
     whole space.
@@ -142,7 +139,7 @@ def extend_form(
     below phi; inputs that do not actually restrict a linear continuous form
     on the span are rejected.
     """
-    x = combine(w, [lres(val, phi.value) for val in values])
+    x = combine(w, [lres(val, phi) for val in values])
     form = LinearForm(x, phi)
     for g, val in zip(w, values):
         if form(g) != val:
@@ -181,7 +178,7 @@ def lattice_meet(elements: Sequence[Vector], a: Vector, b: Vector) -> Vector:
     return acc
 
 
-def rowcol_report(a: Matrix, phi: Phi) -> LatticeReport:
+def rowcol_report(a: Matrix, phi: Scalar) -> LatticeReport:
     """Row space, column space, and the residuation map between them, all by
     exhaustive enumeration.  Boolean matrices only."""
     if a.semiring is not BOOL:

@@ -22,7 +22,6 @@ from .semiring import (
     BOOL,
     NMAX,
     RMAX,
-    Phi,
     Scalar,
     SemiringId,
     _excerpt,
@@ -192,7 +191,7 @@ def slopes_from_json(obj) -> SlopeSet:
 @dataclass
 class Problem:
     semiring: SemiringId
-    phi: Phi
+    phi: Scalar
     generators: GeneratingFamily | None = None
     convex: GeneratingFamily | None = None
     point: Vector | None = None

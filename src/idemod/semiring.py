@@ -40,7 +40,6 @@ unsynchronised concurrent use.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, MismatchError, SchemaError
@@ -224,7 +223,7 @@ def fin(sr: SemiringId, q: Rational) -> Scalar:
     if sr.dim:
         raise DomainError("matrix elements are built with mat_of, not fin")
     if sr is NMAX and not (isinstance(q, int) and q >= 0):
-        raise DomainError(f"{q} is not in the natural carrier")
+        raise DomainError(f"{_shown(q)} is not in the natural carrier")
     if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
         raise DomainError(f"finite values must be exact rationals, got {type(q)}")
     return Scalar(sr, q)
@@ -582,69 +581,18 @@ def residual(xs, ys, plan=_lres_plan) -> Scalar:
     return fin(sr, n if d == 1 else Fraction(n, d))
 
 
-def is_invertible(s: Scalar) -> bool:
-    """True when some t satisfies s*t = t*s = e."""
-    sr = s.semiring
-    if sr is RMAX:
-        return s.value is not NEG_INF and s.value is not POS_INF
-    if sr is BOOL:
-        return s.value is POS_INF
-    if sr is NMAX:
-        return s.value == 0
-    # matrices: exactly one finite entry per row and per column, rest bottom
-    n = sr.dim
-    col_seen = [0] * n
-    for row in mat_rows(s):
-        fin_in_row = 0
-        for j, x in enumerate(row):
-            if x is POS_INF:
-                return False
-            if x is not NEG_INF:
-                fin_in_row += 1
-                col_seen[j] += 1
-        if fin_in_row != 1:
-            return False
-    return all(c == 1 for c in col_seen)
-
-
-def inverse(s: Scalar) -> Scalar:
-    if not is_invertible(s):
-        raise DomainError(f"{s!r} is not invertible")
-    sr = s.semiring
-    if sr is RMAX:
-        return fin(sr, -s.value)
-    if not sr.dim:
-        return s  # only the unit is invertible
-    # the transpose with each finite entry negated
-    n = sr.dim
-    flat = [NEG_INF] * (n * n)
-    for idx, x in enumerate(s.value):
-        if x is not NEG_INF:
-            i, j = divmod(idx, n)
-            flat[j * n + i] = -x
-    return Scalar(sr, tuple(flat))
-
-
-@dataclass(frozen=True, slots=True)
-class Phi:
-    """Distinguished pairing element used by conjugations and reflexivity."""
-
-    value: Scalar
-
-
-def make_phi(value: Scalar) -> Phi:
+def make_phi(value: Scalar) -> Scalar:
+    """The pairing element phi: any scalar, but eps over the Boolean semiring."""
     if value.semiring is BOOL and value.value is not NEG_INF:
         raise DomainError("over the Boolean semiring phi must be eps")
-    return Phi(value)
+    return value
 
 
-def default_phi(sr: SemiringId) -> Phi:
+def default_phi(sr: SemiringId) -> Scalar:
     """RMAX and NMAX use 0, BOOL uses eps, matrices use the 0/top pattern."""
-    if sr is BOOL:
-        return make_phi(bot(sr))
-    if not sr.dim:
-        return make_phi(unit(sr))
-    return make_phi(phi_nn(sr.dim, unit(RMAX)))
+    if sr.dim:
+        return phi_nn(sr.dim, unit(RMAX))
+    return sr.bot if sr is BOOL else sr.unit
 
 
 def phi_nn(n: int, diag: Scalar) -> Scalar:
@@ -682,6 +630,12 @@ def _excerpt(obj) -> str:
     if len(text) <= ECHO_CHARS:
         return repr(obj)
     return f"{text[:ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
+def _shown(q) -> str:
+    """str(q), unquoted, up to ECHO_CHARS characters; past them, its excerpt."""
+    text = str(q)
+    return text if len(text) <= ECHO_CHARS else _excerpt(text)
 
 
 def rational_from_text(text: str) -> Rational:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import DomainError, MismatchError, TheoremViolation
 from .freemod import GeneratingFamily, Vector, _family_of_rows, act, mat_lres, vec_lres
 from .project import _check_family, _checked_member, _dual_coefficients, project, project_dual
-from .semiring import BOOL, RMAX, Scalar, inverse, is_invertible, leq, meet, unit
+from .semiring import BOOL, RMAX, Scalar, leq, lres, meet, mul, unit
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,7 +36,7 @@ class ConvexSeparation:
     y: Vector
     lifted_projection: Vector  # (y, nu) in dimension n+1
     member: bool
-    normalized: Vector | None  # y * nu^-1 when nu is invertible
+    normalized: Vector | None  # y * (nu\e) when nu * (nu\e) = e, i.e. nu is invertible
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,13 +114,15 @@ def separate_from_convex(c: GeneratingFamily, x: Vector) -> ConvexSeparation:
     lifted = cert.projection
     y = Vector(x.semiring, lifted.entries[:-1])
     nu = lifted.entries[-1]
-    normalized = act(y, inverse(nu)) if is_invertible(nu) else None
+    e = unit(x.semiring)
+    inv = lres(nu, e)  # nu^-1 when nu is invertible, which nu * (nu\e) = e tells
+    normalized = act(y, inv) if mul(nu, inv) == e else None
     return ConvexSeparation(nu, y, lifted, not cert.separated, normalized)
 
 
 def convex_projection(c: GeneratingFamily, x: Vector) -> Vector | None:
-    """y * nu^-1, the projection of x onto the convex hull; None when nu is
-    not invertible (over RMAX that means nu = -inf)."""
+    """y * (nu\\e), the projection of x onto the convex hull; None when nu is
+    not invertible, i.e. nu * (nu\\e) != e (over RMAX that means nu = -inf)."""
     return separate_from_convex(c, x).normalized
 
 

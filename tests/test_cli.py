@@ -425,6 +425,18 @@ def test_scalar_messages_name_what_was_written(tmp_path, capsys):
     assert "Fraction" not in err
 
 
+def test_natural_carrier_message_is_bounded(tmp_path, capsys):
+    """A negative nmax entry of MAX_SCALAR_DIGITS digits exits 2 with one
+    short stderr line: past ECHO_CHARS characters the value is cut."""
+    from idemod.semiring import MAX_SCALAR_DIGITS
+
+    point = ["-" + "7" * MAX_SCALAR_DIGITS]
+    path = write(tmp_path, "n.json", {"semiring": "nmax", "generators": [["0"]], "point": point})
+    code, out, err = run_cli(capsys, "project", path)
+    assert code == 2 and out == "" and "is not in the natural carrier" in err
+    assert len(err.encode("utf-8")) < 200 and err.count("\n") == 1
+
+
 def test_hilbert_point_pair_only(tmp_path, capsys):
     obj = {"semiring": "rmax", "point": ["0", "0"], "point2": ["1", "3"]}
     code, out, _ = run_cli(capsys, "hilbert", write(tmp_path, "h.json", obj))

@@ -79,7 +79,7 @@ def test_boolean_conjugation():
     best = None
     for y_ent in itertools.product([eps, e], repeat=2):
         y = CoVector(BOOL, y_ent)
-        if leq(bracket_eval(cfg, y, x), cfg.phi.value):
+        if leq(bracket_eval(cfg, y, x), cfg.phi):
             joined = tuple(add(a, b) for a, b in zip(best.entries, y.entries)) if best else y_ent
             best = CoVector(BOOL, joined)
     assert conj_left(cfg, x) == best
@@ -133,7 +133,7 @@ def test_reflexivity():
 
 def test_matrix_transfer_reflexivity_by_hand():
     phi = default_phi(MAT2)
-    assert phi.value == phi_nn(2, fin(RMAX, 0))
+    assert phi == phi_nn(2, fin(RMAX, 0))
     lam = matrix_scalar([[1, 2], [3, 4]])
     assert is_reflexive(phi, [lam, bot(MAT2), top(MAT2), unit(MAT2)])
 
@@ -154,7 +154,7 @@ def test_riesz_eval():
     x = vector(RMAX, [2, -1])
     d1 = vector(RMAX, [0, "-inf"])
     assert eval_form(x, PHI0, d1) == fin(RMAX, -2)
-    assert leq(eval_form(x, PHI0, x), PHI0.value)
+    assert leq(eval_form(x, PHI0, x), PHI0)
     assert eval_form(x, PHI0, bot_vector(RMAX, 2)) == bot(RMAX)
 
 

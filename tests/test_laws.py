@@ -284,6 +284,18 @@ def test_always_failing_shrink_reaches_bottom_one_step_per_scalar():
     assert steps == 1 + 1 + 2 + 3 + 1
 
 
+def test_shrink_drops_generators_then_lowers_their_entries():
+    """A family first loses generators while the predicate still fails, then
+    each entry of the ones left goes to bottom, one step per entry."""
+    from idemod.freemod import family
+
+    fam = family(RMAX, [[3, "1/2"], ["+inf", 7], [0, "-inf"]])
+    small, steps = _shrink({"fam": fam}, lambda c: len(c["fam"]) < 2)
+    assert len(small["fam"]) == 2
+    assert all(s == bot(RMAX) for g in small["fam"] for s in g.entries)
+    assert steps == 4  # one generator out, then +inf, 7 and 0 to bottom
+
+
 # -- reported cases, case distributions and the pinned reports ----------------
 
 

@@ -542,7 +542,7 @@ def test_scal_coercion():
 def test_phi_construction():
     from idemod import make_phi
 
-    assert make_phi(bot(BOOL)).value == bot(BOOL)
+    assert make_phi(bot(BOOL)) == bot(BOOL)
     with pytest.raises(DomainError):
         make_phi(top(BOOL))  # the two-element semiring only pairs through eps
 
