@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import asdict
 
 from . import dual as du
 from .errors import DomainError, MismatchError, SchemaError, TheoremViolation
@@ -34,7 +33,7 @@ from .jsonio import (
 from .metric import hilbert_distance
 from .project import _checked_member, _dual_coefficients, is_member, project
 from .render import render_scene, scene_from_json
-from .semiring import leq, mul
+from .semiring import RMAX, leq, mul
 from .separate import separate_from_convex
 
 EXIT_OK = 0
@@ -144,6 +143,8 @@ def cmd_hilbert(args) -> dict:
 
 def cmd_hull(args) -> dict:
     p = _load_problem(args)
+    if p.semiring is not RMAX:  # grid functions are RMAX-valued
+        raise SchemaError(f"hull computes over rmax only, not {p.semiring}")
     grid = _require(p, "grid")
     slopes = _require(p, "slopes")
     rep = hull_report(grid, slopes)
@@ -184,7 +185,7 @@ def cmd_laws(args) -> tuple[dict, int]:
         "checks": report.checks,
         "ok": report.ok,
         "notes": report.notes,
-        "failures": [asdict(f) for f in report.failures],
+        "failures": [dict(law=f.law, case=f.case, original=f.original, steps=f.steps) for f in report.failures],
     }
     return out, EXIT_OK if report.ok else EXIT_THEOREM
 

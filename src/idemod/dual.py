@@ -9,7 +9,6 @@ with itself through residuation, valued in the order-reversed scalars.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -29,6 +28,7 @@ from .freemod import (
     vec_rres,
     vjoin,
 )
+from .record import Record
 from .semiring import (
     BOOL,
     Scalar,
@@ -47,17 +47,17 @@ OPPOSITE = "opposite"
 ROWCOL_CAP = 8
 
 
-@dataclass(frozen=True, slots=True)
-class DualPairConfig:
+class DualPairConfig(Record):
     bracket: str
     phi: Scalar
-    matrix: Matrix | None = None
+    matrix: Matrix | None
 
-    def __post_init__(self) -> None:
-        if self.bracket not in (CANONICAL, MATRIX, OPPOSITE):
-            raise DomainError(f"unknown bracket {self.bracket!r}")
-        if self.bracket == MATRIX and self.matrix is None:
+    def __init__(self, bracket: str, phi: Scalar, matrix: Matrix | None = None) -> None:
+        if bracket not in (CANONICAL, MATRIX, OPPOSITE):
+            raise DomainError(f"unknown bracket {bracket!r}")
+        if bracket == MATRIX and matrix is None:
             raise DomainError("matrix bracket needs its matrix")
+        self.bracket, self.phi, self.matrix = bracket, phi, matrix
 
 
 def bracket_eval(cfg: DualPairConfig, y, x: Vector) -> Scalar:
@@ -120,8 +120,7 @@ def represent_form(values_on_basis: Sequence[Scalar], phi: Scalar) -> Vector:
     return conj_right(cfg, CoVector(phi.semiring, tuple(values_on_basis)))
 
 
-@dataclass(frozen=True, slots=True)
-class LinearForm:
+class LinearForm(Record):
     representer: Vector
     phi: Scalar
 
@@ -153,8 +152,7 @@ def opposite_bracket(x: Vector, y: Vector) -> Scalar:
     return vec_lres(x, y)
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeReport:
+class LatticeReport(Record):
     row_space: tuple[CoVector, ...]
     col_space: tuple[Vector, ...]
     iso_pairs: tuple[tuple[CoVector, Vector], ...]

@@ -31,42 +31,40 @@ gives that same envelope back, and idempotence follows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError, MismatchError
+from .record import Record
 from .semiring import NEG_INF, POS_INF, RMAX, Rational, Scalar, _ratio, bot, fin, lres, scal, top, unit
 
 
-@dataclass(frozen=True, slots=True)
-class GridFunction:
+class GridFunction(Record):
     points: tuple[Rational, ...]  # strictly increasing
     values: tuple[Scalar, ...]  # RMAX, may be +-inf
 
-    def __post_init__(self) -> None:
-        if len(self.points) < 2:
+    def __init__(self, points: tuple[Rational, ...], values: tuple[Scalar, ...]) -> None:
+        if len(points) < 2:
             raise MismatchError("grids need at least two points")
-        if len(self.points) != len(self.values):
+        if len(points) != len(values):
             raise MismatchError("one value per grid point")
-        if any(b <= a for a, b in zip(self.points, self.points[1:])):
+        if any(b <= a for a, b in zip(points, points[1:])):
             raise MismatchError("grid points must be strictly increasing")
-        for v in self.values:
+        for v in values:
             if v.semiring is not RMAX:
                 raise MismatchError("grid values must be RMAX scalars")
+        self.points, self.values = points, values
 
 
-@dataclass(frozen=True, slots=True)
-class SlopeSet:
+class SlopeSet(Record):
     slopes: tuple[Rational, ...]
 
-    def __post_init__(self) -> None:
-        if not self.slopes:
+    def __init__(self, slopes: tuple[Rational, ...]) -> None:
+        if not slopes:
             raise MismatchError("need at least one slope")
-        if any(b <= a for a, b in zip(self.slopes, self.slopes[1:])):
+        if any(b <= a for a, b in zip(slopes, slopes[1:])):
             raise MismatchError("slopes must be strictly increasing")
+        self.slopes = slopes
 
 
-@dataclass(frozen=True, slots=True)
-class Transform:
+class Transform(Record):
     slopes: SlopeSet
     values: tuple[Scalar, ...]  # conjugate values, one per slope
 
@@ -180,8 +178,7 @@ def lsc_convex_hull(f: GridFunction, slopes: SlopeSet) -> GridFunction:
     return GridFunction(f.points, _envelope(f.points, slopes.slopes, brackets))
 
 
-@dataclass(frozen=True, slots=True)
-class HullReport:
+class HullReport(Record):
     transform: Transform
     hull: GridFunction
     fixed_point: bool  # the biconjugate check of biconjugate_is_fixed

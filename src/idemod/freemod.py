@@ -2,13 +2,13 @@
 matrices, generating families, and their residuations.
 
 Index sets are always {0..n-1}; every supremum in the library is a finite
-fold, so completeness never needs an actual infinite join.
+fold, so completeness never needs an actual infinite join.  The classes are
+records (``idemod.record``) that write out their own init, equality and hash.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import MismatchError
+from .record import Record
 from .semiring import (
     Scalar,
     SemiringId,
@@ -25,20 +25,27 @@ from .semiring import (
 from .semiring import bracket as _bracket, residual as _residual
 
 
-@dataclass(frozen=True, slots=True)
-class Vector:
+class Vector(Record):
     """Column vector over one semiring; order is entrywise."""
 
     semiring: SemiringId
     entries: tuple[Scalar, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) < 1:
+    def __init__(self, semiring: SemiringId, entries: tuple[Scalar, ...]) -> None:
+        if len(entries) < 1:
             raise MismatchError("vectors have dimension >= 1")
-        sr = self.semiring
-        for s in self.entries:
-            if s.semiring is not sr:
+        for s in entries:
+            if s.semiring is not semiring:
                 raise MismatchError("vector entries must share the semiring")
+        self.semiring, self.entries = semiring, entries
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.semiring is other.semiring and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.semiring, self.entries))
 
     @property
     def dim(self) -> int:
@@ -48,29 +55,32 @@ class Vector:
         return f"Vector({self.semiring}, {list(self.entries)!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class CoVector(Vector):
     """Row vector: the left-semimodule counterpart of Vector, never equal
     to one."""
 
+    __repr__ = Record.__repr__  # the field form, not Vector's
 
-@dataclass(frozen=True, slots=True)
-class Matrix:
+
+class Matrix(Record):
     """Rectangular matrix; entries share one semiring tag."""
 
     semiring: SemiringId
     entries: tuple[tuple[Scalar, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) < 1 or len(self.entries[0]) < 1:
+    def __init__(self, semiring: SemiringId, entries: tuple[tuple[Scalar, ...], ...]) -> None:
+        if len(entries) < 1 or len(entries[0]) < 1:
             raise MismatchError("matrices need at least one row and column")
-        p, sr = len(self.entries[0]), self.semiring
-        for row in self.entries:
+        p = len(entries[0])
+        for row in entries:
             if len(row) != p:
                 raise MismatchError("ragged matrix")
             for s in row:
-                if s.semiring is not sr:
+                if s.semiring is not semiring:
                     raise MismatchError("matrix entries must share the semiring")
+        self.semiring, self.entries = semiring, entries
+
+    __eq__, __hash__ = Vector.__eq__, Vector.__hash__  # the same two fields
 
     @property
     def rows(self) -> int:
@@ -81,7 +91,6 @@ class Matrix:
         return len(self.entries[0])
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class GeneratingFamily(Matrix):
     """Finite family of equal-dimension vectors, stored as its generator matrix
     A (rows in ``entries``, generator g in column g), so the matrix kernels
@@ -93,8 +102,7 @@ class GeneratingFamily(Matrix):
         if any(g.semiring is not semiring or g.dim != dim for g in generators):
             raise MismatchError("family generators must share semiring and dimension")
         rows = tuple(zip(*(g.entries for g in generators))) or ((),) * dim
-        object.__setattr__(self, "semiring", semiring)
-        object.__setattr__(self, "entries", rows)
+        self.semiring, self.entries = semiring, rows
 
     dim = Matrix.rows  # of the generators
     generators = property(tuple)  # the columns of A as vectors
@@ -133,8 +141,7 @@ def column_family(a: Matrix) -> GeneratingFamily:
 def _family_of_rows(sr: SemiringId, rows) -> GeneratingFamily:
     # rows must already be equal-length rows of scalars over sr
     w = object.__new__(GeneratingFamily)
-    object.__setattr__(w, "semiring", sr)
-    object.__setattr__(w, "entries", rows)
+    w.semiring, w.entries = sr, rows
     return w
 
 

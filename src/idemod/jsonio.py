@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .dual import CANONICAL, MATRIX, OPPOSITE
 from .errors import DomainError, MismatchError, SchemaError
 from .fenchel import GridFunction, SlopeSet
 from .freemod import GeneratingFamily, Matrix, Vector, _family_of_rows
+from .record import Record
 from .semiring import (
     BOOL,
     NMAX,
@@ -188,8 +188,7 @@ def slopes_from_json(obj) -> SlopeSet:
     return SlopeSet(tuple(rational_from_json(s) for s in obj))
 
 
-@dataclass
-class Problem:
+class Problem(Record):
     semiring: SemiringId
     phi: Scalar
     generators: GeneratingFamily | None = None
@@ -202,7 +201,7 @@ class Problem:
     slopes: SlopeSet | None = None
 
 
-_PROBLEM_KEYS = {f.name for f in fields(Problem)}
+_PROBLEM_KEYS = set(Problem._fields)
 
 
 def problem_from_json(obj, semiring_override: str | None = None, phi_override: str | None = None) -> Problem:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
@@ -44,6 +43,7 @@ from .freemod import (
     vjoin,
     vmeet,
 )
+from .record import Record
 from .semiring import (
     BOOL,
     NEG_INF,
@@ -71,11 +71,10 @@ from .semiring import (
 MAT2 = matrix_semiring(2)
 
 
-@dataclass
-class Failure:
+class Failure(Record):
     law: str
     case: dict[str, str]  # shrunk
-    original: dict[str, str] = field(default_factory=dict)  # where shrinking began
+    original: dict[str, str] = dict  # where shrinking began
     steps: int = 0
 
     def __str__(self) -> str:
@@ -83,14 +82,13 @@ class Failure:
         return f"{self.law}: {parts}"
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(Record):
     suite: str
     seed: int
     trials: int
     checks: int = 0
-    failures: list[Failure] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    failures: list[Failure] = list
+    notes: list[str] = list
 
     @property
     def ok(self) -> bool:

@@ -8,8 +8,6 @@ return their coefficients and whether x is fixed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError, MismatchError, TheoremViolation
 from .freemod import (
     GeneratingFamily,
@@ -21,11 +19,11 @@ from .freemod import (
     vec_leq,
     vec_lres,
 )
+from .record import Record
 from .semiring import RMAX, Scalar, _rres_plan, bracket, leq, residual
 
 
-@dataclass(frozen=True, slots=True)
-class ProjectionResult:
+class ProjectionResult(Record):
     projection: Vector
     coefficients: tuple[Scalar, ...]  # g\x (x\g for the dual) per generator
     fixed: bool  # projection == x

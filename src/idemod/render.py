@@ -27,7 +27,6 @@ bytes are a pure function of the scene and the library version.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -35,6 +34,7 @@ from . import __version__
 from .errors import SchemaError
 from .freemod import GeneratingFamily, Vector
 from .jsonio import rational_from_json, scalar_from_json, vector_from_json
+from .record import Record
 from .semiring import NEG_INF, POS_INF, RMAX, Scalar, _excerpt, fin, sort_key
 from .separate import HalfSpace, halfspace_contains, separate_from_convex
 
@@ -60,8 +60,7 @@ def _is_xml_text(s: str) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class LineSpec:
+class LineSpec(Record):
     """Signed coefficients of a generic line; tag "+" puts the coefficient on
     the left side of the equation, "-" on the right, "." on both."""
 
@@ -70,14 +69,13 @@ class LineSpec:
     c: tuple[str, Scalar]
 
 
-@dataclass
-class Scene:
+class Scene(Record):
     viewport: tuple[Fraction | int, Fraction | int, Fraction | int, Fraction | int]
     samples: int = DEFAULT_SAMPLES
-    generators: list[Vector] = field(default_factory=list)
-    points: list[tuple[str, Vector]] = field(default_factory=list)
-    halfspaces: list[HalfSpace] = field(default_factory=list)
-    lines: list[LineSpec] = field(default_factory=list)
+    generators: list[Vector] = list
+    points: list[tuple[str, Vector]] = list
+    halfspaces: list[HalfSpace] = list
+    lines: list[LineSpec] = list
 
 
 def _coef_from_json(obj) -> tuple[str, Scalar]:

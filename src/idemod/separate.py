@@ -11,16 +11,14 @@ against a lifted vector is the plane residual met with the last coordinate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError, MismatchError, TheoremViolation
 from .freemod import GeneratingFamily, Vector, _family_of_rows, act, mat_lres, vec_lres
 from .project import _check_family, _checked_member, _dual_coefficients, project, project_dual
+from .record import Record
 from .semiring import BOOL, RMAX, Scalar, leq, lres, meet, mul, unit
 
 
-@dataclass(frozen=True, slots=True)
-class SeparationCertificate:
+class SeparationCertificate(Record):
     """Projection of x onto the span, with the two residuation facts that make
     it a separation: orthogonality on every generator, checked before the
     certificate is built, and the membership residual that is strict exactly
@@ -30,8 +28,7 @@ class SeparationCertificate:
     separated: bool
 
 
-@dataclass(frozen=True, slots=True)
-class ConvexSeparation:
+class ConvexSeparation(Record):
     nu: Scalar
     y: Vector
     lifted_projection: Vector  # (y, nu) in dimension n+1
@@ -39,8 +36,7 @@ class ConvexSeparation:
     normalized: Vector | None  # y * (nu\e) when nu * (nu\e) = e, i.e. nu is invertible
 
 
-@dataclass(frozen=True, slots=True)
-class HalfSpace:
+class HalfSpace(Record):
     """Region {v : v\\x_ref ^ e <= v\\y ^ nu}.  Contains the convex set the
     certificate was built from and excludes x_ref whenever x_ref is outside."""
 

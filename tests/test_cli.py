@@ -342,6 +342,20 @@ def test_hull_command(tmp_path, capsys):
     assert data["fixed_point"] is True
 
 
+def test_hull_refuses_other_semirings(tmp_path, capsys):
+    """Grid functions are RMAX-valued: a hull over any other semiring, from
+    the file or from --semiring, exits 2 and names the tag."""
+    path = write(tmp_path, "g.json", HULL_FILE)
+    for tag in ("bool", "nmax", "mat2"):
+        tagged = write(tmp_path, f"{tag}.json", dict(HULL_FILE, semiring=tag))
+        for argv in (["hull", path, "--semiring", tag], ["hull", tagged]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and f"not {tag}" in err, argv
+    tagged = write(tmp_path, "rmax.json", dict(HULL_FILE, semiring="rmax"))
+    for argv in (["hull", path, "--semiring", "rmax"], ["hull", tagged]):
+        assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_rowcol_command(tmp_path, capsys):
     obj = {"semiring": "bool", "matrix": [["e", "eps"], ["eps", "e"]]}
     code, out, _ = run_cli(capsys, "rowcol", write(tmp_path, "r.json", obj))
@@ -373,7 +387,7 @@ def test_laws_failure_record_carries_original_and_steps(capsys, monkeypatch):
     [failure] = json.loads(out)["failures"]
     assert code == 1 and failure["law"] == "never"
     assert failure["original"] == {"a": repr(fin(RMAX, 7))} != failure["case"]
-    assert failure["steps"] >= 1
+    assert failure["steps"] >= 1 and sorted(failure) == ["case", "law", "original", "steps"]
 
 
 def test_json_roundtrip_is_reparseable(tmp_path, capsys):
