@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Time two source trees in alternating pairs: acceptance criterion C3, or
-a fresh import of the package and its CLI.
+"""Time two source trees in alternating pairs: acceptance criterion C3, a
+fresh import of the package and its CLI, or one render.
 
 C3 runs the ``residuation`` law suite at 10^4 trials with seed 20260808
 (``tests/test_acceptance.py``) under a 10 s budget; the ``import`` child
 times ``import idemod, idemod.cli`` in an interpreter that has imported
-neither.  Each run starts a fresh interpreter whose ``PYTHONPATH`` is a
+neither; the ``render`` child times one ``render_scene`` of the README scene
+(``perfbench/scenes/readme.json``, 400 samples per axis) in an interpreter
+that has rendered nothing, as a one-shot ``idemod render`` does.  Each run
+starts a fresh interpreter whose ``PYTHONPATH`` is a
 copy of one tree's package, made once in a temporary directory, and times
 the work there.  With ``--bytecode on`` (the default) each copy is run once
 untimed first, so every timed run reads written bytecode; with ``off``
@@ -17,6 +20,7 @@ each pair's times, both medians and how many pairs each tree won:
 
     python3 scripts/c3_pairs.py ../parent/src src --pairs 10
     python3 scripts/c3_pairs.py ../parent/src src --child import --pairs 40
+    python3 scripts/c3_pairs.py ../parent/src src --child render --pairs 20
 
 It exits 1 when a run fails its laws or imports idemod from elsewhere.
 """
@@ -53,8 +57,27 @@ print(idemod.__file__)
 print(elapsed)
 """
 
+README_SCENE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "scenes" / "readme.json"
+
+RENDER = f"""
+import json, time
+import idemod
+from idemod.render import render_scene, scene_from_json
+with open({str(README_SCENE)!r}, encoding="utf-8") as fh:
+    scene = scene_from_json(json.load(fh))
+t0 = time.perf_counter()
+render_scene(scene)
+elapsed = time.perf_counter() - t0
+print(idemod.__file__)
+print(elapsed)
+"""
+
 # child -> (source, unit, seconds per unit, decimals shown)
-CHILDREN = {"c3": (C3, "s", 1, 2), "import": (IMPORT, "ms", 1e-3, 1)}
+CHILDREN = {
+    "c3": (C3, "s", 1, 2),
+    "import": (IMPORT, "ms", 1e-3, 1),
+    "render": (RENDER, "ms", 1e-3, 2),
+}
 
 
 def child_seconds(child: str, src: pathlib.Path, bytecode: bool) -> float:

@@ -55,6 +55,14 @@ def _load_problem(args) -> Problem:
     )
 
 
+def _refuse_overrides(args, command: str, reason: str) -> None:
+    """SchemaError naming --semiring or --phi when either was given to a
+    command that reads neither."""
+    for flag in ("semiring", "phi"):
+        if getattr(args, flag) is not None:
+            raise SchemaError(f"{command} takes no --{flag}: {reason}")
+
+
 def _require(problem: Problem, attr: str):
     value = getattr(problem, attr)
     if value is None:
@@ -171,6 +179,7 @@ def cmd_rowcol(args) -> dict:
 def cmd_laws(args) -> tuple[dict, int]:
     from . import laws as la  # only this command needs the law suites
 
+    _refuse_overrides(args, "laws", "each suite fixes its own semirings")
     if args.suite not in la.SUITES:
         raise SchemaError(
             f"unknown suite {args.suite!r}; known: {', '.join(sorted(la.SUITES))}"
@@ -191,6 +200,7 @@ def cmd_laws(args) -> tuple[dict, int]:
 
 
 def cmd_render(args) -> dict:
+    _refuse_overrides(args, "render", "scenes are drawn over rmax")
     if not args.out:
         raise SchemaError("render needs --out for the SVG path")
     scene = scene_from_json(load_json(args.file))

@@ -21,13 +21,17 @@ exact breakpoint, u = max(b + v, c) - a, so a row has three slots: below,
 on and above it.  Which sign a slot has depends only on the slot and on the
 row's type, the sign of b + v - c: each line classifies each (type, slot)
 once, at most 9 times whatever the sample count, and a row costs one
-bisect.  So only the picture is approximate, never the algebra.  Output
-bytes are a pure function of the scene and the library version.
+bisect.  So only the picture is approximate, never the algebra.  What
+depends on the sample count alone, the pixel of each sample and the text of
+each cell's x and y, is built once per count (``_frame``) and shared by
+every scene drawn at that count.  Output bytes are a pure function of the
+scene and the library version.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from . import __version__
@@ -337,7 +341,7 @@ def _crossings(runs: list, runs_below: list):
     start = a = b = 0
     while start < n:
         (stop_a, s), (stop_b, t) = runs[a], runs_below[b]
-        stop = min(stop_a, stop_b)
+        stop = stop_a if stop_a < stop_b else stop_b
         if s == 0 or s != t:
             yield start, stop
         elif stop == stop_a < n:
@@ -377,6 +381,39 @@ def _pixels(n: int) -> tuple[list[float], list[float]]:
     return xs, ys
 
 
+class _Frame(Record):
+    """What an n x n picture draws with that depends on n alone: the pixels
+    of ``_pixels`` as tuples, the cell size ``step`` and ``half`` of it, the
+    text '<rect x="X" y="' of each column's cell and 'Y" ' of each row's."""
+
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
+    step: float
+    half: float
+    x_attrs: tuple[str, ...]
+    y_attrs: tuple[str, ...]
+
+
+# Frames kept at once; one at MAX_SAMPLES holds under 0.5 MB.
+FRAME_CACHE = 4
+
+
+@lru_cache(maxsize=FRAME_CACHE)
+def _frame(n: int) -> _Frame:
+    """The frame of every scene with n samples per axis, built once."""
+    xs, ys = _pixels(n)
+    step = (_W - 2 * _MARGIN) / (n - 1)
+    half = step / 2
+    return _Frame(
+        tuple(xs),
+        tuple(ys),
+        step,
+        half,
+        tuple(f'<rect x="{x - half:.2f}" y="' for x in xs),
+        tuple(f'{y - half:.2f}" ' for y in ys),
+    )
+
+
 def _scaled(s: Scalar, k: int) -> Scalar:
     return s if s.value is NEG_INF or s.value is POS_INF else fin(RMAX, s.value * k)
 
@@ -411,9 +448,9 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
 
     us = [u0 + i * du for i in range(n)]
     vs = [v0 + j * dv for j in range(n)]
-    xs, ys = _pixels(n)
-    step = inner / (n - 1)
-    half = step / 2
+    frame = _frame(n)
+    xs, step, half = frame.xs, frame.step, frame.half
+    x_attrs, y_attrs = frame.x_attrs, frame.y_attrs
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_W}" '
@@ -423,19 +460,15 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
     ]
 
     def emit_region(rows, color: str, opacity: str) -> None:
+        tail = f'height="{step:.2f}" fill="{color}" fill-opacity="{opacity}"/>'
         for j, v in enumerate(vs):
             (lo_rank, lo), (hi_rank, hi) = rows(v)
             # a bound of -inf lies before sample 0, one of +inf after sample n - 1
             start = bisect_left(us, lo) if lo_rank == 1 else (n if lo_rank else 0)
             stop = bisect_right(us, hi) if hi_rank == 1 else (n if hi_rank else 0)
             if start < stop:
-                x0 = xs[start] - half
-                x1 = xs[stop - 1] + half
-                parts.append(
-                    f'<rect x="{x0:.2f}" y="{ys[j] - half:.2f}" '
-                    f'width="{x1 - x0:.2f}" height="{step:.2f}" '
-                    f'fill="{color}" fill-opacity="{opacity}"/>'
-                )
+                width = (xs[stop - 1] + half) - (xs[start] - half)  # x1 - x0: rounds as it always has
+                parts.append(f'{x_attrs[start]}{y_attrs[j]}width="{width:.2f}" {tail}')
 
     for h in scene.halfspaces:
         h = HalfSpace(_scaled_vector(h.x_ref, k), _scaled_vector(h.y, k), _scaled(h.nu, k))
@@ -445,8 +478,6 @@ def render_scene(scene: Scene) -> tuple[str, dict]:
         gens = [_scaled_vector(g, k) for g in scene.generators]
         emit_region(_hull_rows(gens), "#4a4a4a", "0.85")
 
-    x_attrs = [f'<rect x="{x - half:.2f}" y="' for x in xs]
-    y_attrs = [f'{y - half:.2f}" ' for y in ys]
     for li, spec in enumerate(scene.lines):
         spec = LineSpec(*((tag, _scaled(coef, k)) for tag, coef in (spec.a, spec.b, spec.c)))
         tail = (

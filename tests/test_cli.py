@@ -356,6 +356,22 @@ def test_hull_refuses_other_semirings(tmp_path, capsys):
         assert run_cli(capsys, *argv)[0] == 0
 
 
+@pytest.mark.parametrize("flag,value", [("--semiring", "bool"), ("--semiring", "rmax"), ("--phi", "9")])
+def test_render_and_laws_refuse_overrides(tmp_path, capsys, flag, value):
+    """render and laws read neither --semiring nor --phi: given either,
+    before or after the command, they exit 2 and name the flag, and render
+    writes no SVG."""
+    scene = write(tmp_path, "scene.json", SCENE)
+    out_svg = tmp_path / "scene.svg"
+    render = ["render", scene, "--out", str(out_svg)]
+    laws = ["laws", "fenchel", "--trials", "2"]
+    for argv in (render + [flag, value], [flag, value] + render, laws + [flag, value], [flag, value] + laws):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and f"takes no {flag}" in err, argv
+    assert not out_svg.exists()
+    assert run_cli(capsys, *render)[0] == run_cli(capsys, *laws, "--seed", "3")[0] == 0
+
+
 def test_rowcol_command(tmp_path, capsys):
     obj = {"semiring": "bool", "matrix": [["e", "eps"], ["eps", "e"]]}
     code, out, _ = run_cli(capsys, "rowcol", write(tmp_path, "r.json", obj))

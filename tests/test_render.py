@@ -30,12 +30,14 @@ from idemod.render import (
     _MARGIN,
     _TOP,
     _W,
+    FRAME_CACHE,
     MAX_LATTICE_BITS,
     MAX_SAMPLES,
     LineSpec,
     Scene,
     _check_lattice,
     _crossings,
+    _frame,
     _halfspace_fold,
     _halfspace_rows,
     _hull_fold,
@@ -403,6 +405,21 @@ def test_pixels_match_exact_samples(grid):
     assert _pixels(grid[1]) == pixels_per_sample(*grid)
 
 
+@pytest.mark.parametrize("n", sorted({n for _, n in GRIDS} | {MAX_SAMPLES}))
+def test_frame_matches_per_cell_formatting(n):
+    """The memoised frame holds what render_scene formatted per cell: the
+    pixels of ``_pixels`` and each cell's x and y text, half a step back."""
+    xs, ys = _pixels(n)
+    step = (_W - 2 * _MARGIN) / (n - 1)
+    half = step / 2
+    frame = _frame(n)
+    assert (frame.xs, frame.ys, frame.step, frame.half) == (tuple(xs), tuple(ys), step, half)
+    assert frame.x_attrs == tuple(f'<rect x="{x - half:.2f}" y="' for x in xs)
+    assert frame.y_attrs == tuple(f'{y - half:.2f}" ' for y in ys)
+    assert _frame(n) is frame
+    assert _frame.cache_info().maxsize == FRAME_CACHE == 4
+
+
 def line_rects_per_sample(scene):
     """The oracle for lines: signs from the max-plus operations on the exact
     samples, and one rect per cell that crossings_per_cell picks."""
@@ -543,14 +560,26 @@ README_SCENE = {
 }
 
 
+README_SVG_SHA256 = "ab2fa23ab5b696ec6564ba51b633932cebf8e30358591095f5c837feabd86c45"
+
+
 def test_readme_figure_bytes():
     """The README scene at 400 samples per axis, pinned byte for byte."""
     svg, classification = render_scene(scene_from_json(README_SCENE))
     assert classification == {"M": {"in_convex": False, "in_halfspace_0": False}}
-    assert (
-        hashlib.sha256(svg.encode("utf-8")).hexdigest()
-        == "ab2fa23ab5b696ec6564ba51b633932cebf8e30358591095f5c837feabd86c45"
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == README_SVG_SHA256
+
+
+def test_renders_do_not_depend_on_order():
+    """The README scene at 64, 400 and 64 samples in one process, from an
+    empty frame cache: the 400 picture keeps its pin and the two 64 pictures
+    are the same bytes, so no state passes from one scene to the next."""
+    _frame.cache_clear()
+    first, pinned, again = (
+        render_scene(scene_from_json(dict(README_SCENE, samples_per_axis=n)))[0] for n in (64, 400, 64)
     )
+    assert hashlib.sha256(pinned.encode("utf-8")).hexdigest() == README_SVG_SHA256
+    assert first == again
 
 
 def test_samples_per_axis_cap():
