@@ -5,6 +5,10 @@ laws | render.  Inputs are UTF-8 JSON problem files; results go to stdout as
 canonical JSON (sorted keys, compact separators); render writes an SVG to
 --out.
 
+Of the global flags, every command but laws and render reads --semiring, dual
+and rowcol also --phi, laws --seed and render --out; any other flag, before or
+after the command, exits 2 with ``<command> takes no --<flag>``.
+
 Exit codes: 0 ok, 1 theorem violation (library bug), 2 input or schema
 error, 3 dimension mismatch, 4 output I/O error, 5 internal error (any
 other exception, reported on one stderr line).
@@ -53,14 +57,6 @@ def _load_problem(args) -> Problem:
         semiring_override=args.semiring,
         phi_override=args.phi,
     )
-
-
-def _refuse_overrides(args, command: str, reason: str) -> None:
-    """SchemaError naming --semiring or --phi when either was given to a
-    command that reads neither."""
-    for flag in ("semiring", "phi"):
-        if getattr(args, flag) is not None:
-            raise SchemaError(f"{command} takes no --{flag}: {reason}")
 
 
 def _require(problem: Problem, attr: str):
@@ -179,14 +175,13 @@ def cmd_rowcol(args) -> dict:
 def cmd_laws(args) -> tuple[dict, int]:
     from . import laws as la  # only this command needs the law suites
 
-    _refuse_overrides(args, "laws", "each suite fixes its own semirings")
     if args.suite not in la.SUITES:
         raise SchemaError(
             f"unknown suite {args.suite!r}; known: {', '.join(sorted(la.SUITES))}"
         )
     if args.trials is not None and not 1 <= args.trials <= MAX_TRIALS:
         raise SchemaError(f"--trials must lie in [1, {MAX_TRIALS}], got {args.trials}")
-    report = la.run_suite(args.suite, seed=args.seed, trials=args.trials)
+    report = la.run_suite(args.suite, seed=args.seed or 0, trials=args.trials)
     out = {
         "suite": report.suite,
         "seed": report.seed,
@@ -200,7 +195,6 @@ def cmd_laws(args) -> tuple[dict, int]:
 
 
 def cmd_render(args) -> dict:
-    _refuse_overrides(args, "render", "scenes are drawn over rmax")
     if not args.out:
         raise SchemaError("render needs --out for the SVG path")
     scene = scene_from_json(load_json(args.file))
@@ -223,12 +217,7 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--semiring", default=d, help="override the file's semiring tag")
     parser.add_argument("--phi", default=d, help="override the pairing element phi")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=argparse.SUPPRESS if suppress else 0,
-        help="seed for the laws runner",
-    )
+    parser.add_argument("--seed", type=int, default=d, help="seed for the laws runner")
     parser.add_argument("--out", default=d, help="output path (SVG for render)")
 
 
@@ -270,10 +259,21 @@ _COMMANDS = {
     "render": cmd_render,
 }
 
+# The global flags each command reads; main refuses any other it is given.
+_READS = {
+    "project": ("semiring",), "member": ("semiring",), "separate": ("semiring",),
+    "hilbert": ("semiring",), "hull": ("semiring",),
+    "dual": ("semiring", "phi"), "rowcol": ("semiring", "phi"),
+    "laws": ("seed",), "render": ("out",),
+}
+
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for flag in ("semiring", "phi", "seed", "out"):
+            if getattr(args, flag) is not None and flag not in _READS[args.command]:
+                raise SchemaError(f"{args.command} takes no --{flag}")
         if args.command == "laws":
             out, code = cmd_laws(args)
             sys.stdout.write(canonical_dumps(out))

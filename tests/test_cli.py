@@ -309,6 +309,23 @@ def test_dual_command(tmp_path, capsys):
     assert data["closed"] is True
 
 
+def test_dual_command_over_mat2(tmp_path, capsys):
+    """Over the noncommutative mat2 each conjugate entry is phi/x_i, the
+    greatest y with y x_i <= phi, and not x_i\\phi."""
+    obj = {
+        "semiring": "mat2",
+        "phi": [["0", "-inf"], ["-inf", "0"]],
+        "point": [[["1", "-inf"], ["3", "0"]], [["-2", "5"], ["+inf", "-1"]]],
+    }
+    code, out, _ = run_cli(capsys, "dual", write(tmp_path, "d.json", obj))
+    assert code == 0
+    assert out == (
+        '{"biconjugate":[[["1","-inf"],["+inf","+inf"]],[["+inf","+inf"],["+inf","+inf"]]],'
+        '"closed":false,'
+        '"conj_left":[[["-1","-inf"],["-inf","-inf"]],[["-inf","-inf"],["-inf","-inf"]]]}\n'
+    )
+
+
 def test_dual_opposite_bracket(tmp_path, capsys):
     obj = {"semiring": "rmax", "point": ["2", "-1"], "bracket": "opposite", "phi": "0"}
     code, out, _ = run_cli(capsys, "dual", write(tmp_path, "d.json", obj))
@@ -370,6 +387,57 @@ def test_render_and_laws_refuse_overrides(tmp_path, capsys, flag, value):
         assert code == 2 and out == "" and f"takes no {flag}" in err, argv
     assert not out_svg.exists()
     assert run_cli(capsys, *render)[0] == run_cli(capsys, *laws, "--seed", "3")[0] == 0
+
+
+@pytest.mark.parametrize("flag", ["--semiring", "--phi", "--seed", "--out"])
+@pytest.mark.parametrize(
+    "command", ["project", "member", "separate", "dual", "hilbert", "hull", "rowcol", "laws", "render"]
+)
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys, command, flag):
+    """A global flag the command reads runs, before or after the command; any
+    other exits 2, names the flag and writes no SVG."""
+    reads = {
+        "--semiring": command not in ("laws", "render"),
+        "--phi": command in ("dual", "rowcol"),
+        "--seed": command == "laws",
+        "--out": command == "render",
+    }[flag]
+    files = {
+        "project": PROJECT_FILE,
+        "member": PROJECT_FILE,
+        "separate": SEPARATE_FILE,
+        "dual": {"semiring": "rmax", "point": ["2", "-1"]},
+        "hilbert": {"semiring": "rmax", "point": ["0", "0"], "point2": ["1", "3"]},
+        "hull": HULL_FILE,
+        "rowcol": {"semiring": "bool", "matrix": [["e", "eps"], ["eps", "e"]]},
+        "render": SCENE,
+    }
+    out_svg = tmp_path / "x.svg"
+    if command == "laws":
+        argv = ["laws", "fenchel", "--trials", "2"]
+    else:
+        argv = [command, write(tmp_path, "f.json", files[command])]
+    if command == "render" and flag != "--out":
+        argv += ["--out", str(out_svg)]
+    boolean = command == "rowcol"
+    value = {"--semiring": "bool" if boolean else "rmax", "--phi": "eps" if boolean else "0",
+             "--seed": "7", "--out": str(out_svg)}[flag]
+    for given in ([flag, value, *argv], [*argv, flag, value]):
+        code, out, err = run_cli(capsys, *given)
+        if reads:
+            assert code == 0 and err == "", given
+        else:
+            assert code == 2 and out == "" and err == f"error: {command} takes no {flag}\n", given
+    assert out_svg.exists() == (reads and flag == "--out")
+
+
+def test_readme_lists_the_flags_each_command_reads():
+    """The README's per-command flag table is cli._READS."""
+    readme = (BENCH_DIR.parent / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \| ((?:`--\w+` ?)+) \|$", cli_section, re.M)
+    listed = {command: tuple(re.findall(r"--(\w+)", flags)) for command, flags in rows}
+    assert listed == sys.modules["idemod.cli"]._READS
 
 
 def test_rowcol_command(tmp_path, capsys):
@@ -708,7 +776,8 @@ def test_deeply_nested_json_is_a_schema_error(tmp_path, capsys, command):
     """Nesting past the recursion limit exits 2 like any other invalid JSON."""
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000, encoding="utf-8")
-    code, out, err = run_cli(capsys, command, str(deep), "--out", str(tmp_path / "x.svg"))
+    out_flag = ["--out", str(tmp_path / "x.svg")] if command == "render" else []
+    code, out, err = run_cli(capsys, command, str(deep), *out_flag)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "invalid JSON" in err
 
@@ -912,7 +981,8 @@ def test_fuzzed_files_exit_cleanly(tmp_path, capsys, command_and_doc):
     path = tmp_path / "fuzz.json"
     path.write_text(_dumps(doc), encoding="utf-8")
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, command, str(path), "--out", str(tmp_path / "fuzz.svg"))
+    out_flag = ["--out", str(tmp_path / "fuzz.svg")] if command == "render" else []
+    code, _, err = run_cli(capsys, command, str(path), *out_flag)
     assert time.perf_counter() - start < 5, "one file took more than 5 s"
     assert code in (0, 2, 3), err
     assert "Traceback" not in err and err.count("\n") <= 1

@@ -1,6 +1,7 @@
 """Conjugations, closed elements, reflexivity, linear forms, row/column
 duality."""
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -46,11 +47,13 @@ from idemod import (
     top_vector,
     unit,
     vec_leq,
+    vec_lres,
     vector,
     vjoin,
     vmeet,
 )
 from idemod.dual import lattice_meet, vec_key
+from idemod.laws import rand_scalar, rand_vector
 from conftest import mat2_scalars, scalars, vectors
 
 PHI0 = make_phi(fin(RMAX, 0))
@@ -150,6 +153,42 @@ def test_matrix_transfer_reflexivity(lam):
     assert is_reflexive(default_phi(MAT2), [lam])
 
 
+def test_reflexivity_checks_both_sides_over_mat2():
+    """Over the noncommutative mat2 the two checks differ: each of these
+    fails exactly one of phi/(lam\\phi) = lam and (phi/lam)\\phi = lam."""
+    first_fails = matrix_scalar([["-inf", "-9/2"], ["-inf", 7]])
+    second_fails = matrix_scalar([["-inf", "-inf"], [2, -6]])
+    assert not is_reflexive(unit(MAT2), [first_fails])
+    assert not is_reflexive(unit(MAT2), [second_fails])
+
+
+def _mat2_duality_cases(n=300):
+    """Seeded mat2 cases of dimension 1 to 3, phi cycling over e, the default
+    phi and a drawn element: (cfg, phi, x, y, z)."""
+    rng = random.Random(20261021)
+    for i in range(n):
+        phi = (unit(MAT2), default_phi(MAT2), rand_scalar(rng, MAT2))[i % 3]
+        dim = rng.randint(1, 3)
+        x, y, z = (rand_vector(rng, MAT2, dim) for _ in range(3))
+        yield DualPairConfig(CANONICAL, phi), phi, x, y, z
+
+
+def test_mat2_left_conjugate_is_feasible():
+    for cfg, phi, x, _, _ in _mat2_duality_cases():
+        assert leq(bracket_eval(cfg, conj_left(cfg, x), x), phi), (phi, x)
+
+
+def test_mat2_right_conjugate_is_feasible():
+    for cfg, phi, _, y, _ in _mat2_duality_cases():
+        assert leq(bracket_eval(cfg, y, conj_right(cfg, y)), phi), (phi, y)
+
+
+def test_mat2_form_value_times_residual_stays_below_phi():
+    """f_z(x) = phi/(x\\z), so f_z(x) (x\\z) <= phi."""
+    for _, phi, x, _, z in _mat2_duality_cases():
+        assert leq(mul(eval_form(z, phi, x), vec_lres(x, z)), phi), (phi, x, z)
+
+
 def test_riesz_eval():
     x = vector(RMAX, [2, -1])
     d1 = vector(RMAX, [0, "-inf"])
@@ -195,6 +234,19 @@ def test_extend_form_agrees_with_restriction():
 
             v = vjoin(v, act(g, scal(RMAX, c)))
         assert form(v) == eval_form(z, PHI0, v)
+
+
+def test_extend_form_agrees_with_its_values_over_mat2():
+    """A mat2 form with phi = e, drawn with laws.rand_family: its extension
+    from the generator value takes value\\phi as the coefficient, and so
+    agrees with the value on the generator."""
+    g = vector(MAT2, [matrix_scalar([[0, 6], [2, 0]])])
+    z = vector(MAT2, [matrix_scalar([[-5, "-inf"], [-3, 6]])])
+    w = family(MAT2, [g.entries])
+    value = eval_form(z, unit(MAT2), g)
+    assert value == matrix_scalar([[5, 11], ["-inf", "-inf"]])
+    _, form = extend_form(w, [value], unit(MAT2))
+    assert form(g) == value
 
 
 def test_extend_form_rejects_inconsistent_values():
