@@ -5,22 +5,26 @@ laws | render.  Inputs are UTF-8 JSON problem files; results go to stdout as
 canonical JSON (sorted keys, compact separators); render writes an SVG to
 --out.
 
-Of the global flags, every command but laws and render reads --semiring, dual
-and rowcol also --phi, laws --seed and render --out; any other flag, before or
-after the command, exits 2 with ``<command> takes no --<flag>``.
+Each command takes one operand, a file (laws: a suite name), and the global
+flags ``_READS`` names: every command but laws and render reads --semiring,
+dual and rowcol also --phi, laws --seed and --trials, render --out.  A flag is
+``--flag value`` or ``--flag=value``, before or after the command, and the
+last of a repeated flag wins.  Any other flag (``<command> takes no
+--<flag>``), a flag without its value, a wrong operand count or an unknown
+command exits 2 before any input is read.  Flags are not abbreviated and
+there is no --help.
 
 Exit codes: 0 ok, 1 theorem violation (library bug), 2 input or schema
 error, 3 dimension mismatch, 4 output I/O error, 5 internal error (any
 other exception, reported on one stderr line).
 
-``main(argv)`` may be called repeatedly in one process: it builds its
-parser on the first call and reuses it.
+``main(argv)`` returns the exit code and may be called repeatedly in one
+process.
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import sys
+from types import SimpleNamespace
 
 from . import dual as du
 from .errors import DomainError, MismatchError, SchemaError, TheoremViolation
@@ -37,7 +41,7 @@ from .jsonio import (
 from .metric import hilbert_distance
 from .project import _checked_member, _dual_coefficients, is_member, project
 from .render import render_scene, scene_from_json
-from .semiring import RMAX, leq, mul
+from .semiring import RMAX, _excerpt, _shown, leq, mul
 from .separate import separate_from_convex
 
 EXIT_OK = 0
@@ -175,12 +179,8 @@ def cmd_rowcol(args) -> dict:
 def cmd_laws(args) -> tuple[dict, int]:
     from . import laws as la  # only this command needs the law suites
 
-    if args.suite not in la.SUITES:
-        raise SchemaError(
-            f"unknown suite {args.suite!r}; known: {', '.join(sorted(la.SUITES))}"
-        )
     if args.trials is not None and not 1 <= args.trials <= MAX_TRIALS:
-        raise SchemaError(f"--trials must lie in [1, {MAX_TRIALS}], got {args.trials}")
+        raise SchemaError(f"--trials must lie in [1, {MAX_TRIALS}], got {_shown(args.trials)}")
     report = la.run_suite(args.suite, seed=args.seed or 0, trials=args.trials)
     out = {
         "suite": report.suite,
@@ -211,43 +211,6 @@ class _OutputError(Exception):
     pass
 
 
-def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # Subcommands carry the same flags with SUPPRESS defaults so a value given
-    # before the subcommand survives the subparser pass.
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--semiring", default=d, help="override the file's semiring tag")
-    parser.add_argument("--phi", default=d, help="override the pairing element phi")
-    parser.add_argument("--seed", type=int, default=d, help="seed for the laws runner")
-    parser.add_argument("--out", default=d, help="output path (SVG for render)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="idemod",
-        description="Exact max-plus / idempotent-semiring projections, "
-        "separations, duality and Fenchel transforms.",
-    )
-    _global_flags(parser, suppress=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        _global_flags(sp, suppress=True)
-        sp.add_argument("file", help="JSON problem or scene file")
-
-    sp = sub.add_parser("laws")
-    _global_flags(sp, suppress=True)
-    sp.add_argument("suite", help="law suite to run; an unknown name lists them all")
-    sp.add_argument("--trials", type=int, default=None)
-    return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parse_args returns a fresh Namespace per call, so one tree serves all
-    return build_parser()
-
-
 _COMMANDS = {
     "project": cmd_project,
     "member": cmd_member,
@@ -259,21 +222,52 @@ _COMMANDS = {
     "render": cmd_render,
 }
 
-# The global flags each command reads; main refuses any other it is given.
+# The global flags each command reads; _parse refuses any other it is given.
 _READS = {
     "project": ("semiring",), "member": ("semiring",), "separate": ("semiring",),
     "hilbert": ("semiring",), "hull": ("semiring",),
     "dual": ("semiring", "phi"), "rowcol": ("semiring", "phi"),
-    "laws": ("seed",), "render": ("out",),
+    "laws": ("seed", "trials"), "render": ("out",),
 }
 
 
+def _parse(argv) -> SimpleNamespace:
+    """The command, its operand and every global flag (None if not given)."""
+    flags, operands = {}, []
+    words = iter(argv)
+    for word in words:
+        if not word.startswith("--"):
+            operands.append(word)
+            continue
+        name, eq, value = word[2:].partition("=")
+        if not eq:
+            value = next(words, None)
+            if value is None or value.startswith("--"):
+                raise SchemaError(f"--{_shown(name)} needs a value")
+        flags[name] = value
+    command = operands.pop(0) if operands else ""
+    if command not in _READS:
+        raise SchemaError(f"the command is one of {', '.join(_READS)}; got {_excerpt(command)}")
+    for name in flags:
+        if name not in _READS[command]:
+            raise SchemaError(f"{command} takes no --{_shown(name)}")
+    operand = "suite" if command == "laws" else "file"
+    if len(operands) != 1:
+        raise SchemaError(f"{command} takes one {operand}, got {len(operands)}")
+    args = dict.fromkeys(("semiring", "phi", "seed", "out", "trials"))
+    args.update(flags)
+    for name in ("seed", "trials"):
+        if args[name] is not None:
+            try:
+                args[name] = int(args[name])
+            except ValueError:
+                raise SchemaError(f"--{name} takes an integer, got {_excerpt(args[name])}") from None
+    return SimpleNamespace(command=command, **{operand: operands[0]}, **args)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        for flag in ("semiring", "phi", "seed", "out"):
-            if getattr(args, flag) is not None and flag not in _READS[args.command]:
-                raise SchemaError(f"{args.command} takes no --{flag}")
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if args.command == "laws":
             out, code = cmd_laws(args)
             sys.stdout.write(canonical_dumps(out))

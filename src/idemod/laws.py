@@ -25,7 +25,7 @@ from . import fenchel as fe
 from . import metric as me
 from . import separate as se
 from .project import inf_dominating, is_member, project, project_dual
-from .errors import IdemodError
+from .errors import IdemodError, SchemaError
 from .freemod import (
     CoVector,
     GeneratingFamily,
@@ -52,6 +52,7 @@ from .semiring import (
     RMAX,
     Scalar,
     SemiringId,
+    _excerpt,
     add,
     bot,
     default_phi,
@@ -1132,7 +1133,7 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 0, trials: int | None = None) -> SuiteReport:
     if name not in SUITES:
-        raise IdemodError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+        raise SchemaError(f"unknown suite {_excerpt(name)}; known: {', '.join(sorted(SUITES))}")
     fn, default_trials = SUITES[name]
     n = default_trials if trials is None else trials
     report = SuiteReport(name, seed, n)

@@ -247,6 +247,25 @@ def _run_with_int_limit(limit, *argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_usage_errors_echo_at_most_an_excerpt_of_argv():
+    """An unknown command, suite or flag and an integer flag past the int
+    text limit or the trials cap exit 2 with one short stderr line, however
+    long the argv text they name."""
+    text, digits = "x" * 5000, "7" * 5000
+    for limit, argv in (
+        (None, [text, "p.json"]),
+        (None, ["laws", text]),
+        (None, ["laws", "fenchel", f"--{text}", "2"]),
+        (None, ["laws", "fenchel", "--seed", digits]),
+        (None, ["laws", "fenchel", "--trials", digits]),
+        ("0", ["laws", "fenchel", "--trials", digits]),
+    ):
+        code, out, err = _run_with_int_limit(limit, *argv)
+        shown = [word[:12] for word in argv]
+        assert code == 2 and out == "" and err.count("\n") == 1, (limit, shown, err[:80])
+        assert err.startswith("error: ") and len(err.encode()) < 300, (limit, shown)
+
+
 def test_result_past_the_int_text_limit_exits_2(tmp_path):
     """An exact result whose text the interpreter refuses to build (here a
     denominator of about 6 000 digits from two of 3 001) is an input the
@@ -389,18 +408,21 @@ def test_render_and_laws_refuse_overrides(tmp_path, capsys, flag, value):
     assert run_cli(capsys, *render)[0] == run_cli(capsys, *laws, "--seed", "3")[0] == 0
 
 
-@pytest.mark.parametrize("flag", ["--semiring", "--phi", "--seed", "--out"])
+@pytest.mark.parametrize("flag", ["--semiring", "--phi", "--seed", "--out", "--trials", "--tri"])
 @pytest.mark.parametrize(
     "command", ["project", "member", "separate", "dual", "hilbert", "hull", "rowcol", "laws", "render"]
 )
 def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys, command, flag):
-    """A global flag the command reads runs, before or after the command; any
-    other exits 2, names the flag and writes no SVG."""
+    """A global flag the command reads runs, as ``--flag value`` or
+    ``--flag=value`` and before or after the command; any other, an
+    abbreviation too, exits 2, names the flag and writes no SVG."""
     reads = {
         "--semiring": command not in ("laws", "render"),
         "--phi": command in ("dual", "rowcol"),
         "--seed": command == "laws",
         "--out": command == "render",
+        "--trials": command == "laws",
+        "--tri": False,
     }[flag]
     files = {
         "project": PROJECT_FILE,
@@ -421,8 +443,9 @@ def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys, command, f
         argv += ["--out", str(out_svg)]
     boolean = command == "rowcol"
     value = {"--semiring": "bool" if boolean else "rmax", "--phi": "eps" if boolean else "0",
-             "--seed": "7", "--out": str(out_svg)}[flag]
-    for given in ([flag, value, *argv], [*argv, flag, value]):
+             "--seed": "7", "--out": str(out_svg), "--trials": "3", "--tri": "2"}[flag]
+    for given in ([flag, value, *argv], [*argv, flag, value],
+                  [f"{flag}={value}", *argv], [*argv, f"{flag}={value}"]):
         code, out, err = run_cli(capsys, *given)
         if reads:
             assert code == 0 and err == "", given
@@ -456,6 +479,10 @@ def test_laws_command(tmp_path, capsys):
     # identical seed, identical bytes
     code2, out2, _ = run_cli(capsys, "laws", "residuation", "--trials", "30", "--seed", "4")
     assert code2 == 0 and out2 == out
+    # the last of a repeated flag wins
+    code3, out3, _ = run_cli(capsys, "--trials=7", "laws", "residuation", "--seed=9",
+                             "--trials", "30", "--seed", "4")
+    assert code3 == 0 and out3 == out
 
 
 def test_laws_failure_record_carries_original_and_steps(capsys, monkeypatch):
@@ -560,23 +587,9 @@ def test_python_dash_m_idemod(tmp_path):
     assert codes == [0, 2]
 
 
-def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
-    cli = sys.modules["idemod.cli"]
-    builds = _count_calls(monkeypatch, "build_parser", cli)
-    cli._parser.cache_clear()
-    path = write(tmp_path, "p.json", PROJECT_FILE)
-    for argv in (["project", path], ["member", path], ["laws", "fenchel", "--trials", "1"]):
-        code, _, _ = run_cli(capsys, *argv)
-        assert code == 0
-    with pytest.raises(SystemExit):
-        main(["project"])
-    assert builds == ["build_parser"]
-
-
 def test_no_state_leaks_between_calls(tmp_path, capsys):
     """A flag given to one call does not reach the next, and neither does a
     usage error."""
-    cli = sys.modules["idemod.cli"]
     naturals = {"semiring": "rmax", "generators": [["0", "0"], ["1", "3"]], "point": ["2", "1"]}
     project = write(tmp_path, "p.json", naturals)
     dual = write(tmp_path, "d.json", {"semiring": "rmax", "point": ["2", "-1"]})
@@ -586,25 +599,24 @@ def test_no_state_leaks_between_calls(tmp_path, capsys):
         (["--phi", "5"], ["dual", dual]),
         (["--seed", "7"], laws),
     ):
-        cli._parser.cache_clear()
         alone = run_cli(capsys, *argv)
         flagged = run_cli(capsys, *flags, *argv)
         assert alone[0] == flagged[0] == 0 and flagged[1] != alone[1], flags
         assert run_cli(capsys, *argv) == alone, flags
     alone = run_cli(capsys, "dual", dual)
-    for bad in (["project"], ["--seed", "x", "dual", dual], ["nosuch", dual]):
-        with pytest.raises(SystemExit) as exc:
-            main(bad)
-        assert exc.value.code == 2
-        capsys.readouterr()
+    for bad in (["project"], ["dual", dual, dual], ["--seed", "x", "dual", dual],
+                ["nosuch", dual], ["dual", dual, "--phi"], ["--phi", "--semiring", "rmax", "dual", dual]):
+        assert main(bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, bad
         assert run_cli(capsys, "dual", dual) == alone, bad
 
 
 def test_laws_module_loads_only_for_laws():
-    probe = ("import sys, idemod.cli as c; "
-             "print('idemod.laws' in sys.modules, c._parser.cache_info().currsize)")
+    probe = ("import sys, idemod.cli; "
+             "print('idemod.laws' in sys.modules, 'argparse' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stdout.split() == ["False", "0"]
+    assert proc.returncode == 0 and proc.stdout.split() == ["False", "False"]
     proc = subprocess.run([sys.executable, "-m", "idemod", "laws", "nosuch"],
                           capture_output=True, text=True)
     from idemod.laws import SUITES
